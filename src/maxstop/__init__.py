@@ -46,13 +46,11 @@ from .dpsolver import (  # noqa: F401
     UNKNOWN,
     PolicyTable,
     SolveReport,
-    ZChain,
     evaluate_policy,
     policy_stop_at_max,
     policy_tau0,
     policy_tauN,
     solve,
-    uniqueness_report,
 )
 from .oracle import (  # noqa: F401
     HistoryRule,

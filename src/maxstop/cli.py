@@ -125,9 +125,9 @@ def cmd_solve(args) -> int:
     report = {
         "command": "solve",
         "config": {"p": str(p), "N": args.N, "reward": args.reward},
-        "optimal_value": _exact(rep.optimal_value) if rep.exact else {"mode": "float", "value": rep.optimal_value},
-        "value_tau0": _exact(rep.value_tau0) if rep.exact else {"mode": "float", "value": rep.value_tau0},
-        "value_tauN": _exact(rep.value_tauN) if rep.exact else {"mode": "float", "value": rep.value_tauN},
+        "optimal_value": _exact(rep.optimal_value),
+        "value_tau0": _exact(rep.value_tau0),
+        "value_tauN": _exact(rep.value_tauN),
         "unique": rep.unique,
         "tie_states": [list(s) for s in rep.tie_states],
         "policy": sorted([k, z, d] for (k, z), d in rep.policy.decisions.items()),

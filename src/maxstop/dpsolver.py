@@ -8,6 +8,13 @@ solver runs the exact Bellman recursion for ANY reward f, convex or not,
 records per-state ties exactly, and classifies uniqueness of the optimal
 rule from the tie pattern.
 
+The arithmetic runs on Python ints.  With p = a/b and f(0..N) over one
+common denominator D, G(j, .) is an integer row over b^j * D, and at step
+k the stop values and the continuation values a * V(z-1 v 0) +
+(b - a) * V(z+1) share the denominator b^(N-k) * D, so stop / continue /
+TIE is a plain integer comparison.  Fractions are built only for the
+reported values, so rewards must be rational on {0..N}.
+
 Uniqueness labels:
 
 ``UNIQUE_TAU0``   stopping at time 0 beats every continuation strictly
@@ -15,7 +22,7 @@ Uniqueness labels:
 ``TIE_CLASS``     exactly the states with z = 0 tie; the optimal rules are
                   precisely those stopping at the running max or at N
 ``NOT_UNIQUE``    several optimal rules outside that pattern
-``UNKNOWN``       float mode, or a strict non-bang-bang optimum
+``UNKNOWN``       a strict non-bang-bang optimum
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .walkdist import WalkParams, joint_pmf, max_marginals
+from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
 
 STOP = "STOP"
 CONTINUE = "CONTINUE"
@@ -37,21 +45,6 @@ UNIQUE_TAUN = "UNIQUE_TAUN"
 TIE_CLASS = "TIE_CLASS"
 NOT_UNIQUE = "NOT_UNIQUE"
 UNKNOWN = "UNKNOWN"
-
-
-@dataclass(frozen=True)
-class ZChain:
-    """Transition kernel of the drawdown chain: an up-step of the walk moves
-    Z down one (staying at 0 from 0), a down-step moves Z up one.  Rows sum
-    to 1 exactly and {0..N} suffices as state space for horizon N."""
-
-    p: Fraction | float
-
-    def step(self, z: int) -> tuple:
-        """((z_down, prob), (z_up, prob)) out of state z."""
-        if z < 0:
-            raise ValueError(f"drawdown state must be >= 0, got {z}")
-        return ((max(z - 1, 0), self.p), (z + 1, 1 - self.p))
 
 
 @dataclass(frozen=True)
@@ -109,21 +102,18 @@ def policy_stop_at_max(n: int, from_step: int = 0) -> PolicyTable:
 
 @dataclass(frozen=True)
 class SolveReport:
-    optimal_value: Fraction | float
+    optimal_value: Fraction
     policy: PolicyTable
-    value_tau0: Fraction | float
-    value_tauN: Fraction | float
+    value_tau0: Fraction
+    value_tauN: Fraction
     unique: str
     tie_states: tuple
-    exact: bool
     stop_values: dict = field(repr=False, default_factory=dict)
     continue_values: dict = field(repr=False, default_factory=dict)
 
     def to_json(self) -> str:
         def enc(v):
-            if isinstance(v, Fraction):
-                return {"mode": "exact", "value": str(v)}
-            return {"mode": "float", "value": v}
+            return {"mode": "exact", "value": str(v)}
 
         return json.dumps(
             {
@@ -132,7 +122,7 @@ class SolveReport:
                 "value_tauN": enc(self.value_tauN),
                 "unique": self.unique,
                 "tie_states": [list(s) for s in self.tie_states],
-                "exact": self.exact,
+                "exact": True,  # kept so report bytes stay stable
                 "policy": sorted(
                     [[k, z, d] for (k, z), d in self.policy.decisions.items()]
                 ),
@@ -141,25 +131,43 @@ class SolveReport:
         )
 
 
-def _g_table(w: WalkParams, f, n: int):
-    """G[j][i] = E[f(i v M_j)] for j = 0..n, i = 0..n, in O(n^2).
+def _reward_numerators(f, n: int) -> tuple:
+    """(numerators, D): f(0..n) as integers over their least common denominator D.
 
-    Uses the prefix/suffix split over the M_j marginal: contributions with
-    m <= i collapse to P(M_j <= i) * f(i).
+    Raises ValueError naming the first z where f is undefined or not rational.
     """
-    margs = max_marginals(w.at_horizon(n))
-    fi = [f(i) for i in range(n + 1)]
+    try:
+        vals = [f(z) for z in range(n + 1)]
+    except ValueError as e:
+        raise ValueError(f"reward must be defined on 0..{n}: {e}") from e
+    for z, v in enumerate(vals):
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(
+                f"reward value f({z}) = {v!r} is not rational; exact solving needs a rational reward"
+            )
+    vals = [Fraction(v) for v in vals]
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _g_table(w: WalkParams, fnum: list) -> list:
+    """G[j][i] = E[f(i v M_j)] for j = 0..n, i = 0..n-j, in O(n^2).
+
+    Row j holds integer numerators over b**j * D, where fnum are the
+    numerators of f(0..n) over D.  Uses the prefix/suffix split over the
+    M_j law: contributions with m <= i collapse to P(M_j <= i) * f(i).
+    """
+    n = w.n
     table = []
-    for j in range(n + 1):
-        marg = margs[j]
+    for j, law in enumerate(max_laws(w)):
         cdf = 0
-        tail = sum(marg[m] * fi[m] for m in sorted(marg))
+        tail = sum(c * v for c, v in zip(law, fnum))
         row = []
-        for i in range(n + 1):
-            if i in marg:
-                cdf += marg[i]
-                tail -= marg[i] * fi[i]
-            row.append(cdf * fi[i] + tail)
+        for i in range(n - j + 1):
+            if i <= j:
+                cdf += law[i]
+                tail -= law[i] * fnum[i]
+            row.append(cdf * fnum[i] + tail)
         table.append(row)
     return table
 
@@ -167,65 +175,50 @@ def _g_table(w: WalkParams, f, n: int):
 def solve(w: WalkParams, f) -> SolveReport:
     """Exact backward induction over (step, drawdown) states.
 
-    Works for any f defined on {0..N}; convexity is not required, which is
+    Works for any f rational on {0..N}; convexity is not required, which is
     what lets the winner-take-two counterexample go through the same path.
     """
     n = w.n
-    p, q = w.p, w.q
-    try:
-        fvals = [f(z) for z in range(n + 1)]
-    except ValueError as e:
-        raise ValueError(f"reward must be defined on 0..{n}: {e}") from e
+    a, b = w.p.numerator, w.p.denominator
+    fnum, den = _reward_numerators(f, n)
+    G = _g_table(w, fnum)
 
-    G = _g_table(w, f, n)
-    exact = w.is_exact and all(isinstance(v, (Fraction, int)) for v in fvals)
-
-    chain = ZChain(p)
-    V = [None] * (n + 1)
-    V[n] = list(fvals)
+    # V holds the step-k values as numerators over den = b**(n-k) * D
+    V = fnum
     decisions = {(n, z): STOP for z in range(n + 1)}
     stop_values, cont_values = {}, {}
     for k in range(n - 1, -1, -1):
+        den *= b
         row = []
         for z in range(k + 1):
             stop = G[n - k][z]
-            cont = sum(pr * V[k + 1][z2] for z2, pr in chain.step(z))
-            stop_values[(k, z)] = stop
-            cont_values[(k, z)] = cont
-            if exact:
-                if stop > cont:
-                    decisions[(k, z)] = STOP
-                elif cont > stop:
-                    decisions[(k, z)] = CONTINUE
-                else:
-                    decisions[(k, z)] = TIE
+            cont = a * V[max(z - 1, 0)] + (b - a) * V[z + 1]
+            stop_values[(k, z)] = Fraction(stop, den)
+            cont_values[(k, z)] = Fraction(cont, den)
+            if stop > cont:
+                decisions[(k, z)] = STOP
+            elif cont > stop:
+                decisions[(k, z)] = CONTINUE
             else:
-                decisions[(k, z)] = STOP if stop >= cont else CONTINUE
+                decisions[(k, z)] = TIE
             row.append(max(stop, cont))
-        V[k] = row
+        V = row
 
-    value_tau0 = G[n][0]
-    zlaw = joint_pmf(w).drawdown_marginal()
-    value_tauN = sum(pr * fvals[z] for z, pr in sorted(zlaw.items()))
+    zlaw = final_law(drawdown_laws(w))
     tie_states = tuple(sorted(s for s, d in decisions.items() if d == TIE))
-
-    unique = _classify_uniqueness(n, decisions, exact)
     return SolveReport(
-        optimal_value=V[0][0],
+        optimal_value=Fraction(V[0], den),
         policy=PolicyTable(n, decisions),
-        value_tau0=value_tau0,
-        value_tauN=value_tauN,
-        unique=unique,
+        value_tau0=Fraction(G[n][0], den),
+        value_tauN=Fraction(sum(c * v for c, v in zip(zlaw, fnum)), den),
+        unique=_classify_uniqueness(n, decisions),
         tie_states=tie_states,
-        exact=exact,
         stop_values=stop_values,
         continue_values=cont_values,
     )
 
 
-def _classify_uniqueness(n: int, decisions: dict, exact: bool) -> str:
-    if not exact:
-        return UNKNOWN  # float ties are not trustworthy
+def _classify_uniqueness(n: int, decisions: dict) -> str:
     inner = {(k, z): d for (k, z), d in decisions.items() if k < n}
     ties = {s for s, d in inner.items() if d == TIE}
 
@@ -248,28 +241,27 @@ def _classify_uniqueness(n: int, decisions: dict, exact: bool) -> str:
 
 def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     """Exact value of a Markov drawdown rule: push the chain law forward,
-    absorb on STOP (and TIE) states collecting G(N-k, z), pay f(z) at N."""
+    absorb on STOP (and TIE) states collecting G(N-k, z), pay f(z) at N.
+
+    The surviving mass at step k is an integer row over b**k and G(N-k, .)
+    is over b**(N-k) * D, so every collected term is over b**N * D.
+    """
     if pol.n != w.n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
     n = w.n
-    G = _g_table(w, f, n)
-    chain = ZChain(w.p)
+    a, b = w.p.numerator, w.p.denominator
+    fnum, den = _reward_numerators(f, n)
+    G = _g_table(w, fnum)
 
-    dist = {0: w.p**0}
+    dist = [1]
     total = 0
     for k in range(n + 1):
-        nxt = {}
-        for z, pr in sorted(dist.items()):
+        nxt = [0] * (k + 2)
+        for z, c in enumerate(dist):
             if k == n or pol.stops(k, z):
-                total += pr * G[n - k][z]
+                total += c * G[n - k][z]
             else:
-                for z2, step_pr in chain.step(z):
-                    nxt[z2] = nxt.get(z2, 0) + pr * step_pr
+                nxt[max(z - 1, 0)] += a * c
+                nxt[z + 1] += (b - a) * c
         dist = nxt
-    return total
-
-
-def uniqueness_report(w: WalkParams, f):
-    """Uniqueness label plus exact tie states (UNKNOWN in float mode)."""
-    rep = solve(w, f)
-    return rep.unique, rep.tie_states
+    return Fraction(total, b**n * den)

@@ -127,8 +127,6 @@ def enumerate_optimum(w: WalkParams, f, max_n: int = DEFAULT_MAX_HORIZON) -> Ora
     """Exact maximum of E[f(M_N - S_tau)] over all adapted stopping rules."""
     n = w.n
     _require_small(n, max_n)
-    if not w.is_exact:
-        raise ValueError("the oracle requires an exact rational p")
     paths = _paths(n)
     stats = [_path_stats(path, w.p) for path in paths]
     # reward of stopping path j at index k

@@ -1,12 +1,18 @@
 """Exact finite-horizon distributions for the Bernoulli(p) random walk.
 
-Everything here is computed by forward dynamic programming over the pair
-(running max, endpoint) in exact rational arithmetic when p is a Fraction,
-so distributional identities (reflection, time reversal) and the key
-inequalities behind the bang-bang theorems can be checked as exact
-equalities and strict inequalities, not up to tolerance.  Passing a float
-p switches the same code paths to floating point; float results are for
-profiling only and are never used for strict/equal distinctions.
+p is an exact rational a/b, and every law here is exact, so distributional
+identities (reflection, time reversal) and the key inequalities behind the
+bang-bang theorems are checked as exact equalities and strict
+inequalities, not up to tolerance.  Two forward passes compute laws:
+
+- The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
+  in O(n^3) Fraction work.  It is the independent route behind the
+  reflection and time-reversal checks and the d values.
+- The drawdown-chain kernel `drawdown_laws` pushes the law of Z_k forward
+  on Python-int numerators over the common denominator b^k, in O(n^2)
+  integer work with no gcd.  By time reversal (checked exactly from the
+  joint pass by `time_reversal_check`), M_k under p has the law of Z_k
+  under q, so the same kernel gives the max laws (`max_laws`).
 
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
@@ -25,12 +31,14 @@ from functools import lru_cache
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Bernoulli walk with up-probability p and horizon n."""
+    """Bernoulli walk with exact rational up-probability p and horizon n."""
 
-    p: Fraction | float
+    p: Fraction
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.p, Fraction):
+            raise ValueError(f"p must be an exact Fraction, got {self.p!r}")
         if not 0 < self.p < 1:
             raise ValueError(f"p must lie strictly inside (0,1), got {self.p}")
         if self.n < 0:
@@ -39,10 +47,6 @@ class WalkParams:
     @property
     def q(self):
         return 1 - self.p
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.p, (Fraction, int))
 
     def swapped(self) -> "WalkParams":
         """The q-walk with the same horizon."""
@@ -83,13 +87,12 @@ class JointLaw:
         w = csv.writer(buf)
         w.writerow(["n", "k", "l", "prob_numerator", "prob_denominator"])
         for (k, l), pr in sorted(self.entries.items()):
-            fr = Fraction(pr) if not isinstance(pr, Fraction) else pr
-            w.writerow([self.n, k, l, fr.numerator, fr.denominator])
+            w.writerow([self.n, k, l, pr.numerator, pr.denominator])
         return buf.getvalue()
 
     def to_json(self) -> str:
         rows = [
-            {"k": k, "l": l, "prob": str(pr) if isinstance(pr, Fraction) else pr}
+            {"k": k, "l": l, "prob": str(pr)}
             for (k, l), pr in sorted(self.entries.items())
         ]
         return json.dumps({"n": self.n, "entries": rows}, sort_keys=True)
@@ -99,7 +102,7 @@ class JointLaw:
 def _forward_laws(p, n: int) -> tuple:
     """Joint (M_k, S_k) laws for every k = 0..n, one forward pass."""
     q = 1 - p
-    law = {(0, 0): p**0}  # exact 1 of the same numeric type as p
+    law = {(0, 0): Fraction(1)}
     out = [dict(law)]
     for _ in range(n):
         nxt = {}
@@ -114,14 +117,50 @@ def _forward_laws(p, n: int) -> tuple:
 
 
 def joint_pmf(w: WalkParams) -> JointLaw:
-    """Exact pmf of (M_n, S_n); total mass is exactly 1 in rational mode."""
+    """Exact pmf of (M_n, S_n); total mass is exactly 1."""
     return JointLaw(w.n, dict(_forward_laws(w.p, w.n)[w.n]))
 
 
+def drawdown_laws(w: WalkParams):
+    """Yield the law of Z_k = M_k - S_k for k = 0..n as integer numerators.
+
+    With p = a/b, row k lists the numerators of P(Z_k = z), z = 0..k, over
+    b**k.  A down-step of the walk (weight b - a) moves Z up one, an
+    up-step (weight a) moves it down one, staying at 0 from 0.
+    """
+    up, down = w.p.denominator - w.p.numerator, w.p.numerator
+    row = [1]
+    yield row
+    for _ in range(w.n):
+        pad = row + [0, 0]
+        row = [down * (row[0] + pad[1])] + [
+            up * pad[z - 1] + down * pad[z + 1] for z in range(1, len(row) + 1)
+        ]
+        yield row
+
+
+def max_laws(w: WalkParams):
+    """Yield the law of M_k for k = 0..n as integer numerators over b**k.
+
+    By time reversal, M_k under p has the law of Z_k under q.
+    """
+    return drawdown_laws(w.swapped())
+
+
+def final_law(rows) -> list:
+    """The last row of a law generator (the law at the horizon)."""
+    for row in rows:
+        pass
+    return row
+
+
 def max_marginals(w: WalkParams) -> list:
-    """Law of M_k for every k = 0..n (shared forward pass, cached)."""
-    laws = _forward_laws(w.p, w.n)
-    return [JointLaw(k, dict(laws[k])).max_marginal() for k in range(w.n + 1)]
+    """Law of M_k for every k = 0..n, as dicts of Fractions."""
+    b = w.p.denominator
+    return [
+        {m: Fraction(c, b**k) for m, c in enumerate(row)}
+        for k, row in enumerate(max_laws(w))
+    ]
 
 
 def reflection_check(w: WalkParams) -> bool:
@@ -152,8 +191,9 @@ def g_value(w: WalkParams, f, k: int, i: int):
         raise ValueError(f"steps remaining {k} exceeds configured horizon {w.n}")
     if i < 0:
         raise ValueError("drawdown must be >= 0")
-    marg = max_marginals(w)[k]
-    return sum(pr * f(max(i, m)) for m, pr in sorted(marg.items()))
+    den = w.p.denominator**k
+    law = final_law(max_laws(w.at_horizon(k)))
+    return sum(Fraction(c, den) * f(max(i, m)) for m, c in enumerate(law))
 
 
 def d_value(w: WalkParams, f, k: int, i: int):
@@ -222,7 +262,8 @@ def check_key_inequality(w: WalkParams, f, i: int) -> InequalityReport:
     """
     n = w.n
     lhs = d_value(w, f, n, i)
-    rhs = sum(pr * f(max(i, z)) for z, pr in sorted(joint_pmf(w).drawdown_marginal().items()))
+    den = w.p.denominator**n
+    rhs = sum(Fraction(c, den) * f(max(i, z)) for z, c in enumerate(final_law(drawdown_laws(w))))
     witness = (n, n) if n > 0 and _psi(f, i, n, n) > 0 else None
     return InequalityReport(lhs=lhs, rhs=rhs, strict=lhs > rhs, witness=witness)
 

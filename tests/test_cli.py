@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,24 @@ class TestSolveCommand:
     def test_bad_reward_rejected(self, capsys):
         code, _ = run_cli(["solve", "--p", "1/2", "--N", "3", "--reward", "wat:1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [["solve"], ["evaluate", "--policy", "tauN"]])
+    @pytest.mark.parametrize("reward", ["exp_decay:1.0", "power:0.5", "piecewise:0=1,2=0"])
+    def test_non_rational_reward_is_config_error(self, extra, reward, capsys):
+        code = cli.main(extra + ["--p", "1/2", "--N", "3", "--reward", reward])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "configuration error" in captured.err and "not rational" in captured.err
+
+    def test_large_report_bytes_frozen(self, tmp_path):
+        """Report bytes at N = 90, as the Fraction-based joint-law solver wrote them."""
+        target = tmp_path / "r.json"
+        argv = ["solve", "--p", "2/5", "--N", "90", "--reward", "geometric:1/2"]
+        assert cli.main(["--output", str(target)] + argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "09f93e0b7b2ab20a7c0468c16d8a94b9a9a12a7445e890e87fa95b26a8a25bd8"
+        )
 
     def test_policy_csv_out(self, tmp_path, capsys):
         target = tmp_path / "pol.csv"

@@ -10,38 +10,21 @@ from maxstop.dpsolver import (
     TIE_CLASS,
     UNIQUE_TAU0,
     UNIQUE_TAUN,
-    UNKNOWN,
     PolicyTable,
     evaluate_policy,
     policy_stop_at_max,
     policy_tau0,
     policy_tauN,
     solve,
-    uniqueness_report,
 )
 from maxstop.walkdist import WalkParams
 
-from conftest import brute_expect
+from conftest import brute_expect, brute_rule_value
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 WINNER_TAKE_TWO = rewards.table_reward([1, 1, 0])
 
 rational_p = st.builds(Fraction, st.integers(min_value=1, max_value=9), st.just(10))
-
-
-class TestZChain:
-    def test_rows_sum_to_one_exactly(self):
-        chain = dpsolver.ZChain(Fraction(3, 7))
-        for z in range(6):
-            moves = chain.step(z)
-            assert sum(pr for _z2, pr in moves) == 1
-
-    def test_reflects_at_zero(self):
-        chain = dpsolver.ZChain(Fraction(1, 3))
-        assert chain.step(0) == ((0, Fraction(1, 3)), (1, Fraction(2, 3)))
-        assert chain.step(4) == ((3, Fraction(1, 3)), (5, Fraction(2, 3)))
-        with pytest.raises(ValueError):
-            chain.step(-1)
 
 
 class TestSolve:
@@ -109,12 +92,19 @@ class TestSolve:
             ]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_float_mode_reports_unknown(self):
-        rep = solve(WalkParams(0.4, 5), GEOM_HALF)
-        assert not rep.exact
-        assert rep.unique == UNKNOWN
-        exact = solve(WalkParams(Fraction(2, 5), 5), GEOM_HALF)
-        assert rep.optimal_value == pytest.approx(float(exact.optimal_value))
+    def test_non_rational_reward_rejected(self):
+        def f(z):
+            return Fraction(1, z + 1) if z < 3 else 0.25
+
+        w = WalkParams(Fraction(2, 5), 5)
+        with pytest.raises(ValueError, match=r"f\(3\) = 0\.25 is not rational"):
+            solve(w, f)
+        with pytest.raises(ValueError, match=r"f\(3\)"):
+            evaluate_policy(w, f, policy_tau0(5))
+        with pytest.raises(ValueError, match=r"f\(0\)"):
+            solve(w, rewards.exp_decay_reward(1.0))
+        # only f(0..N) is checked
+        assert solve(WalkParams(Fraction(2, 5), 2), f).value_tau0 == Fraction(58, 75)
 
     def test_report_json(self):
         rep = solve(WalkParams(Fraction(1, 2), 2), WINNER_TAKE_TWO)
@@ -163,25 +153,45 @@ class TestEvaluatePolicy:
         assert "1,0,STOP" in text and "1,1,CONTINUE" in text
 
 
+class TestAgainstEnumeration:
+    NONCONVEX = rewards.table_reward([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5, -8, 9])
+
+    def test_values_match_enumeration(self, p_grid):
+        """value_tau0, value_tauN and three policy values, n <= 12, every p."""
+        for p in p_grid:
+            for n in range(13):
+                w = WalkParams(p, n)
+                s = (n + 1) // 2
+                for f in (GEOM_HALF, self.NONCONVEX):
+                    tau0 = brute_expect(p, n, lambda m, _s: f(m))
+                    tauN = brute_expect(p, n, lambda m, s_n: f(m - s_n))
+                    at_max = brute_rule_value(p, n, f, lambda k, z: k >= s and z == 0)
+                    rep = solve(w, f)
+                    assert (rep.value_tau0, rep.value_tauN) == (tau0, tauN), (p, n)
+                    assert evaluate_policy(w, f, policy_tau0(n)) == tau0, (p, n)
+                    assert evaluate_policy(w, f, policy_tauN(n)) == tauN, (p, n)
+                    assert evaluate_policy(w, f, policy_stop_at_max(n, s)) == at_max, (p, n)
+
+
 class TestUniqueness:
     def test_subcritical_nonconstant_unique_tau0(self):
-        unique, ties = uniqueness_report(WalkParams(Fraction(1, 3), 6), GEOM_HALF)
-        assert unique == UNIQUE_TAU0
+        rep = solve(WalkParams(Fraction(1, 3), 6), GEOM_HALF)
+        assert rep.unique == UNIQUE_TAU0
         # deep states with drawdown above the remaining steps may tie exactly
         # (here p/d + q*d = 1); they are unreachable under any optimal play and
         # do not break uniqueness, which hinges on the strict root decision
-        assert (0, 0) not in ties
+        assert (0, 0) not in rep.tie_states
 
     def test_indicator_top_subcritical_unique_tau0(self):
         # stopping is NOT dominant in every deep state here; uniqueness still
         # follows from the strict root decision
-        unique, _ = uniqueness_report(WalkParams(Fraction(1, 3), 2), rewards.indicator_top_reward())
-        assert unique == UNIQUE_TAU0
+        rep = solve(WalkParams(Fraction(1, 3), 2), rewards.indicator_top_reward())
+        assert rep.unique == UNIQUE_TAU0
 
     def test_supercritical_strictly_decreasing_unique_tauN(self):
-        unique, ties = uniqueness_report(WalkParams(Fraction(2, 3), 6), GEOM_HALF)
-        assert unique == UNIQUE_TAUN
-        assert ties == ()
+        rep = solve(WalkParams(Fraction(2, 3), 6), GEOM_HALF)
+        assert rep.unique == UNIQUE_TAUN
+        assert rep.tie_states == ()
 
     def test_symmetric_strictly_convex_tie_class(self):
         rep = solve(WalkParams(Fraction(1, 2), 5), GEOM_HALF)

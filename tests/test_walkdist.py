@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 
 from maxstop import rewards, walkdist
 from maxstop.walkdist import (
+    JointLaw,
     WalkParams,
     check_corollary,
     check_key_inequality,
     d_value,
+    drawdown_laws,
     g_value,
     joint_pmf,
+    max_laws,
+    max_marginals,
     reflection_check,
     time_reversal_check,
 )
@@ -67,6 +71,38 @@ class TestJointPmf:
             WalkParams(Fraction(0), 3)
         with pytest.raises(ValueError):
             WalkParams(Fraction(1, 2), -1)
+        with pytest.raises(ValueError, match="exact Fraction"):
+            WalkParams(0.4, 3)
+
+
+def _rows_as_laws(rows, b):
+    """Integer numerator rows over b**k as dicts of Fractions."""
+    return [{x: Fraction(c, b**k) for x, c in enumerate(row)} for k, row in enumerate(rows)]
+
+
+class TestDrawdownKernel:
+    """The integer drawdown-chain laws against two independent routes."""
+
+    def test_matches_enumeration(self, p_grid):
+        for p in p_grid:
+            w = WalkParams(p, 12)
+            m_laws = _rows_as_laws(max_laws(w), p.denominator)
+            z_laws = _rows_as_laws(drawdown_laws(w), p.denominator)
+            assert max_marginals(w) == m_laws
+            for n in range(13):
+                law = JointLaw(n, brute_joint(p, n))
+                assert m_laws[n] == law.max_marginal(), (p, n)
+                assert z_laws[n] == law.drawdown_marginal(), (p, n)
+
+    def test_matches_joint_pass(self, p_grid):
+        for p in p_grid:
+            w = WalkParams(p, 40)
+            m_laws = _rows_as_laws(max_laws(w), p.denominator)
+            z_laws = _rows_as_laws(drawdown_laws(w), p.denominator)
+            for n, entries in enumerate(walkdist._forward_laws(p, 40)):
+                law = JointLaw(n, entries)
+                assert m_laws[n] == law.max_marginal(), (p, n)
+                assert z_laws[n] == law.drawdown_marginal(), (p, n)
 
 
 class TestReflectionAndReversal:
