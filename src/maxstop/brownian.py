@@ -6,10 +6,15 @@ The joint density of (M_t, B_t) for drift lambda is
               * exp(-(2s - b)^2 / (2t)) * exp(lambda * (b - lambda * t / 2))
 
 on s >= 0, b <= s.  Expectations E[f(x v M - B)] etc. are computed by
-adaptive tensor-product Gauss-Legendre quadrature over a box covering
-`sigmas` standard deviations, with the inner variable rescaled so the
-integration region is a rectangle; every result carries an error bound
-(panel refinement residual plus truncated tail mass).
+adaptive tensor-product Gauss-Legendre quadrature in the coordinates
+(s, z) = (M, M - B), where the support is the quadrant z, s >= 0 and the
+Jacobian is 1, over a box covering `sigmas` standard deviations.  Kinks of
+the integrands lie on the lines s = x, z = x and, for a piecewise-linear
+reward, s or z = a node; callers declare them as the first panel cuts.  The
+reported error is the 6- versus 12-point panel residual plus the truncated
+tail mass: it bounds the error when the integrand is smooth between the
+declared lines.  One kink is not declared: inside dtilde_bm, a
+custom_table reward bends on the diagonals z - s = node - x for s < x.
 
 Sampling (M_T, B_T) needs no path discretization: conditionally on
 B_t = b, P(M_t >= s | B_t = b) = exp(-2s(s-b)/t), which inverts to
@@ -20,6 +25,7 @@ running maximum in discretized path simulation.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -28,6 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .coupling import _rng
 from .rewards import RewardSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -102,95 +109,118 @@ def density_reflection_check(t: float, lam: float, grid) -> float:
 class QuadResult(NamedTuple):
     value: float
     error: float
+    panels: int = 0  # panels evaluated; 0 when no integral was needed (t = 0)
 
 
-_GL_CACHE: dict = {}
+def _tensor_rule(n: int):
+    """Nodes and weights of the n x n Gauss-Legendre rule on [-1, 1]^2, flattened."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    return xx.ravel(), yy.ravel(), np.outer(w, w).ravel()
 
 
-def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+@functools.cache
+def _gl_pair():
+    """The 6- and 12-point rules side by side, so one integrand call serves
+    both; built on first use, so importing maxstop does not load numpy.polynomial."""
+    return tuple(np.concatenate(parts) for parts in zip(_tensor_rule(6), _tensor_rule(12)))
 
 
-def _panel_estimates(fn, b0, b1, w0, w1):
-    """(coarse, fine) tensor Gauss-Legendre estimates on one (b, w) panel."""
-    out = []
-    for n in (6, 12):
-        x, wx = _gl_nodes(n)
-        bs = 0.5 * (b1 - b0) * x + 0.5 * (b1 + b0)
-        ws = 0.5 * (w1 - w0) * x + 0.5 * (w1 + w0)
-        bb, ww = np.meshgrid(bs, ws, indexing="ij")
-        vals = fn(bb, ww)
-        weights = np.outer(wx, wx) * (0.25 * (b1 - b0) * (w1 - w0))
-        out.append(float(np.sum(weights * vals)))
-    return out[0], out[1]
+_N6 = 36  # nodes of the 6-point rule, first in _gl_pair()
+
+
+def _panel_estimates(fn, s0, s1, z0, z1):
+    """(coarse, fine) tensor Gauss-Legendre estimates on one (s, z) panel."""
+    u, v, w = _gl_pair()
+    ss = 0.5 * (s1 - s0) * u + 0.5 * (s1 + s0)
+    zz = 0.5 * (z1 - z0) * v + 0.5 * (z1 + z0)
+    vals = fn(ss, zz) * w
+    area = 0.25 * (s1 - s0) * (z1 - z0)
+    return area * float(vals[:_N6].sum()), area * float(vals[_N6:].sum())
+
+
+def _edges(hi: float, cuts) -> list:
+    """Panel edges on [0, hi]: the ends plus the declared cuts strictly inside."""
+    return [0.0, *sorted({float(c) for c in cuts if 0.0 < c < hi}), hi]
 
 
 def expect_joint(
-    phi: Callable, t: float, lam: float, quad: QuadConfig = QuadConfig()
+    phi: Callable,
+    t: float,
+    lam: float,
+    quad: QuadConfig = QuadConfig(),
+    *,
+    s_cuts=(),
+    z_cuts=(),
 ) -> QuadResult:
     """Adaptive quadrature of E[phi(M_t, B_t)] against the joint density.
 
-    phi must be numpy-vectorized.  The inner max variable is rescaled to
-    s = max(b,0) + w * (s_hi - max(b,0)) with w in [0,1], so panels are
-    rectangles; the only kink of the parametrization (b = 0) seeds the
-    initial panel split and everything else is handled by refinement.
+    phi(s, b) must be numpy-vectorized.  The integral runs over
+    (s, z) = (M, M - B) on the box [0, s_hi] x [0, z_hi], with
+    s_hi = max(lam t, 0) + c sqrt(t) and z_hi = max(-lam t, 0) + c sqrt(t)
+    (c = quad.sigmas); the support of the density is the whole quadrant and
+    the Jacobian is 1, so the integrand is phi(s, s - z) h(s, s - z).
+
+    s_cuts and z_cuts declare the lines s = const and z = const where phi
+    has a kink or a jump; they seed the first panel cuts.  Panels are then
+    split in four, worst first, until the summed residual |Q12 - Q6| of the
+    6- and 12-point tensor Gauss-Legendre rules is within quad.tol.
+
+    The returned error is that residual plus the truncated tail mass times
+    max |phi| seen.  The residual bounds the 12-point error only when phi
+    is smooth inside every panel: an undeclared kink or jump can make it
+    understate the error.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     c = quad.sigmas
     st = math.sqrt(t)
-    b_lo, b_hi = lam * t - c * st, lam * t + c * st
     s_hi = max(lam * t, 0.0) + c * st
+    z_hi = max(-lam * t, 0.0) + c * st
     max_abs_phi = 0.0
 
-    def integrand(bb, ww):
+    def integrand(ss, zz):
         nonlocal max_abs_phi
-        lo = np.maximum(bb, 0.0)
-        span = s_hi - lo
-        ss = lo + ww * span
+        bb = ss - zz
         pv = phi(ss, bb)
         m = float(np.max(np.abs(pv)))
         if m > max_abs_phi:
             max_abs_phi = m
-        return pv * joint_density(ss, bb, t, lam) * span
+        return pv * joint_density(ss, bb, t, lam)
 
-    # initial panels: split the b-range at 0 (kink of max(b, 0))
-    b_cuts = sorted({b_lo, b_hi} | ({0.0} if b_lo < 0.0 < b_hi else set()))
     heap = []
-    serial = 0
     total, total_err = 0.0, 0.0
-    for a, b in zip(b_cuts, b_cuts[1:]):
-        coarse, fine = _panel_estimates(integrand, a, b, 0.0, 1.0)
+    evaluated = 0  # also the heap's tie-breaker
+
+    def push(s0, s1, z0, z1):
+        nonlocal total, total_err, evaluated
+        coarse, fine = _panel_estimates(integrand, s0, s1, z0, z1)
         err = abs(fine - coarse)
-        heapq.heappush(heap, (-err, serial, (a, b, 0.0, 1.0, fine, err)))
-        serial += 1
+        heapq.heappush(heap, (-err, evaluated, (s0, s1, z0, z1, fine, err)))
+        evaluated += 1
         total += fine
         total_err += err
 
-    panels = len(heap)
-    while total_err > quad.tol and panels < quad.max_panels:
-        _negerr, _sn, (a, b, w0, w1, fine, err) = heapq.heappop(heap)
+    s_edges, z_edges = _edges(s_hi, s_cuts), _edges(z_hi, z_cuts)
+    for s0, s1 in zip(s_edges, s_edges[1:]):
+        for z0, z1 in zip(z_edges, z_edges[1:]):
+            push(s0, s1, z0, z1)
+
+    while total_err > quad.tol and len(heap) < quad.max_panels:
+        _negerr, _sn, (s0, s1, z0, z1, fine, err) = heapq.heappop(heap)
         total -= fine
         total_err -= err
-        bm, wm = 0.5 * (a + b), 0.5 * (w0 + w1)
-        for (aa, bb2) in ((a, bm), (bm, b)):
-            for (w0q, w1q) in ((w0, wm), (wm, w1)):
-                coarse, fine_q = _panel_estimates(integrand, aa, bb2, w0q, w1q)
-                err_q = abs(fine_q - coarse)
-                heapq.heappush(heap, (-err_q, serial, (aa, bb2, w0q, w1q, fine_q, err_q)))
-                serial += 1
-                total += fine_q
-                total_err += err_q
-        panels += 3
+        sm, zm = 0.5 * (s0 + s1), 0.5 * (z0 + z1)
+        for a, b in ((s0, sm), (sm, s1)):
+            for lo, hi in ((z0, zm), (zm, z1)):
+                push(a, b, lo, hi)
 
-    # truncated mass outside the box: <= 2*Phi(-c) for B, ~2*Phi(-c) for M
+    # truncated mass outside the box: P(M > s_hi) + P(M - B > z_hi) <= 4 Phi(-c)
     tail = 4.0 * 0.5 * math.erfc(c / math.sqrt(2.0))
     bound = total_err + tail * max(max_abs_phi, 1.0)
     if total_err > quad.tol:
         raise QuadratureError(achieved=bound, requested=quad.tol)
-    return QuadResult(value=total, error=bound)
+    return QuadResult(value=total, error=bound, panels=evaluated)
 
 
 def _vectorized_reward(f) -> Callable:
@@ -216,6 +246,13 @@ def _vectorized_reward(f) -> Callable:
     raise ValueError(f"reward kind {f.kind!r} has no continuous evaluation")
 
 
+def _reward_nodes(f) -> tuple:
+    """Where the continuous reward has a kink: the nodes of a custom_table."""
+    if isinstance(f, RewardSpec) and f.kind == "custom_table":
+        return tuple(float(v) for v in f.params["xs"])
+    return ()
+
+
 def g_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
     """E[f(x v M_t)] under drift lam."""
     if x < 0:
@@ -223,7 +260,9 @@ def g_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> 
     fv = _vectorized_reward(f)
     if t == 0:
         return QuadResult(float(fv(np.asarray(x))), 0.0)
-    return expect_joint(lambda s, b: fv(np.maximum(x, s)), t, lam, quad)
+    return expect_joint(
+        lambda s, b: fv(np.maximum(x, s)), t, lam, quad, s_cuts=(x, *_reward_nodes(f))
+    )
 
 
 def dtilde_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
@@ -233,7 +272,12 @@ def dtilde_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()
     fv = _vectorized_reward(f)
     if t == 0:
         return QuadResult(float(fv(np.asarray(x))), 0.0)
-    return expect_joint(lambda s, b: fv(np.maximum(x, s) - b), t, lam, quad)
+    # f's argument is z where s >= x, so its nodes are z-lines there; where
+    # s < x it is z + x - s, whose kinks lie on diagonals no cut can follow
+    return expect_joint(
+        lambda s, b: fv(np.maximum(x, s) - b), t, lam, quad,
+        s_cuts=(x,), z_cuts=_reward_nodes(f),
+    )
 
 
 def d_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
@@ -281,7 +325,9 @@ def check_bm_key_inequality(
         v = float(fv(np.asarray(x)))
         return BmInequalityReport(lhs=v, rhs=v, quad_error_bound=0.0)
     lhs = dtilde_bm(t, x, lam, f, quad)
-    rhs = expect_joint(lambda s, b: fv(np.maximum(x, s - b)), t, lam, quad)
+    rhs = expect_joint(
+        lambda s, b: fv(np.maximum(x, s - b)), t, lam, quad, z_cuts=(x, *_reward_nodes(f))
+    )
     return BmInequalityReport(
         lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
     )
@@ -299,10 +345,6 @@ def check_bm_corollary(
 
 
 # --- sampling ---------------------------------------------------------------
-
-
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 def _conditional_max(endpoint: np.ndarray, duration: float, u: np.ndarray) -> np.ndarray:
@@ -338,8 +380,11 @@ class BmRule:
     def __post_init__(self):
         if self.kind not in ("tau0", "tauT", "drawdown_threshold", "time_threshold"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind in ("drawdown_threshold", "time_threshold") and self.param is None:
-            raise ValueError(f"rule {self.kind} needs a parameter")
+        if self.kind in ("drawdown_threshold", "time_threshold"):
+            if self.param is None:
+                raise ValueError(f"rule {self.kind} needs a parameter")
+            if not self.param >= 0:
+                raise ValueError(f"rule {self.kind} needs a parameter >= 0, got {self.param}")
 
     def label(self) -> str:
         return self.kind if self.param is None else f"{self.kind}({self.param:g})"

@@ -7,13 +7,15 @@ Carlo with a standard error.  Probabilities are given as 'a/b' rationals;
 bare floats are rejected where exactness is part of the contract.
 
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
-instance is serialized in the report), 2 configuration error.
+instance is serialized in the report), 2 configuration error, 3 internal
+failure (a quadrature that did not reach its tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,6 +34,21 @@ ENV_SEED = "MAXSTOP_SEED"
 
 class ConfigError(Exception):
     pass
+
+
+def _positive(kind, noun: str):
+    """argparse type: a finite number of the given kind that must be > 0."""
+
+    def parse(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            v = None
+        if v is None or not 0 < v < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive {noun}, got {text!r}")
+        return v
+
+    return parse
 
 
 def parse_probability(text: str) -> Fraction:
@@ -265,8 +282,6 @@ def cmd_verify_discrete(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import math
-
     seed = _default_seed(args)
     ps = tuple(parse_probability(t) for t in args.ps.split(","))
     ordering_violations = 0
@@ -501,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bm-mc", help="Monte Carlo value of a Brownian stopping rule")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--lam", type=float, required=True)
-    sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--replications", type=int, default=100_000)
+    sp.add_argument("--T", type=_positive(float, "number"), default=1.0)
+    sp.add_argument("--steps", type=_positive(int, "integer"), default=1000)
+    sp.add_argument("--replications", type=_positive(int, "integer"), default=100_000)
     sp.add_argument("--rule", required=True, help="tau0 | tauT | drawdown:a | time:t0")
     sp.add_argument("--reward", required=True)
     sp.set_defaults(fn=cmd_bm_mc)
@@ -528,6 +543,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except brownian.QuadratureError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

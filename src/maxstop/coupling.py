@@ -6,8 +6,10 @@ drawdowns are pathwise smaller.  That ordering is a hard invariant of the
 construction, not a statistical one, and is asserted as such.
 
 Reproducibility: streams come from numpy's PCG64 generator, one child
-stream per replication spawned from the root SeedSequence, so runs are
-bit-identical for a given seed regardless of batching.
+stream per block of BLOCK replications spawned from the root SeedSequence:
+replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
+r // BLOCK.  A run with fewer replications draws a prefix of the same rows,
+so results are bit-identical for a given seed regardless of batching.
 """
 
 from __future__ import annotations
@@ -24,11 +26,18 @@ import numpy as np
 from .dpsolver import PolicyTable
 from .walkdist import WalkParams, joint_pmf
 
-GENERATOR = "pcg64-v1"  # bump if the stream layout ever changes
+GENERATOR = "pcg64-v2"  # bump if the stream layout ever changes
+BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def _blocks(seed: int, replications: int, first_stream: int = 0):
+    """(generator, row count) for each block of the stream layout."""
+    for block, start in enumerate(range(0, replications, BLOCK)):
+        yield _rng(seed, first_stream + block), min(BLOCK, replications - start)
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,9 @@ def simulate(seed: int, n: int, ps, replications: int):
     if replications < 1:
         raise ValueError("need at least one replication")
     ps = tuple(ps)
-    for r in range(replications):
-        u = _rng(seed, r).random(n)
+    # each block's rows, drawn one at a time
+    rows = (gen.random(n) for gen, count in _blocks(seed, replications) for _ in range(count))
+    for r, u in enumerate(rows):
         s, m, z = {}, {}, {}
         for p in ps:
             s[p], m[p], z[p] = _walk_arrays(u, p)
@@ -105,14 +115,10 @@ class McEstimate:
         )
 
 
-def _batched_uniform_walks(
-    seed: int, n: int, replications: int, p, batch: int = 20000, stream_offset: int = 0
-):
-    """Vectorized batches of (S, M, Z) arrays with per-replication streams."""
-    for start in range(0, replications, batch):
-        count = min(batch, replications - start)
-        u = np.stack([_rng(seed, stream_offset + start + r).random(n) for r in range(count)])
-        yield _walk_arrays(u, p)
+def _batched_uniform_walks(seed: int, n: int, replications: int, p, first_stream: int = 0):
+    """(S, M, Z) arrays, one batch per block of the stream layout."""
+    for gen, count in _blocks(seed, replications, first_stream):
+        yield _walk_arrays(gen.random((count, n)), p)
 
 
 def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: int) -> McEstimate:
@@ -184,9 +190,8 @@ def mc_time_reversal_check(
     counts_z = np.zeros(n + 1)
     for s, m, z in _batched_uniform_walks(seed, n, replications, w.p):
         counts_m += np.bincount(m[:, -1], minlength=n + 1)
-    for s, m, z in _batched_uniform_walks(
-        seed, n, replications, w.q, stream_offset=replications
-    ):
+    p_blocks = -(-replications // BLOCK)  # the q-walk's blocks follow the p-walk's
+    for s, m, z in _batched_uniform_walks(seed, n, replications, w.q, first_stream=p_blocks):
         counts_z += np.bincount(z[:, -1], minlength=n + 1)
 
     tv_m = 0.5 * sum(

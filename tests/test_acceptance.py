@@ -198,7 +198,7 @@ def test_criterion_6_brownian_density():
 def test_criterion_7_brownian_inequality_grid():
     """Quadrature verification of the continuous key inequality and its
     corollary: margins vs honest error bounds on a (t, x, lam >= 0) grid."""
-    with criterion(7, "brownian inequality quadrature grid"):
+    with criterion(7, "brownian inequality quadrature grid, <10s", budget=10.0):
         quad = bm.QuadConfig()
         fam = [
             rewards.exp_decay_reward(1.0),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,38 @@ def max_cdf_drifted(m, t, lam):
     return norm.cdf((m - lam * t) / st) - math.exp(2 * lam * m) * norm.cdf(
         (-m - lam * t) / st
     )
+
+
+def max_survival(m, t, lam):
+    """Independent oracle: P(M_t > m) for drift lam, vectorized over m."""
+    st = math.sqrt(t)
+    return norm.sf((m - lam * t) / st) + np.exp(2 * lam * m + norm.logcdf((-m - lam * t) / st))
+
+
+def expect_f_of_max(t, x, lam, f, fprime, kinks=()):
+    """Independent oracle: E[f(x v M_t)] = f(x) + int_x^inf f'(m) P(M_t > m) dm,
+    by 20-point Gauss-Legendre on 64 panels per piece between the kinks of f,
+    out to 14 standard deviations past the drift."""
+    hi = x + abs(lam) * t + 14.0 * math.sqrt(t)
+    pieces = sorted({x, hi, *(k for k in kinks if x < k < hi)})
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    total = 0.0
+    for a, b in zip(pieces, pieces[1:]):
+        cuts = np.linspace(a, b, 65)
+        lo, up = cuts[:-1, None], cuts[1:, None]
+        m = 0.5 * (up - lo) * nodes + 0.5 * (up + lo)
+        total += float(np.sum(0.5 * (up - lo) * weights * fprime(m) * max_survival(m, t, lam)))
+    return f(x) + total
+
+
+# (spec, f, f', kinks of f) for the honesty grid
+HONESTY_REWARDS = {
+    "exp_decay:1": (EXP1, lambda x: math.exp(-x), lambda m: -np.exp(-m), ()),
+    "exp_decay:2": (
+        rewards.exp_decay_reward(2.0), lambda x: math.exp(-2 * x), lambda m: -2 * np.exp(-2 * m), ()
+    ),
+    "hinge": (HINGE, lambda x: max(0.0, 1 - x / 2), lambda m: np.where(m < 2.0, -0.5, 0.0), (2.0,)),
+}
 
 
 class TestJointDensity:
@@ -105,6 +138,41 @@ class TestQuadratureValues:
         with pytest.raises(ValueError):
             bm.g_bm(1.0, -0.1, 0.0, EXP1)
 
+    @pytest.mark.parametrize("name", sorted(HONESTY_REWARDS))
+    def test_claimed_error_bounds_hold(self, name):
+        """|value - ref| <= claimed error for g_bm and the key-inequality
+        right-hand side; M - B under lam has the law of M under -lam."""
+        spec, f, fprime, kinks = HONESTY_REWARDS[name]
+        misses = []
+        for t, x, lam in itertools.product(
+            (0.5, 1.0, 2.0), (0.0, 0.25, 0.6, 1.2), (-1.0, -0.4, 0.0, 0.4, 1.0)
+        ):
+            g = bm.g_bm(t, x, lam, spec, QUAD)
+            rep = bm.check_bm_key_inequality(t, x, lam, spec, QUAD)
+            for what, value, error, ref in (
+                ("g_bm", g.value, g.error, expect_f_of_max(t, x, lam, f, fprime, kinks)),
+                ("key rhs", rep.rhs, rep.quad_error_bound,
+                 expect_f_of_max(t, x, -lam, f, fprime, kinks)),
+            ):
+                if abs(value - ref) > error:
+                    misses.append((what, t, x, lam, abs(value - ref), error))
+        assert not misses
+
+    def test_panel_counts(self, monkeypatch):
+        results = []
+        inner = bm.expect_joint
+
+        def spy(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bm, "expect_joint", spy)
+        bm.g_bm(0.5, 0.25, 1.0, EXP1, QUAD)
+        bm.check_bm_key_inequality(0.5, 0.25, 1.0, EXP1, QUAD)
+        assert len(results) == 3
+        assert all(0 < res.panels <= 64 for res in results), results
+        assert bm.g_bm(0.0, 0.25, 1.0, EXP1).panels == 0
+
     def test_nonconvergence_raises(self):
         tight = bm.QuadConfig(tol=1e-16, max_panels=8)
         with pytest.raises(bm.QuadratureError) as exc:
@@ -167,11 +235,14 @@ class TestExactSampler:
         band = math.sqrt(math.log(2 / 1e-4) / (2 * reps))  # ~0.00704
         loose = bm.QuadConfig(tol=1e-5, max_panels=8000)
         for m in (0.5, 1.0, 2.0):
+            # the step integrand jumps on the line s = m, declared as a cut
             cdf_quad = bm.expect_joint(
-                lambda s, b: (s <= m).astype(float), t, lam, loose
+                lambda s, b: (s <= m).astype(float), t, lam, loose, s_cuts=(m,)
             )
             # independent closed-form oracle agrees with the quadrature route
-            assert abs(cdf_quad.value - max_cdf_drifted(m, t, lam)) < 1e-4
+            ref = max_cdf_drifted(m, t, lam)
+            assert abs(cdf_quad.value - ref) < 1e-4
+            assert abs(cdf_quad.value - ref) <= cdf_quad.error
             ecdf = float(np.mean(mb[:, 0] <= m))
             assert abs(ecdf - cdf_quad.value) < band + 1e-4
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from maxstop import cli
+from maxstop import brownian, cli
 
 
 def run_cli(args, capsys):
@@ -168,6 +168,42 @@ class TestBmCommands:
             )
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--replications", "0"), ("--steps", "0"), ("--steps", "-2"), ("--T", "0"), ("--T", "-1")],
+    )
+    def test_bm_mc_rejects_nonpositive_at_parse_time(self, flag, value, capsys):
+        argv = ["bm-mc", "--lam", "0.0", "--rule", "tau0", "--reward", "exp_decay:1.0"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: must be a positive" in captured.err
+
+    @pytest.mark.parametrize("rule", ["drawdown:-1", "time:-0.5"])
+    def test_negative_rule_threshold_rejected(self, rule, capsys):
+        code = cli.main(
+            ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "10",
+             "--rule", rule, "--reward", "exp_decay:1.0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "configuration error" in captured.err and ">= 0" in captured.err
+
+    def test_quadrature_failure_is_internal_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise brownian.QuadratureError(achieved=1e-3, requested=1e-7)
+
+        monkeypatch.setattr(brownian, "check_bm_key_inequality", fail)
+        code = cli.main(["bm-verify", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: quadrature did not converge")
+        assert "Traceback" not in captured.err
 
     def test_bad_rule(self, capsys):
         code, _ = run_cli(

@@ -103,3 +103,38 @@ class TestTimeReversal:
     def test_json(self):
         rep = mc_time_reversal_check(2, WalkParams(Fraction(1, 2), 3), 1000)
         assert '"passed"' in rep.to_json()
+
+
+def _walks(paths, p) -> np.ndarray:
+    return np.stack([cp.s[p] for cp in paths])
+
+
+class TestStreamLayout:
+    """Replication r is row r mod BLOCK of the stream of block r // BLOCK."""
+
+    def test_prefix_across_block_boundary(self):
+        p, n = Fraction(1, 2), 30
+        full = _walks(simulate(21, n, (p,), coupling.BLOCK + 3), p)
+        for k in (2, coupling.BLOCK + 1):
+            assert (_walks(simulate(21, n, (p,), k), p) == full[:k]).all()
+        # block 1 opens a new stream rather than repeating block 0's rows
+        assert (full[coupling.BLOCK:] != full[:3]).any()
+
+    def test_mc_rule_value_reads_simulate_paths(self):
+        p, n, reps = Fraction(2, 5), 10, coupling.BLOCK + 3
+        est = mc_rule_value(17, WalkParams(p, n), GEOM_HALF, dpsolver.policy_tauN(n), reps)
+        vals = [float(GEOM_HALF(int(cp.z[p][-1]))) for cp in simulate(17, n, (p,), reps)]
+        assert abs(est.estimate - math.fsum(vals) / reps) <= 1e-12
+
+    def test_time_reversal_walks_use_different_streams(self, monkeypatch):
+        streams = []
+        inner = coupling._rng
+
+        def spy(seed, stream=0):
+            streams.append(stream)
+            return inner(seed, stream)
+
+        monkeypatch.setattr(coupling, "_rng", spy)
+        mc_time_reversal_check(3, WalkParams(Fraction(2, 3), 6), coupling.BLOCK + 3)
+        assert streams[:2] == [0, 1]  # the p-walk reads simulate's blocks
+        assert len(set(streams)) == len(streams) == 4
