@@ -1,9 +1,11 @@
-"""Brute force over every history-dependent stopping rule at small N.
+"""Every history-dependent stopping rule, checked by backward induction over
+the tree of step prefixes.
 
-Decision maps on binary histories number 2^(2^N - 1); collapsing the
-decisions hidden below an earlier STOP leaves the distinct rule classes
-(677 at N=4), every one of which is valued exactly and compared to the
-backward-induction optimum.
+Decision maps on binary histories number 2^(2^N - 1).  The oracle values
+each of the 2^(N+1) - 1 step histories on its own, never merging two that
+share a drawdown, counts the optimal rule classes (rules that stop every
+path at the same index), and compares both with the drawdown-state
+dynamic program.
 """
 
 from fractions import Fraction
@@ -15,13 +17,14 @@ for n, p, f, label in [
     (3, Fraction(3, 4), geometric_reward(Fraction(1, 2)), "geometric, p>1/2"),
     (4, Fraction(1, 2), geometric_reward(Fraction(1, 2)), "geometric, p=1/2"),
     (2, Fraction(1, 3), table_reward([1, 1, 0]), "winner-take-two"),
+    (10, Fraction(1, 2), geometric_reward(Fraction(1, 2)), "geometric, p=1/2"),
 ]:
     w = WalkParams(p, n)
     res = enumerate_optimum(w, f)
     rep = solve(w, f)
     print(f"{label}: N={n}, p={p}")
-    print(f"  raw decision maps : {res.n_rules_total}")
-    print(f"  rule classes tried: every one ({res.n_paths} paths each)")
+    print(f"  raw decision maps : 2^{2**n - 1}")
+    print(f"  step histories    : {2 * res.n_paths - 1} ({res.n_paths} paths)")
     print(f"  oracle optimum    : {res.value} (DP says {rep.optimal_value})")
     print(f"  optimal classes   : {res.n_optimal_classes}, DP label {rep.unique}")
     print(f"  cross-validated   : {cross_validate(w, f)}")

@@ -53,7 +53,6 @@ from .dpsolver import (  # noqa: F401
     solve,
 )
 from .oracle import (  # noqa: F401
-    HistoryRule,
     OracleResult,
     cross_validate,
     enumerate_optimum,

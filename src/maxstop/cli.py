@@ -51,6 +51,22 @@ def _positive(kind, noun: str):
     return parse
 
 
+def _int_range(lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi (no upper end when hi is None)."""
+    want = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            v = None
+        if v is None or v < lo or (hi is not None and v > hi):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return v
+
+    return parse
+
+
 def parse_probability(text: str) -> Fraction:
     """Accept 'a/b' (or an integer-free rational string); reject bare floats."""
     if "." in text or "e" in text.lower():
@@ -195,7 +211,7 @@ def cmd_oracle(args) -> int:
         "n_rules_total": res.n_rules_total,
         "n_optimal_classes": res.n_optimal_classes,
         "dp_match": dp_match,
-        "cross_validate": oracle.cross_validate(w, f, max_n=args.max_n),
+        "cross_validate": oracle.agrees(res, rep),
     }
     return _emit(report, args, failed=not dp_match)
 
@@ -477,23 +493,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="exact backward-induction solve")
     sp.add_argument("--p", required=True, help="up probability as a rational a/b")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_int_range(0), required=True)
     sp.add_argument("--reward", required=True)
     sp.add_argument("--policy-csv", help="also write the optimal policy as CSV")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("evaluate", help="exact value of a named Markov policy")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_int_range(0), required=True)
     sp.add_argument("--reward", required=True)
     sp.add_argument("--policy", required=True, help="tau0 | tauN | stop-at-max")
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("oracle", help="exhaustive small-horizon ground truth")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_int_range(0), required=True)
     sp.add_argument("--reward", required=True)
-    sp.add_argument("--max-n", type=int, default=oracle.DEFAULT_MAX_HORIZON)
+    # n_rules_total = 2^(2^N - 1) must print: at N = 14 it has 4,933 digits,
+    # past Python's default int-to-str limit of 4,300
+    sp.add_argument("--max-n", type=_int_range(0, 13), default=oracle.DEFAULT_MAX_HORIZON)
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("verify-discrete", help="exact theorem checks on the default grid")
@@ -502,11 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="coupled walks from shared uniforms")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_range(0), required=True)
     sp.add_argument("--ps", required=True, help="comma-separated rationals, e.g. 1/4,3/4")
-    sp.add_argument("--replications", type=int, default=1000)
+    sp.add_argument("--replications", type=_positive(int, "integer"), default=1000)
     sp.add_argument("--csv-out", help="dump the first replications as CSV")
-    sp.add_argument("--csv-limit", type=int, default=10)
+    sp.add_argument("--csv-limit", type=_int_range(0), default=10)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")
@@ -527,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reward", required=True)
     sp.add_argument("--p-list", required=True)
     sp.add_argument("--n-list", required=True)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive(int, "integer"), default=1)
     sp.set_defaults(fn=cmd_sweep)
 
     return ap

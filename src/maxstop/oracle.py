@@ -1,12 +1,29 @@
-"""Exhaustive ground truth for small horizons.
+"""History-indexed ground truth by backward induction over the prefix tree.
 
-Enumerates every history-dependent stopping rule (decisions may depend on
-the full +-1 step prefix, not only on the drawdown) and every path, and
-maximizes E[f(M_N - S_tau)] by brute force.  Raw decision maps number
-2^(2^N - 1); decisions hidden below an earlier STOP never matter, so rules
-are identified by the stopping index they induce on each path and the
-enumeration walks the pruned decision trees directly (677 classes at N=4
-instead of 32768 maps).  Everything is exact rational arithmetic.
+The supremum of E[f(M_N - S_tau)] runs over every stopping time of the
+walk's natural filtration, so a decision may depend on the whole +-1 step
+prefix, not only on the drawdown.  The oracle therefore walks the binary
+tree of step prefixes: each of the 2^(N+1) - 1 nodes is one history and
+knows its (k, S_k, M_k).  Stopping there pays
+
+    E[f(max(M_k, S_k + M') - S_k)],  M' the maximum of a fresh (N-k)-step walk,
+
+with the law of M' built here by first-step decomposition,
+M'_j = max(0, X + M'_{j-1}), independently of `walkdist`.  Continuing pays
+p * V(up) + q * V(down), and V is the larger of the two.  Nothing is
+memoized on the state (k, z): two histories that share a drawdown are still
+valued and decided apart, so a history-dependent rule that beat every
+drawdown rule would show here.
+
+Two rules are the same class when they stop every path at the same index.
+Every prefix has positive probability, so a rule is optimal exactly when it
+takes an optimal action at every node it reaches, and the optimal classes
+of a subtree number
+
+    count = [stop optimal] + [continue optimal] * count(up) * count(down),
+
+with count 1 at a leaf.  Raw decision maps number 2^(2^N - 1).  Everything
+is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -14,31 +31,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import dpsolver
 from .walkdist import WalkParams
 
-DEFAULT_MAX_HORIZON = 4
-
-
-@dataclass(frozen=True)
-class HistoryRule:
-    """A stopping rule given by the set of step prefixes at which it stops.
-
-    A path stops at its first prefix in `stop_prefixes`, else at N.  Two
-    rules inducing the same stopping index on every path are equivalent
-    ("unreachable-node freedom").
-    """
-
-    n: int
-    stop_prefixes: frozenset
-
-    def stopping_index(self, path: tuple) -> int:
-        for k in range(self.n):
-            if path[:k] in self.stop_prefixes:
-                return k
-        return self.n
+DEFAULT_MAX_HORIZON = 12
 
 
 @dataclass(frozen=True)
@@ -46,9 +43,15 @@ class OracleResult:
     value: Fraction
     n_rules_total: int
     n_optimal_classes: int
-    optimal_signatures: frozenset
-    sample_optimal_rules: tuple
     n_paths: int
+    # stopping at time 0 strictly beats continuing (true at N = 0, where
+    # tau = 0 is the only rule)
+    stop_strict_at_root: bool
+    # continuing strictly beats stopping at every node k < N
+    continue_strict_everywhere: bool
+    # continuing is optimal at every node k < N, and stopping is optimal
+    # exactly at the prefixes with zero drawdown
+    tie_pattern: bool
 
     def to_json(self, dp_match: bool | None = None) -> str:
         obj = {
@@ -61,143 +64,88 @@ class OracleResult:
         return json.dumps(obj, sort_keys=True)
 
 
-def _require_small(n: int, max_n: int):
-    if n > max_n:
-        raise ValueError(
-            f"exhaustive enumeration is capped at N <= {max_n} "
-            f"(2^(2^N - 1) raw rules); got N = {n}"
-        )
-
-
-def _paths(n: int) -> list:
-    return [tuple(steps) for steps in product((1, -1), repeat=n)]
-
-
-def _path_stats(path: tuple, p) -> tuple:
-    """(probability, M_N, partial sums S_0..S_N)."""
+def _suffix_max_laws(p: Fraction, n: int) -> list:
+    """laws[j][m] = P(max(0, S_1, ..., S_j) = m) for j = 0..n."""
     q = 1 - p
-    prob = p**0
-    s, m = 0, 0
-    sums = [0]
-    for x in path:
-        prob = prob * (p if x == 1 else q)
-        s += x
-        m = max(m, s)
-        sums.append(s)
-    return prob, m, sums
-
-
-def _rule_trees(n: int, allow_stop):
-    """All pruned decision trees as frozensets of reachable STOP prefixes.
-
-    allow_stop(prefix) gates where a tree may stop before the horizon; the
-    unrestricted oracle passes a constant True.
-    """
-
-    def rec(prefix: tuple):
-        depth = len(prefix)
-        if depth == n:
-            return [frozenset()]
-        subtrees = []
-        if allow_stop(prefix):
-            subtrees.append(frozenset({prefix}))
-        ups = rec(prefix + (1,))
-        downs = rec(prefix + (-1,))
-        for u in ups:
-            for d in downs:
-                subtrees.append(u | d)
-        return subtrees
-
-    return rec(())
-
-
-def _signature(stop_prefixes: frozenset, paths: list, n: int) -> tuple:
-    sig = []
-    for path in paths:
-        idx = n
-        for k in range(n):
-            if path[:k] in stop_prefixes:
-                idx = k
-                break
-        sig.append(idx)
-    return tuple(sig)
+    laws = [[Fraction(1)]]
+    for j in range(1, n + 1):
+        law = [Fraction(0)] * (j + 1)
+        for m, pr in enumerate(laws[-1]):
+            law[m + 1] += p * pr
+            law[max(m - 1, 0)] += q * pr
+        laws.append(law)
+    return laws
 
 
 def enumerate_optimum(w: WalkParams, f, max_n: int = DEFAULT_MAX_HORIZON) -> OracleResult:
     """Exact maximum of E[f(M_N - S_tau)] over all adapted stopping rules."""
     n = w.n
-    _require_small(n, max_n)
-    paths = _paths(n)
-    stats = [_path_stats(path, w.p) for path in paths]
-    # reward of stopping path j at index k
-    reward = [[f(m - sums[k]) for k in range(n + 1)] for (_pr, m, sums) in stats]
-    probs = [pr for (pr, _m, _s) in stats]
+    if n > max_n:
+        raise ValueError(
+            f"the prefix-tree oracle is capped at N <= {max_n} "
+            f"(2^(N+1) - 1 step histories); got N = {n}"
+        )
+    p, q = w.p, 1 - w.p
+    # from z = N down, so a table reward too short for the horizon is
+    # reported at its first use on the all-up path
+    fv = [f(z) for z in range(n, -1, -1)][::-1]
+    laws = _suffix_max_laws(p, n)
+    stop_strict_at_root = n == 0
+    continue_strict = tie_pattern = True
 
-    best = None
-    by_signature = {}
-    for tree in _rule_trees(n, lambda prefix: True):
-        sig = _signature(tree, paths, n)
-        if sig in by_signature:
-            continue
-        value = sum(probs[j] * reward[j][sig[j]] for j in range(len(paths)))
-        by_signature[sig] = (value, tree)
-        if best is None or value > best:
-            best = value
+    def visit(k: int, s: int, m: int) -> tuple:
+        """(optimal value, optimal class count) of the subtree at this prefix."""
+        nonlocal stop_strict_at_root, continue_strict, tie_pattern
+        z = m - s
+        if k == n:
+            return fv[z], 1
+        up_value, up_count = visit(k + 1, s + 1, max(m, s + 1))
+        down_value, down_count = visit(k + 1, s - 1, m)
+        cont = p * up_value + q * down_value
+        stop = sum(pr * fv[max(z, j)] for j, pr in enumerate(laws[n - k]))
+        if k == 0:
+            stop_strict_at_root = stop > cont
+        if stop >= cont:
+            continue_strict = False
+        if stop > cont or (stop == cont) != (z == 0):
+            tie_pattern = False
+        count = (stop >= cont) + (cont >= stop) * up_count * down_count
+        return max(stop, cont), count
 
-    optimal = {sig: tree for sig, (value, tree) in by_signature.items() if value == best}
-    samples = tuple(
-        HistoryRule(n, tree) for _sig, tree in sorted(optimal.items())[:3]
-    )
+    value, count = visit(0, 0, 0)
     return OracleResult(
-        value=best,
+        value=value,
         n_rules_total=2 ** (2**n - 1),
-        n_optimal_classes=len(optimal),
-        optimal_signatures=frozenset(optimal),
-        sample_optimal_rules=samples,
-        n_paths=len(paths),
+        n_optimal_classes=count,
+        n_paths=2**n,
+        stop_strict_at_root=stop_strict_at_root,
+        continue_strict_everywhere=continue_strict,
+        tie_pattern=tie_pattern,
     )
 
 
-def tie_class_signatures(w: WalkParams, max_n: int = DEFAULT_MAX_HORIZON) -> frozenset:
-    """Signatures of every rule that stops only at zero drawdown or at N."""
-    n = w.n
-    _require_small(n, max_n)
-    paths = _paths(n)
+def agrees(res: OracleResult, rep: dpsolver.SolveReport) -> bool:
+    """Whether the oracle confirms the DP solver's value and uniqueness label.
 
-    def drawdown_zero(prefix: tuple) -> bool:
-        s, m = 0, 0
-        for x in prefix:
-            s += x
-            m = max(m, s)
-        return m == s
-
-    sigs = set()
-    for tree in _rule_trees(n, drawdown_zero):
-        sigs.add(_signature(tree, paths, n))
-    return frozenset(sigs)
-
-
-def cross_validate(w: WalkParams, f, max_n: int = DEFAULT_MAX_HORIZON) -> bool:
-    """Exhaustive check that the DP solver and its uniqueness label are right.
-
-    The optimum must match the DP value exactly, and the set of optimal rule
-    classes must agree with the claimed uniqueness structure: a single class
-    (the right one) for UNIQUE_*, exactly the stop-at-max-or-horizon classes
-    for TIE_CLASS, and at least two classes for NOT_UNIQUE.
+    The optimum must match the DP value exactly, and the optimal rule
+    classes must have the claimed structure: a single class stopping at
+    once for UNIQUE_TAU0, continuing strictly at every node for
+    UNIQUE_TAUN, exactly the stop-at-max-or-horizon rules for TIE_CLASS,
+    and at least two classes for NOT_UNIQUE.
     """
-    res = enumerate_optimum(w, f, max_n=max_n)
-    rep = dpsolver.solve(w, f)
     if res.value != rep.optimal_value:
         return False
-
-    n = w.n
-    n_paths = res.n_paths
     if rep.unique == dpsolver.UNIQUE_TAU0:
-        return res.optimal_signatures == frozenset({tuple([0] * n_paths)})
+        return res.n_optimal_classes == 1 and res.stop_strict_at_root
     if rep.unique == dpsolver.UNIQUE_TAUN:
-        return res.optimal_signatures == frozenset({tuple([n] * n_paths)})
+        return res.continue_strict_everywhere
     if rep.unique == dpsolver.TIE_CLASS:
-        return res.optimal_signatures == tie_class_signatures(w, max_n=max_n)
+        return res.tie_pattern
     if rep.unique == dpsolver.NOT_UNIQUE:
         return res.n_optimal_classes >= 2
     return True  # UNKNOWN constrains nothing beyond the value
+
+
+def cross_validate(w: WalkParams, f, max_n: int = DEFAULT_MAX_HORIZON) -> bool:
+    """Exhaustive check that the DP solver's value and uniqueness label are right."""
+    return agrees(enumerate_optimum(w, f, max_n=max_n), dpsolver.solve(w, f))

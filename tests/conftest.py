@@ -2,12 +2,14 @@
 
 Everything here recomputes walk functionals by enumerating all 2^n paths
 directly, independently of the library's forward-DP code paths, so tests
-compare two genuinely different routes to the same exact value.
+compare two genuinely different routes to the same exact value.  The rule
+enumerator below is the oracle's own oracle: it values every
+history-dependent stopping rule class on every path (n <= 4).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -65,6 +67,77 @@ def brute_rule_value(p, n, f, stops):
             m = max(m, s)
         total += pr * f(m_n - s)
     return total
+
+
+def brute_stopping_index(n, stop_prefixes, path):
+    """First k < n with path[:k] in stop_prefixes, else n."""
+    return next((k for k in range(n) if path[:k] in stop_prefixes), n)
+
+
+@lru_cache(maxsize=None)
+def brute_rule_classes(n, at_max_only=False):
+    """Signatures of every history-dependent rule class at horizon n.
+
+    A rule is a pruned decision tree, the set of step prefixes where it
+    stops; its signature is its stopping index on each path, in all_paths
+    order, and rules with one signature are one class (decisions below an
+    earlier stop never matter).  With at_max_only, rules may stop before n
+    only at prefixes with zero drawdown.
+    """
+
+    def trees(prefix):
+        if len(prefix) == n:
+            return [frozenset()]
+        out = []
+        if not at_max_only or path_max_end(prefix)[0] == sum(prefix):
+            out.append(frozenset({prefix}))
+        ups, downs = trees(prefix + (1,)), trees(prefix + (-1,))
+        return out + [u | d for u in ups for d in downs]
+
+    paths = all_paths(n)
+    return frozenset(
+        tuple(brute_stopping_index(n, tree, path) for path in paths) for tree in trees(())
+    )
+
+
+def brute_oracle(p, n, f):
+    """(optimum, signatures of the optimal classes) of E[f(M_n - S_tau)] over
+    every history-dependent stopping rule, by valuing each class path by path."""
+    return _brute_oracle(p, n, tuple(f(z) for z in range(n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _brute_oracle(p, n, fv):
+    stats = _path_stats(p, n)
+    payoff = [
+        [fv[m - s] for s in accumulate(path, initial=0)]
+        for path, (_pr, m, _end) in zip(all_paths(n), stats)
+    ]
+    values = {
+        sig: sum(pr * row[k] for (pr, _m, _end), row, k in zip(stats, payoff, sig))
+        for sig in brute_rule_classes(n)
+    }
+    best = max(values.values())
+    return best, frozenset(sig for sig, v in values.items() if v == best)
+
+
+def brute_agrees(p, n, f, value, label):
+    """Whether a claimed optimum and uniqueness label hold, judged on the set
+    of optimal classes: exactly tau = 0 for UNIQUE_TAU0, exactly tau = n for
+    UNIQUE_TAUN, exactly the stop-at-max-or-n classes for TIE_CLASS, at least
+    two classes for NOT_UNIQUE, and the value alone for UNKNOWN."""
+    best, optimal = brute_oracle(p, n, f)
+    if value != best:
+        return False
+    if label == "UNIQUE_TAU0":
+        return optimal == {(0,) * 2**n}
+    if label == "UNIQUE_TAUN":
+        return optimal == {(n,) * 2**n}
+    if label == "TIE_CLASS":
+        return optimal == brute_rule_classes(n, at_max_only=True)
+    if label == "NOT_UNIQUE":
+        return len(optimal) >= 2
+    return True
 
 
 @pytest.fixture

@@ -117,9 +117,28 @@ class TestOracleCommand:
 
     def test_infeasible_size(self, capsys):
         code, _ = run_cli(
-            ["oracle", "--p", "1/3", "--N", "6", "--reward", "geometric:1/2"], capsys
+            ["oracle", "--p", "1/3", "--N", "13", "--reward", "geometric:1/2"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--p", "1/2", "--N", "4", "--reward", "geometric:1/2"],
+                "ccb7da8b7a57361be166a19769d5c86b708396e74c2b56451671053da985f20b",
+            ),
+            (
+                ["--p", "1/3", "--N", "3", "--reward", "geometric:1/2"],
+                "ba07d1f6cb024bb7f3433fc08e2e83aae4c6ed22f2bbbce91ad0e49b78ee7ac9",
+            ),
+        ],
+    )
+    def test_report_bytes_frozen(self, argv, digest, tmp_path):
+        """Report bytes as the rule-class enumerator wrote them."""
+        target = tmp_path / "r.json"
+        assert cli.main(["--output", str(target), "oracle"] + argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestSimulateCommand:
@@ -142,6 +161,39 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 77
+
+
+@pytest.mark.parametrize(
+    "argv, flag, want",
+    [
+        (["simulate", "--ps", "1/2", "--n", "-1"], "--n", "an integer >= 0"),
+        (["simulate", "--ps", "1/2", "--n", "3", "--replications", "0"], "--replications",
+         "a positive integer"),
+        (["simulate", "--ps", "1/2", "--n", "3", "--csv-limit", "-1"], "--csv-limit",
+         "an integer >= 0"),
+        (["solve", "--p", "1/2", "--reward", "geometric:1/2", "--N", "-1"], "--N",
+         "an integer >= 0"),
+        (["evaluate", "--p", "1/2", "--reward", "geometric:1/2", "--policy", "tau0",
+          "--N", "-2"], "--N", "an integer >= 0"),
+        (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", "-1"], "--N",
+         "an integer >= 0"),
+        (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", "2", "--max-n", "14"],
+         "--max-n", "an integer in 0..13"),
+        (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", "2", "--max-n", "-1"],
+         "--max-n", "an integer in 0..13"),
+        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2",
+          "--workers", "0"], "--workers", "a positive integer"),
+        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2",
+          "--workers", "-3"], "--workers", "a positive integer"),
+    ],
+)
+def test_integer_flag_rejected_at_parse_time(argv, flag, want, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be {want}" in captured.err
 
 
 class TestBmCommands:

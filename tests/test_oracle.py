@@ -1,13 +1,27 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import brute_agrees, brute_oracle, brute_rule_classes, brute_stopping_index
 from maxstop import dpsolver, oracle, rewards
-from maxstop.oracle import cross_validate, enumerate_optimum, tie_class_signatures
+from maxstop.dpsolver import NOT_UNIQUE, TIE_CLASS, UNIQUE_TAU0, UNIQUE_TAUN, UNKNOWN
+from maxstop.oracle import cross_validate, enumerate_optimum
 from maxstop.walkdist import WalkParams
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 WINNER_TAKE_TWO = rewards.table_reward([1, 1, 0])
+HALF = Fraction(1, 2)
+LABELS = (UNIQUE_TAU0, UNIQUE_TAUN, TIE_CLASS, NOT_UNIQUE, UNKNOWN)
+
+# tables cover {0..4}; the last two are not convex, the last not monotone
+BRUTE_REWARDS = [
+    ("geometric:1/2", GEOM_HALF),
+    ("indicator_top", rewards.indicator_top_reward()),
+    ("linear", rewards.table_reward([4, 3, 2, 1, 0])),
+    ("winner_take_two", rewards.table_reward([1, 1, 0, 0, 0])),
+    ("non_monotone", rewards.table_reward([0, 2, 1, 3, 0])),
+]
 
 
 class TestEnumerate:
@@ -16,6 +30,7 @@ class TestEnumerate:
         res = enumerate_optimum(WalkParams(Fraction(1, 2), 1), GEOM_HALF)
         assert res.value == Fraction(3, 4)
         assert res.n_optimal_classes == 2
+        assert not res.stop_strict_at_root and res.tie_pattern
         assert res.n_rules_total == 2
 
     def test_winner_take_two_stops_at_one(self):
@@ -23,7 +38,7 @@ class TestEnumerate:
         assert res.value == 1
         # the rule stopping at every length-1 history is optimal: index 1 on
         # each of the 4 paths
-        assert (1, 1, 1, 1) in res.optimal_signatures
+        assert (1, 1, 1, 1) in brute_oracle(Fraction(1, 3), 2, WINNER_TAKE_TWO)[1]
         assert res.n_rules_total == 2**3
 
     def test_supercritical_unique_all_continue(self):
@@ -31,7 +46,8 @@ class TestEnumerate:
         res = enumerate_optimum(w, GEOM_HALF)
         rep = dpsolver.solve(w, GEOM_HALF)
         assert res.value == rep.value_tauN
-        assert res.optimal_signatures == {tuple([3] * 8)}
+        assert res.n_optimal_classes == 1 and res.continue_strict_everywhere
+        assert brute_oracle(w.p, 3, GEOM_HALF)[1] == {tuple([3] * 8)}
 
     def test_zero_horizon(self):
         res = enumerate_optimum(WalkParams(Fraction(1, 2), 0), GEOM_HALF)
@@ -39,8 +55,8 @@ class TestEnumerate:
         assert res.n_optimal_classes == 1
 
     def test_refuses_large_horizon(self):
-        with pytest.raises(ValueError, match="N <= 4"):
-            enumerate_optimum(WalkParams(Fraction(1, 2), 5), GEOM_HALF)
+        with pytest.raises(ValueError, match="N <= 12"):
+            enumerate_optimum(WalkParams(Fraction(1, 2), 13), GEOM_HALF)
         # the cap is an explicit argument, movable in both directions
         with pytest.raises(ValueError, match="N <= 3"):
             enumerate_optimum(WalkParams(Fraction(1, 2), 4), GEOM_HALF, max_n=3)
@@ -64,14 +80,21 @@ class TestEnumerate:
             assert res.value >= dpsolver.evaluate_policy(w, GEOM_HALF, pol)
 
     def test_history_rule_stopping_index(self):
-        rule = oracle.HistoryRule(2, frozenset({(1,)}))
-        assert rule.stopping_index((1, 1)) == 1
-        assert rule.stopping_index((-1, 1)) == 2
+        stop_prefixes = frozenset({(1,)})
+        assert brute_stopping_index(2, stop_prefixes, (1, 1)) == 1
+        assert brute_stopping_index(2, stop_prefixes, (-1, 1)) == 2
 
     def test_json_summary(self):
         res = enumerate_optimum(WalkParams(Fraction(1, 2), 2), GEOM_HALF)
         text = res.to_json(dp_match=True)
         assert '"dp_match": true' in text and '"n_rules_total": 8' in text
+
+    @pytest.mark.parametrize("p", [Fraction(2, 5), HALF, Fraction(3, 5)])
+    def test_horizon_twelve_matches_dp(self, p):
+        w = WalkParams(p, 12)
+        res = enumerate_optimum(w, GEOM_HALF)
+        assert res.value == dpsolver.solve(w, GEOM_HALF).optimal_value
+        assert cross_validate(w, GEOM_HALF)
 
 
 class TestCrossValidate:
@@ -107,7 +130,7 @@ class TestCrossValidate:
         assert cross_validate(WalkParams(Fraction(3, 4), 3), GEOM_HALF)
 
     def test_tie_class_signature_set(self):
-        sigs = tie_class_signatures(WalkParams(Fraction(1, 2), 2))
+        sigs = brute_rule_classes(2, at_max_only=True)
         # N=2 stop-at-max rules: decisions free at (), (1,); (-1,) has z=1
         assert tuple([0, 0, 0, 0]) in sigs  # stop immediately
         assert tuple([2, 2, 2, 2]) in sigs  # never stop early
@@ -117,3 +140,63 @@ class TestCrossValidate:
         for p in p_grid:
             for n in range(1, 4):
                 assert cross_validate(WalkParams(p, n), GEOM_HALF)
+
+    @pytest.mark.parametrize(
+        "p, n, f, wrong",
+        [
+            (HALF, 3, GEOM_HALF, UNIQUE_TAUN),  # truly TIE_CLASS
+            (HALF, 3, GEOM_HALF, UNIQUE_TAU0),
+            (Fraction(1, 3), 3, GEOM_HALF, UNIQUE_TAUN),  # truly UNIQUE_TAU0
+            (Fraction(3, 4), 3, GEOM_HALF, TIE_CLASS),  # truly UNIQUE_TAUN
+            (HALF, 2, rewards.table_reward([2, 1, 0]), TIE_CLASS),  # truly NOT_UNIQUE
+            (Fraction(2, 5), 4, GEOM_HALF, NOT_UNIQUE),  # truly UNIQUE_TAU0
+        ],
+    )
+    def test_wrong_label_is_caught(self, p, n, f, wrong, monkeypatch):
+        w = WalkParams(p, n)
+        assert cross_validate(w, f)
+        solve = dpsolver.solve
+        monkeypatch.setattr(dpsolver, "solve", lambda w, f: replace(solve(w, f), unique=wrong))
+        assert not cross_validate(w, f)
+
+    @pytest.mark.parametrize("p, n", [(Fraction(2, 5), 4), (HALF, 6), (Fraction(3, 4), 10)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_value_off_by_one_unit_is_caught(self, p, n, sign, monkeypatch):
+        w = WalkParams(p, n)
+        assert cross_validate(w, GEOM_HALF)
+        solve = dpsolver.solve
+
+        def off(w, f):
+            rep = solve(w, f)
+            return replace(rep, optimal_value=rep.optimal_value + sign * Fraction(1, p.denominator**n))
+
+        monkeypatch.setattr(dpsolver, "solve", off)
+        assert not cross_validate(w, GEOM_HALF)
+
+
+class TestAgainstBruteEnumeration:
+    """The prefix-tree oracle against valuing every rule class path by path."""
+
+    def test_value_count_and_verdict(self, p_grid):
+        seen = set()
+        for n in range(5):
+            for name, f in BRUTE_REWARDS:
+                for p in p_grid:
+                    w = WalkParams(p, n)
+                    res = enumerate_optimum(w, f)
+                    best, optimal = brute_oracle(p, n, f)
+                    assert res.value == best, (name, p, n)
+                    assert res.n_optimal_classes == len(optimal), (name, p, n)
+                    assert res.stop_strict_at_root == (optimal == {(0,) * 2**n})
+                    assert res.continue_strict_everywhere == (optimal == {(n,) * 2**n})
+                    assert res.tie_pattern == (optimal == brute_rule_classes(n, at_max_only=True))
+                    rep = dpsolver.solve(w, f)
+                    seen.add(rep.unique)
+                    verdict = brute_agrees(p, n, f, rep.optimal_value, rep.unique)
+                    assert cross_validate(w, f) == verdict, (name, p, n)
+                    # a wrong label gets the brute verdict too
+                    for label in LABELS:
+                        assert oracle.agrees(res, replace(rep, unique=label)) == brute_agrees(
+                            p, n, f, rep.optimal_value, label
+                        ), (name, p, n, label)
+        assert seen == set(LABELS)
