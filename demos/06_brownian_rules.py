@@ -23,7 +23,7 @@ for lam in (-1.0, 0.0, 1.0):
     ests = mc_bm_rule_values(seed=606, model=model, f=f, rules=rules)
     best = max(e.estimate for e in ests)
     print(f"drift lam = {lam:+.0f}")
-    for e in ests:
+    for rule, e in zip(rules, ests):
         flag = "  <-- best" if e.estimate == best else ""
-        print(f"  {e.rule:26s} {e.estimate:.4f} +- {e.stderr:.4f}{flag}")
+        print(f"  {rule.label():26s} {e.estimate:.4f} +- {e.stderr:.4f}{flag}")
     print()

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import _rng
-from .rewards import RewardSpec
+from .coupling import McEstimate, _rng
+from .rewards import RewardDomainError, RewardSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -63,7 +62,6 @@ class QuadConfig:
 class McConfig:
     steps: int = 1000
     replications: int = 100_000
-    seed: int = 0
     # stop-at-running-max triggers at Z <= eps_coeff * sqrt(dt)
     eps_coeff: float = 0.5
 
@@ -243,7 +241,7 @@ def _vectorized_reward(f) -> Callable:
         xs = np.asarray(f.params["xs"], dtype=float)
         ys = np.asarray(f.params["ys"], dtype=float)
         return lambda x: np.interp(x, xs, ys)
-    raise ValueError(f"reward kind {f.kind!r} has no continuous evaluation")
+    raise RewardDomainError(f"reward kind {f.kind!r} has no continuous evaluation")
 
 
 def _reward_nodes(f) -> tuple:
@@ -302,17 +300,6 @@ class BmInequalityReport:
         if abs(self.strict_margin) <= self.quad_error_bound:
             return "equal_within_tolerance"
         return "violated"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "quad_error_bound": self.quad_error_bound,
-                "verdict": self.verdict,
-            },
-            sort_keys=True,
-        )
 
 
 def check_bm_key_inequality(
@@ -390,47 +377,13 @@ class BmRule:
         return self.kind if self.param is None else f"{self.kind}({self.param:g})"
 
 
-@dataclass(frozen=True)
-class BmMcEstimate:
-    rule: str
-    estimate: float
-    stderr: float
-    replications: int
-    steps: int | None  # None for the exact (M, B) sampler
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rule": self.rule,
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "replications": self.replications,
-                "steps": self.steps,
-            },
-            sort_keys=True,
-        )
-
-
-def _mc_summary(rule, vals: np.ndarray, steps) -> BmMcEstimate:
-    n = len(vals)
-    if vals.min() == vals.max():  # constant sample: mean exact, spread zero
-        return BmMcEstimate(rule.label(), float(vals[0]), 0.0, n, steps)
-    return BmMcEstimate(
-        rule=rule.label(),
-        estimate=float(vals.mean()),
-        stderr=float(vals.std() / math.sqrt(n)),
-        replications=n,
-        steps=steps,
-    )
-
-
-def _exact_rule_value(seed, model, fv, rule, replications) -> BmMcEstimate:
+def _exact_rule_value(seed, model, fv, rule, replications) -> McEstimate:
     mb = sample_max_endpoint(seed, model.T, model.lam, replications)
     if rule.kind == "tau0":
         vals = fv(mb[:, 0])
     else:
         vals = fv(mb[:, 0] - mb[:, 1])
-    return _mc_summary(rule, np.asarray(vals, dtype=float), None)
+    return McEstimate.from_sample(np.asarray(vals, dtype=float))
 
 
 _CHUNK = 10_000  # fixed: chunk boundaries are part of the stream layout
@@ -439,14 +392,14 @@ _CHUNK = 10_000  # fixed: chunk boundaries are part of the stream layout
 def mc_bm_rule_values(
     seed: int, model: BmModel, f, rules, replications: int | None = None
 ) -> list:
-    """Estimate E[f(M_T - B_tau)] for several rules on shared simulated paths.
+    """Estimate E[f(M_T - B_tau)] for several BmRules on shared simulated paths,
+    one McEstimate per rule, in order.
 
     tau0 / tauT use the exact (M_T, B_T) sampler (no discretization error);
     the rest run on bridge-max-refined Euler paths of model.mc.steps steps.
     """
     fv = _vectorized_reward(f)
     reps = model.mc.replications if replications is None else replications
-    rules = [r if isinstance(r, BmRule) else BmRule(*r) if isinstance(r, tuple) else BmRule(r) for r in rules]
 
     results: dict = {}
     grid_rules = []
@@ -497,12 +450,12 @@ def mc_bm_rule_values(
         done += count
         chunk_id += 1
 
-    for idx, rule in grid_rules:
-        results[idx] = _mc_summary(rule, np.concatenate(collected[idx]), steps)
+    for idx, _rule in grid_rules:
+        results[idx] = McEstimate.from_sample(np.concatenate(collected[idx]), steps)
     return [results[i] for i in range(len(rules))]
 
 
 def mc_bm_rule_value(
-    seed: int, model: BmModel, f, rule, replications: int | None = None
-) -> BmMcEstimate:
+    seed: int, model: BmModel, f, rule: BmRule, replications: int | None = None
+) -> McEstimate:
     return mc_bm_rule_values(seed, model, f, [rule], replications)[0]

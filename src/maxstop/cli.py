@@ -6,9 +6,14 @@ it was produced: exact rational, quadrature with an error bound, or Monte
 Carlo with a standard error.  Probabilities are given as 'a/b' rationals;
 bare floats are rejected where exactness is part of the contract.
 
+This module is the only writer of reports: the library's result types are
+plain dataclasses, and every number goes out through `_exact`, `_quad` or
+`_mc`, which tag it.
+
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
-instance is serialized in the report), 2 configuration error, 3 internal
-failure (a quadrature that did not reach its tolerance).
+instance is serialized in the report), 2 configuration error (a bad flag,
+environment variable or reward), 3 internal failure (a quadrature that did
+not reach its tolerance, or any other ValueError from the library).
 """
 
 from __future__ import annotations
@@ -51,6 +56,17 @@ def _positive(kind, noun: str):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return v
+
+
 def _int_range(lo: int, hi: int | None = None):
     """argparse type: an integer in lo..hi (no upper end when hi is None)."""
     want = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
@@ -65,6 +81,11 @@ def _int_range(lo: int, hi: int | None = None):
         return v
 
     return parse
+
+
+def _int_list(text: str) -> list:
+    """argparse type: comma-separated integers >= 0."""
+    return [_int_range(0)(v) for v in text.split(",")]
 
 
 def parse_probability(text: str) -> Fraction:
@@ -131,9 +152,19 @@ def _mc(est) -> dict:
     return {"mode": "mc", "value": est.estimate, "stderr": est.stderr}
 
 
+def _solve_fields(rep: dpsolver.SolveReport) -> dict:
+    """The values and uniqueness label that `solve` and `sweep` report."""
+    return {
+        "optimal_value": _exact(rep.optimal_value),
+        "value_tau0": _exact(rep.value_tau0),
+        "value_tauN": _exact(rep.value_tauN),
+        "unique": rep.unique,
+    }
+
+
 def _emit(report: dict, args, failed: bool) -> int:
     report["tool_version"] = __version__
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -145,7 +176,11 @@ def _emit(report: dict, args, failed: bool) -> int:
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(ENV_SEED, "0"))
+    text = os.environ.get(ENV_SEED, "0")
+    try:
+        return _int_range(0)(text)
+    except argparse.ArgumentTypeError as e:
+        raise ConfigError(f"environment variable {ENV_SEED}: {e}") from e
 
 
 # --- commands ----------------------------------------------------------------
@@ -158,10 +193,7 @@ def cmd_solve(args) -> int:
     report = {
         "command": "solve",
         "config": {"p": str(p), "N": args.N, "reward": args.reward},
-        "optimal_value": _exact(rep.optimal_value),
-        "value_tau0": _exact(rep.value_tau0),
-        "value_tauN": _exact(rep.value_tauN),
-        "unique": rep.unique,
+        **_solve_fields(rep),
         "tie_states": [list(s) for s in rep.tie_states],
         "policy": sorted([k, z, d] for (k, z), d in rep.policy.decisions.items()),
     }
@@ -317,7 +349,7 @@ def cmd_simulate(args) -> int:
     def mc_mean(vals):
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / len(vals)
-        return {"mode": "mc", "value": mean, "stderr": math.sqrt(var / len(vals))}
+        return _mc(coupling.McEstimate(mean, math.sqrt(var / len(vals)), len(vals)))
 
     report = {
         "command": "simulate",
@@ -383,7 +415,12 @@ def cmd_bm_verify(args) -> int:
                     {
                         "check": f"bm_key_inequality t={t} x={x} lam={lam}",
                         "passed": ok,
-                        "report": json.loads(rep.to_json()),
+                        "report": {
+                            "lhs": rep.lhs,
+                            "rhs": rep.rhs,
+                            "quad_error_bound": rep.quad_error_bound,
+                            "verdict": rep.verdict,
+                        },
                     }
                 )
                 if not ok:
@@ -420,7 +457,7 @@ def cmd_bm_mc(args) -> int:
     model = brownian.BmModel(
         lam=args.lam,
         T=args.T,
-        mc=brownian.McConfig(steps=args.steps, replications=args.replications, seed=seed),
+        mc=brownian.McConfig(steps=args.steps, replications=args.replications),
     )
     rule = _parse_bm_rule(args.rule)
     est = brownian.mc_bm_rule_value(seed, model, f, rule)
@@ -436,13 +473,7 @@ def cmd_bm_mc(args) -> int:
             "reward": args.reward,
             "generator": coupling.GENERATOR,
         },
-        "estimate": {
-            "mode": "mc",
-            "value": est.estimate,
-            "stderr": est.stderr,
-            "rule": est.rule,
-            "steps": est.steps,
-        },
+        "estimate": {**_mc(est), "rule": rule.label(), "steps": est.steps},
     }
     return _emit(report, args, failed=False)
 
@@ -451,18 +482,12 @@ def _solve_cell(task):
     p_text, n, reward_text = task
     p = parse_probability(p_text)
     f = parse_reward(reward_text, horizon=n)
-    rep = dpsolver.solve(walkdist.WalkParams(p, n), f)
-    return {
-        "optimal_value": _exact(rep.optimal_value),
-        "value_tau0": _exact(rep.value_tau0),
-        "value_tauN": _exact(rep.value_tauN),
-        "unique": rep.unique,
-    }
+    return _solve_fields(dpsolver.solve(walkdist.WalkParams(p, n), f))
 
 
 def cmd_sweep(args) -> int:
     ps = args.p_list.split(",")
-    ns = [int(v) for v in args.n_list.split(",")]
+    ns = args.n_list
     tasks = sorted((p, n, args.reward) for p in ps for n in ns)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -519,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify_discrete)
 
     sp = sub.add_parser("simulate", help="coupled walks from shared uniforms")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_range(0), default=None)
     sp.add_argument("--n", type=_int_range(0), required=True)
     sp.add_argument("--ps", required=True, help="comma-separated rationals, e.g. 1/4,3/4")
     sp.add_argument("--replications", type=_positive(int, "integer"), default=1000)
@@ -528,12 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_range(0), default=None)
     sp.set_defaults(fn=cmd_bm_verify)
 
     sp = sub.add_parser("bm-mc", help="Monte Carlo value of a Brownian stopping rule")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--lam", type=float, required=True)
+    sp.add_argument("--seed", type=_int_range(0), default=None)
+    sp.add_argument("--lam", type=_finite, required=True)
     sp.add_argument("--T", type=_positive(float, "number"), default=1.0)
     sp.add_argument("--steps", type=_positive(int, "integer"), default=1000)
     sp.add_argument("--replications", type=_positive(int, "integer"), default=100_000)
@@ -544,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="solve over a parameter grid")
     sp.add_argument("--reward", required=True)
     sp.add_argument("--p-list", required=True)
-    sp.add_argument("--n-list", required=True)
+    sp.add_argument("--n-list", type=_int_list, required=True)
     sp.add_argument("--workers", type=_positive(int, "integer"), default=1)
     sp.set_defaults(fn=cmd_sweep)
 
@@ -555,13 +580,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, rewards.RewardDomainError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except brownian.QuadratureError as e:
+    except (ValueError, brownian.QuadratureError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

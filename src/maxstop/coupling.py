@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .dpsolver import PolicyTable
-from .walkdist import WalkParams, joint_pmf
+from .walkdist import WalkParams, final_law, max_laws
 
 GENERATOR = "pcg64-v2"  # bump if the stream layout ever changes
 BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
@@ -99,20 +97,20 @@ def paths_to_csv(paths) -> str:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """Sample mean and its standard error; steps is the number of grid steps
+    per simulated path, None when no path was discretized."""
+
     estimate: float
     stderr: float
     replications: int
+    steps: int | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": "mc",
-                "value": self.estimate,
-                "stderr": self.stderr,
-                "replications": self.replications,
-            },
-            sort_keys=True,
-        )
+    @classmethod
+    def from_sample(cls, vals: np.ndarray, steps: int | None = None) -> "McEstimate":
+        n = len(vals)
+        if vals.min() == vals.max():  # constant sample: mean is exact, spread is zero
+            return cls(float(vals[0]), 0.0, n, steps)
+        return cls(float(vals.mean()), float(vals.std() / math.sqrt(n)), n, steps)
 
 
 def _batched_uniform_walks(seed: int, n: int, replications: int, p, first_stream: int = 0):
@@ -142,14 +140,7 @@ def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: i
             s_tau[now] = s[now, k]
             stopped |= now
         chunks.append(f_lut[m[:, -1] - s_tau])
-    vals = np.concatenate(chunks)
-    if vals.min() == vals.max():  # constant sample: mean is exact, spread is zero
-        return McEstimate(estimate=float(vals[0]), stderr=0.0, replications=len(vals))
-    return McEstimate(
-        estimate=float(vals.mean()),
-        stderr=float(vals.std() / math.sqrt(len(vals))),
-        replications=len(vals),
-    )
+    return McEstimate.from_sample(np.concatenate(chunks))
 
 
 @dataclass(frozen=True)
@@ -160,17 +151,6 @@ class TimeReversalReport:
     tv_drawdown: float
     tolerance: float
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tv_max": self.tv_max,
-                "tv_drawdown": self.tv_drawdown,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-            },
-            sort_keys=True,
-        )
 
 
 def mc_time_reversal_check(
@@ -183,8 +163,9 @@ def mc_time_reversal_check(
         # ~4x the typical TV fluctuation of an empirical law on n+1 atoms
         tolerance = 2.4 * math.sqrt((n + 1) / replications)
 
-    exact_m = {k: float(v) for k, v in joint_pmf(w).max_marginal().items()}
-    exact_z = {k: float(v) for k, v in joint_pmf(w.swapped()).drawdown_marginal().items()}
+    # the law of Z_n under q, which time reversal makes the law of M_n under p
+    den = w.p.denominator**n
+    exact = [c / den for c in final_law(max_laws(w))]
 
     counts_m = np.zeros(n + 1)
     counts_z = np.zeros(n + 1)
@@ -194,12 +175,8 @@ def mc_time_reversal_check(
     for s, m, z in _batched_uniform_walks(seed, n, replications, w.q, first_stream=p_blocks):
         counts_z += np.bincount(z[:, -1], minlength=n + 1)
 
-    tv_m = 0.5 * sum(
-        abs(counts_m[k] / replications - exact_m.get(k, 0.0)) for k in range(n + 1)
-    )
-    tv_z = 0.5 * sum(
-        abs(counts_z[k] / replications - exact_z.get(k, 0.0)) for k in range(n + 1)
-    )
+    tv_m = 0.5 * sum(abs(counts_m[k] / replications - exact[k]) for k in range(n + 1))
+    tv_z = 0.5 * sum(abs(counts_z[k] / replications - exact[k]) for k in range(n + 1))
     return TimeReversalReport(
         tv_max=float(tv_m),
         tv_drawdown=float(tv_z),

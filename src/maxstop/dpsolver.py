@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .rewards import RewardDomainError
 from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
 
 STOP = "STOP"
@@ -111,38 +111,20 @@ class SolveReport:
     stop_values: dict = field(repr=False, default_factory=dict)
     continue_values: dict = field(repr=False, default_factory=dict)
 
-    def to_json(self) -> str:
-        def enc(v):
-            return {"mode": "exact", "value": str(v)}
-
-        return json.dumps(
-            {
-                "optimal_value": enc(self.optimal_value),
-                "value_tau0": enc(self.value_tau0),
-                "value_tauN": enc(self.value_tauN),
-                "unique": self.unique,
-                "tie_states": [list(s) for s in self.tie_states],
-                "exact": True,  # kept so report bytes stay stable
-                "policy": sorted(
-                    [[k, z, d] for (k, z), d in self.policy.decisions.items()]
-                ),
-            },
-            sort_keys=True,
-        )
-
 
 def _reward_numerators(f, n: int) -> tuple:
     """(numerators, D): f(0..n) as integers over their least common denominator D.
 
-    Raises ValueError naming the first z where f is undefined or not rational.
+    Raises RewardDomainError naming the first z where f is undefined or not
+    rational.
     """
     try:
         vals = [f(z) for z in range(n + 1)]
     except ValueError as e:
-        raise ValueError(f"reward must be defined on 0..{n}: {e}") from e
+        raise RewardDomainError(f"reward must be defined on 0..{n}: {e}") from e
     for z, v in enumerate(vals):
         if not isinstance(v, (int, Fraction)):
-            raise ValueError(
+            raise RewardDomainError(
                 f"reward value f({z}) = {v!r} is not rational; exact solving needs a rational reward"
             )
     vals = [Fraction(v) for v in vals]

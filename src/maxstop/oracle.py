@@ -28,7 +28,6 @@ is exact rational arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,16 +51,6 @@ class OracleResult:
     # continuing is optimal at every node k < N, and stopping is optimal
     # exactly at the prefixes with zero drawdown
     tie_pattern: bool
-
-    def to_json(self, dp_match: bool | None = None) -> str:
-        obj = {
-            "optimum": str(self.value),
-            "n_rules_total": self.n_rules_total,
-            "n_optimal_classes": self.n_optimal_classes,
-        }
-        if dp_match is not None:
-            obj["dp_match"] = dp_match
-        return json.dumps(obj, sort_keys=True)
 
 
 def _suffix_max_laws(p: Fraction, n: int) -> list:

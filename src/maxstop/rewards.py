@@ -44,6 +44,10 @@ _KINDS = {
 }
 
 
+class RewardDomainError(ValueError):
+    """A reward is not defined, or not of the needed kind, where it is used."""
+
+
 def as_rational(x):
     """Coerce ints, Fractions and 'a/b' strings to Fraction; floats stay float."""
     if isinstance(x, Fraction):
@@ -93,19 +97,6 @@ class RewardSpec:
                 raise ValueError("custom_table needs matching xs/ys with >= 2 points")
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("custom_table xs must be strictly increasing")
-
-    @property
-    def is_exact(self) -> bool:
-        """True when evaluation at integer points yields exact rationals."""
-        if self.kind == "table":
-            return all(isinstance(v, Fraction) for v in self.table)
-        if self.kind == "geometric":
-            return isinstance(as_rational(self.params["d"]), Fraction)
-        if self.kind == "indicator_top":
-            return True
-        if self.kind == "linear":
-            return isinstance(as_rational(self.params["c"]), Fraction)
-        return False
 
     def __call__(self, x):
         return evaluate(self, x)

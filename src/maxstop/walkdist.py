@@ -5,14 +5,15 @@ identities (reflection, time reversal) and the key inequalities behind the
 bang-bang theorems are checked as exact equalities and strict
 inequalities, not up to tolerance.  Two forward passes compute laws:
 
-- The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
-  in O(n^3) Fraction work.  It is the independent route behind the
-  reflection and time-reversal checks and the d values.
 - The drawdown-chain kernel `drawdown_laws` pushes the law of Z_k forward
   on Python-int numerators over the common denominator b^k, in O(n^2)
-  integer work with no gcd.  By time reversal (checked exactly from the
-  joint pass by `time_reversal_check`), M_k under p has the law of Z_k
-  under q, so the same kernel gives the max laws (`max_laws`).
+  integer work with no gcd.  Every value here comes from it: by time
+  reversal, M_k under p has the law of Z_k under q (`max_laws`), and
+  (i v M_k) - S_k is the drawdown chain started at i (`d_value`).
+- The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
+  in O(n^3) Fraction work.  It is reference only: the independent route
+  behind `joint_pmf` and the exact reflection and time-reversal checks
+  that the kernel rests on.
 
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
@@ -21,9 +22,6 @@ Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,24 +77,6 @@ class JointLaw:
             out[k - l] = out.get(k - l, 0) + pr
         return out
 
-    def expectation(self, fn):
-        return sum(pr * fn(k, l) for (k, l), pr in sorted(self.entries.items()))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "k", "l", "prob_numerator", "prob_denominator"])
-        for (k, l), pr in sorted(self.entries.items()):
-            w.writerow([self.n, k, l, pr.numerator, pr.denominator])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        rows = [
-            {"k": k, "l": l, "prob": str(pr)}
-            for (k, l), pr in sorted(self.entries.items())
-        ]
-        return json.dumps({"n": self.n, "entries": rows}, sort_keys=True)
-
 
 @lru_cache(maxsize=4096)
 def _forward_laws(p, n: int) -> tuple:
@@ -121,15 +101,16 @@ def joint_pmf(w: WalkParams) -> JointLaw:
     return JointLaw(w.n, dict(_forward_laws(w.p, w.n)[w.n]))
 
 
-def drawdown_laws(w: WalkParams):
-    """Yield the law of Z_k = M_k - S_k for k = 0..n as integer numerators.
+def drawdown_laws(w: WalkParams, start: int = 0):
+    """Yield the law of the drawdown chain for k = 0..n as integer numerators.
 
-    With p = a/b, row k lists the numerators of P(Z_k = z), z = 0..k, over
-    b**k.  A down-step of the walk (weight b - a) moves Z up one, an
-    up-step (weight a) moves it down one, staying at 0 from 0.
+    With p = a/b, row k lists the numerators of P(Z_k = z), z = 0..start+k,
+    over b**k, for the chain started at Z_0 = start; from 0 it is the law
+    of M_k - S_k.  A down-step of the walk (weight b - a) moves Z up one,
+    an up-step (weight a) moves it down one, staying at 0 from 0.
     """
     up, down = w.p.denominator - w.p.numerator, w.p.numerator
-    row = [1]
+    row = [0] * start + [1]
     yield row
     for _ in range(w.n):
         pad = row + [0, 0]
@@ -199,16 +180,19 @@ def g_value(w: WalkParams, f, k: int, i: int):
 def d_value(w: WalkParams, f, k: int, i: int):
     """E[f((i v M_k) - S_k)] under the w.p walk.
 
-    One operation covers both drift directions: called on the q-walk it
-    feeds the stop-now half of the bang-bang argument, called on the
-    p-walk itself it values running to the horizon from drawdown i.
+    (i v M_k) - S_k is the drawdown chain started at i, so its law is row k
+    of the kernel from `start=i`.  One operation covers both drift
+    directions: called on the q-walk it feeds the stop-now half of the
+    bang-bang argument, called on the p-walk itself it values running to
+    the horizon from drawdown i.
     """
     if k > w.n:
         raise ValueError(f"steps remaining {k} exceeds configured horizon {w.n}")
     if i < 0:
         raise ValueError("drawdown must be >= 0")
-    law = JointLaw(k, dict(_forward_laws(w.p, w.n)[k]))
-    return law.expectation(lambda m, s: f(max(i, m) - s))
+    den = w.p.denominator**k
+    law = final_law(drawdown_laws(w.at_horizon(k), start=i))
+    return sum(Fraction(c, den) * f(z) for z, c in enumerate(law))
 
 
 @dataclass(frozen=True)
@@ -232,20 +216,6 @@ class InequalityReport:
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
-
-    def to_json(self) -> str:
-        def enc(v):
-            return str(v) if isinstance(v, Fraction) else v
-
-        return json.dumps(
-            {
-                "lhs": enc(self.lhs),
-                "rhs": enc(self.rhs),
-                "strict": self.strict,
-                "witness": list(self.witness) if self.witness else None,
-            },
-            sort_keys=True,
-        )
 
 
 def _psi(f, i: int, k: int, l: int):

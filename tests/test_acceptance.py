@@ -244,33 +244,27 @@ def test_criterion_8_brownian_bang_bang_dominance():
         ]
 
         model = bm.BmModel(lam=-1.0, T=1.0)
-        ests = bm.mc_bm_rule_values(
-            811, model, f, [bm.BmRule("tau0"), bm.BmRule("tauT")] + alternatives
-        )
+        rules = [bm.BmRule("tau0"), bm.BmRule("tauT")] + alternatives
+        ests = bm.mc_bm_rule_values(811, model, f, rules)
         tau0 = ests[0]
-        for est in ests[1:]:
+        for rule, est in zip(rules[1:], ests[1:]):
             tol = 4 * math.hypot(tau0.stderr, est.stderr)
-            assert tau0.estimate > est.estimate - tol, (est.rule, "lam=-1")
+            assert tau0.estimate > est.estimate - tol, (rule.label(), "lam=-1")
 
         model = bm.BmModel(lam=1.0, T=1.0)
-        ests = bm.mc_bm_rule_values(
-            812, model, f, [bm.BmRule("tauT"), bm.BmRule("tau0")] + alternatives
-        )
+        rules = [bm.BmRule("tauT"), bm.BmRule("tau0")] + alternatives
+        ests = bm.mc_bm_rule_values(812, model, f, rules)
         tauT = ests[0]
-        for est in ests[1:]:
+        for rule, est in zip(rules[1:], ests[1:]):
             tol = 4 * math.hypot(tauT.stderr, est.stderr)
-            assert tauT.estimate > est.estimate - tol, (est.rule, "lam=+1")
+            assert tauT.estimate > est.estimate - tol, (rule.label(), "lam=+1")
 
         model = bm.BmModel(lam=0.0, T=1.0)
-        ests = bm.mc_bm_rule_values(
-            813,
-            model,
-            f,
-            [bm.BmRule("tau0"), bm.BmRule("tauT"), bm.BmRule("drawdown_threshold", 0.0)],
-        )
-        for a, b in itertools.combinations(ests, 2):
+        rules = [bm.BmRule("tau0"), bm.BmRule("tauT"), bm.BmRule("drawdown_threshold", 0.0)]
+        ests = bm.mc_bm_rule_values(813, model, f, rules)
+        for (ra, a), (rb, b) in itertools.combinations(zip(rules, ests), 2):
             tol = 4 * math.hypot(a.stderr, b.stderr)
-            assert abs(a.estimate - b.estimate) < tol, (a.rule, b.rule, "lam=0")
+            assert abs(a.estimate - b.estimate) < tol, (ra.label(), rb.label(), "lam=0")
 
 
 def test_criterion_9_determinism(tmp_path):

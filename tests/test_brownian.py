@@ -203,10 +203,6 @@ class TestKeyInequality:
         rep = bm.check_bm_key_inequality(1.0, 0.6, 0.0, LINEAR, QUAD)
         assert rep.verdict == "equal_within_tolerance"
 
-    def test_report_json(self):
-        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.8, EXP1, QUAD)
-        assert '"verdict": "strict"' in rep.to_json()
-
 
 class TestExactSampler:
     def test_support_constraint(self):

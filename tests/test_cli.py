@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from maxstop import brownian, cli
+from maxstop import brownian, cli, coupling, dpsolver
 
 
 def run_cli(args, capsys):
@@ -50,6 +50,24 @@ class TestSolveCommand:
         assert code == 2
         assert captured.out == ""
         assert "configuration error" in captured.err and "not rational" in captured.err
+
+    def test_reward_too_short_is_config_error(self, capsys):
+        code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", "table:1,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: reward must be defined on 0..3")
+
+    def test_library_value_error_is_internal_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(dpsolver, "solve", fail)
+        code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", "geometric:1/2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: boom\n"
 
     def test_large_report_bytes_frozen(self, tmp_path):
         """Report bytes at N = 90, as the Fraction-based joint-law solver wrote them."""
@@ -162,6 +180,15 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 77
 
+    @pytest.mark.parametrize("value", ["x", "1.5", "-3"])
+    def test_invalid_env_seed_is_config_error(self, value, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_SEED, value)
+        code = cli.main(["simulate", "--n", "5", "--ps", "1/2", "--replications", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: environment variable {cli.ENV_SEED}")
+
 
 @pytest.mark.parametrize(
     "argv, flag, want",
@@ -185,6 +212,14 @@ class TestSimulateCommand:
           "--workers", "0"], "--workers", "a positive integer"),
         (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2",
           "--workers", "-3"], "--workers", "a positive integer"),
+        (["simulate", "--ps", "1/2", "--n", "3", "--seed", "-1"], "--seed", "an integer >= 0"),
+        (["bm-verify", "--seed", "-1"], "--seed", "an integer >= 0"),
+        (["bm-mc", "--lam", "0", "--rule", "tau0", "--reward", "exp_decay:1.0", "--seed", "x"],
+         "--seed", "an integer >= 0"),
+        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "x"], "--n-list",
+         "an integer >= 0"),
+        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2,-1"], "--n-list",
+         "an integer >= 0"),
     ],
 )
 def test_integer_flag_rejected_at_parse_time(argv, flag, want, capsys):
@@ -233,6 +268,42 @@ class TestBmCommands:
         assert exc.value.code == 2
         assert captured.out == ""
         assert f"argument {flag}: must be a positive" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_bm_mc_rejects_non_finite_lam_at_parse_time(self, value, capsys):
+        argv = ["bm-mc", "--rule", "tau0", "--reward", "exp_decay:1.0", f"--lam={value}"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --lam: must be a finite number" in captured.err
+
+    def test_discrete_only_reward_is_config_error(self, capsys):
+        code = cli.main(
+            ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "10",
+             "--rule", "tau0", "--reward", "table:1,1,0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: reward kind 'table' has no continuous evaluation\n"
+        )
+
+    def test_non_finite_report_value_is_internal_error(self, capsys, monkeypatch):
+        def nan_estimate(*args, **kwargs):
+            return coupling.McEstimate(float("nan"), 0.0, 10)
+
+        monkeypatch.setattr(brownian, "mc_bm_rule_value", nan_estimate)
+        code = cli.main(
+            ["bm-mc", "--lam", "0.0", "--replications", "10", "--rule", "tau0",
+             "--reward", "exp_decay:1.0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: Out of range float values")
 
     @pytest.mark.parametrize("rule", ["drawdown:-1", "time:-0.5"])
     def test_negative_rule_threshold_rejected(self, rule, capsys):
@@ -285,3 +356,47 @@ class TestSweepCommand:
         cli.main(["--output", str(par)] + args + ["--workers", "2"])
         # reports embed their own worker count; the payload must match exactly
         assert json.loads(seq.read_text())["cells"] == json.loads(par.read_text())["cells"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["bm-mc", "--seed", "6", "--lam", "-0.5", "--steps", "100",
+             "--replications", "5000", "--rule", "drawdown:0.5", "--reward", "exp_decay:1.0"],
+            "9334973269d1441d99ea95da986e04e51fc6f279842bec6427b100514adc85a3",
+        ),
+        (  # exact (M, B) sampler, constant sample: steps null, stderr 0
+            ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "3000",
+             "--rule", "tau0", "--reward", "piecewise:0=1,5=1"],
+            "c59f968f50728104c87e65b230730915ac92fecefe3d68261e4e1afadd4f73ae",
+        ),
+        (
+            ["simulate", "--seed", "5", "--n", "40", "--ps", "1/4,3/4", "--replications", "200"],
+            "b646a1405e90bb9bb49115f202122dcc599fb42e38155ac72cbe130f743b208a",
+        ),
+        (
+            ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],
+            "8901af1f13559a542695d76fa5cd4a171df5fb0353b39a26d6d8ff53b7301660",
+        ),
+        (
+            ["bm-verify", "--seed", "1"],
+            "2e78035ec427b38035a23888514f87d9bf1bb690c13ec222eceae0be3c86c6d1",
+        ),
+        (
+            ["verify-discrete"],
+            "433d4698fd2773960890dfbc8f5f1b9377919682e3a637f9470a53ce22c039e5",
+        ),
+    ],
+    ids=["bm-mc", "bm-mc-exact-constant", "simulate", "sweep", "bm-verify", "verify-discrete"],
+)
+def test_report_bytes_frozen(argv, digest, tmp_path):
+    """Report bytes of the grid and float-valued commands, pinned so that a
+    change to how reports are built cannot move them.
+
+    The float reports (bm-mc, simulate, bm-verify) are bit-stable for one
+    numpy build; their digests pin the float arithmetic and the key layout.
+    """
+    target = tmp_path / "r.json"
+    assert cli.main(["--output", str(target)] + argv) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

@@ -100,10 +100,6 @@ class TestTimeReversal:
         assert rep.tv_max < 0.02 and rep.tv_drawdown < 0.02
         assert rep.passed
 
-    def test_json(self):
-        rep = mc_time_reversal_check(2, WalkParams(Fraction(1, 2), 3), 1000)
-        assert '"passed"' in rep.to_json()
-
 
 def _walks(paths, p) -> np.ndarray:
     return np.stack([cp.s[p] for cp in paths])

@@ -106,11 +106,6 @@ class TestSolve:
         # only f(0..N) is checked
         assert solve(WalkParams(Fraction(2, 5), 2), f).value_tau0 == Fraction(58, 75)
 
-    def test_report_json(self):
-        rep = solve(WalkParams(Fraction(1, 2), 2), WINNER_TAKE_TWO)
-        text = rep.to_json()
-        assert '"mode": "exact"' in text and '"value": "1"' in text
-
 
 class TestEvaluatePolicy:
     @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])

@@ -84,11 +84,6 @@ class TestEnumerate:
         assert brute_stopping_index(2, stop_prefixes, (1, 1)) == 1
         assert brute_stopping_index(2, stop_prefixes, (-1, 1)) == 2
 
-    def test_json_summary(self):
-        res = enumerate_optimum(WalkParams(Fraction(1, 2), 2), GEOM_HALF)
-        text = res.to_json(dp_match=True)
-        assert '"dp_match": true' in text and '"n_rules_total": 8' in text
-
     @pytest.mark.parametrize("p", [Fraction(2, 5), HALF, Fraction(3, 5)])
     def test_horizon_twelve_matches_dp(self, p):
         w = WalkParams(p, 12)

@@ -59,13 +59,6 @@ class TestJointPmf:
             assert abs(l) <= n
             assert (n - l) % 2 == 0
 
-    def test_csv_and_json(self):
-        law = joint_pmf(WalkParams(Fraction(1, 2), 2))
-        csv_text = law.to_csv()
-        assert csv_text.splitlines()[0] == "n,k,l,prob_numerator,prob_denominator"
-        assert "2,2,2,1,4" in csv_text
-        assert '"n": 2' in law.to_json()
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             WalkParams(Fraction(0), 3)
@@ -162,6 +155,16 @@ class TestValues:
             p, n, lambda m, s: GEOM_HALF(max(i, m) - s)
         )
 
+    def test_d_below_the_horizon_matches_enumeration(self, p_grid):
+        """d_value at k < n is the k-step value from drawdown i, for a nonconvex f."""
+        f = rewards.table_reward([3, 1, 2, 0, 2, 1, 1, 0, 3, 0, 1, 2, 0, 1, 0, 2, 1])
+        for p in p_grid:
+            for k in range(10):
+                for i in range(7):
+                    ref = brute_expect(p, k, lambda m, s: f(max(i, m) - s))
+                    for n in range(k + 1, 11):
+                        assert d_value(WalkParams(p, n), f, k, i) == ref, (p, n, k, i)
+
     def test_g_monotone_in_drawdown(self):
         w = WalkParams(Fraction(3, 5), 6)
         for k in range(7):
@@ -225,7 +228,3 @@ class TestKeyInequality:
                     assert rep.strict
                 if flags.strictly_convex:
                     assert rep.strict
-
-    def test_report_json(self):
-        rep = check_key_inequality(WalkParams(Fraction(3, 5), 2), GEOM_HALF, 1)
-        assert '"strict": true' in rep.to_json()
