@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -337,6 +338,19 @@ def check_bm_corollary(
 def _conditional_max(endpoint: np.ndarray, duration: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of the segment max given the segment endpoint delta."""
     return 0.5 * (endpoint + np.sqrt(endpoint**2 - 2.0 * duration * np.log(u)))
+
+
+def max_drift(T: float, steps: int, rule: BmRule) -> float:
+    """Largest |lam| the samplers represent for this rule.
+
+    tau0 / tauT draw (M_T, B_T) as one segment of length t = T, the other
+    rules draw paths of segments of length t = T / steps.
+    `_conditional_max` squares a segment's endpoint lam * t + sqrt(t) * Z,
+    so it must stay below sqrt(float max).  The drift part gets half; the
+    other half holds the Gaussian part for any t below about 1e300.
+    """
+    t = T if rule.kind in ("tau0", "tauT") else T / steps
+    return math.sqrt(sys.float_info.max) / (2.0 * t)
 
 
 def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> np.ndarray:

@@ -19,6 +19,7 @@ not reach its tolerance, or any other ValueError from the library).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -453,13 +454,17 @@ def _parse_bm_rule(text: str) -> brownian.BmRule:
 
 def cmd_bm_mc(args) -> int:
     seed = _default_seed(args)
+    rule = _parse_bm_rule(args.rule)
+    limit = brownian.max_drift(args.T, args.steps, rule)
+    if abs(args.lam) > limit:
+        raise ConfigError(f"--lam must lie in [-{limit:.6g}, {limit:.6g}] for rule {args.rule!r} "
+                          f"at --T {args.T:g} and --steps {args.steps}, got {args.lam:g}")
     f = parse_reward(args.reward)
     model = brownian.BmModel(
         lam=args.lam,
         T=args.T,
         mc=brownian.McConfig(steps=args.steps, replications=args.replications),
     )
-    rule = _parse_bm_rule(args.rule)
     est = brownian.mc_bm_rule_value(seed, model, f, rule)
     report = {
         "command": "bm-mc",
@@ -508,7 +513,9 @@ def cmd_sweep(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each parse_args call fills a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="maxstop",
         description="Solve and verify optimal stopping relative to the ultimate maximum",

@@ -9,11 +9,13 @@ records per-state ties exactly, and classifies uniqueness of the optimal
 rule from the tie pattern.
 
 The arithmetic runs on Python ints.  With p = a/b and f(0..N) over one
-common denominator D, G(j, .) is an integer row over b^j * D, and at step
-k the stop values and the continuation values a * V(z-1 v 0) +
-(b - a) * V(z+1) share the denominator b^(N-k) * D, so stop / continue /
-TIE is a plain integer comparison.  Fractions are built only for the
-reported values, so rewards must be rational on {0..N}.
+common denominator D, G(j, .) is an integer row over b^j * D; step k
+compares it with a * V(z-1 v 0) + (b - a) * V(z+1), both over b^(N-k) * D,
+so stop / continue / TIE is an integer comparison.  The sweep is streamed:
+step k reads only G(N-k, .), and N-k rises as k falls, the order in which
+the law kernel yields rows, so O(N) integers stay alive and no per-state
+value is kept.  Fractions are built only for the three reported values,
+so rewards must be rational on {0..N}.
 
 Uniqueness labels:
 
@@ -30,8 +32,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .rewards import RewardDomainError
 from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
@@ -61,12 +65,13 @@ class PolicyTable:
 
     def __post_init__(self):
         for k in range(self.n + 1):
-            for z in range(k + 1):
-                d = self.decisions.get((k, z))
-                if d not in (STOP, CONTINUE, TIE):
-                    raise ValueError(f"policy missing or invalid decision at {(k, z)}: {d!r}")
-                if k == self.n and d == CONTINUE:
-                    raise ValueError(f"policy must stop at the horizon, state {(k, z)}")
+            row = list(map(self.decisions.get, zip(repeat(k), range(k + 1))))
+            if row.count(STOP) + row.count(CONTINUE) + row.count(TIE) < len(row):
+                z, d = next((z, d) for z, d in enumerate(row) if d not in (STOP, CONTINUE, TIE))
+                raise ValueError(f"policy missing or invalid decision at {(k, z)}: {d!r}")
+            if k == self.n and CONTINUE in row:
+                z = row.index(CONTINUE)
+                raise ValueError(f"policy must stop at the horizon, state {(k, z)}")
 
     def stops(self, k: int, z: int) -> bool:
         return self.decisions[(k, z)] in (STOP, TIE)
@@ -108,8 +113,6 @@ class SolveReport:
     value_tauN: Fraction
     unique: str
     tie_states: tuple
-    stop_values: dict = field(repr=False, default_factory=dict)
-    continue_values: dict = field(repr=False, default_factory=dict)
 
 
 def _reward_numerators(f, n: int) -> tuple:
@@ -132,26 +135,27 @@ def _reward_numerators(f, n: int) -> tuple:
     return [v.numerator * (den // v.denominator) for v in vals], den
 
 
-def _g_table(w: WalkParams, fnum: list) -> list:
-    """G[j][i] = E[f(i v M_j)] for j = 0..n, i = 0..n-j, in O(n^2).
+def _g_rows(w: WalkParams, fnum: list):
+    """Yield G(j, .) = E[f(i v M_j)], i = 0..n-j, for j = 0..n, in O(n^2).
 
     Row j holds integer numerators over b**j * D, where fnum are the
-    numerators of f(0..n) over D.  Uses the prefix/suffix split over the
-    M_j law: contributions with m <= i collapse to P(M_j <= i) * f(i).
+    numerators of f(0..n) over D, and comes out as `max_laws` yields the
+    law of M_j.  Uses the prefix/suffix split over that law: contributions
+    with m <= i collapse to P(M_j <= i) * f(i).
     """
     n = w.n
-    table = []
     for j, law in enumerate(max_laws(w)):
+        prods = list(map(operator.mul, law, fnum))
+        tail = sum(prods)
         cdf = 0
-        tail = sum(c * v for c, v in zip(law, fnum))
         row = []
-        for i in range(n - j + 1):
-            if i <= j:
-                cdf += law[i]
-                tail -= law[i] * fnum[i]
+        for i in range(min(j, n - j) + 1):
+            cdf += law[i]
+            tail -= prods[i]
             row.append(cdf * fnum[i] + tail)
-        table.append(row)
-    return table
+        # past i = j the whole law sits at or below i: cdf = b**j, tail = 0
+        row += [cdf * v for v in fnum[j + 1 : n - j + 1]]
+        yield row
 
 
 def solve(w: WalkParams, f) -> SolveReport:
@@ -163,60 +167,50 @@ def solve(w: WalkParams, f) -> SolveReport:
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    G = _g_table(w, fnum)
+    rows = _g_rows(w, fnum)
 
-    # V holds the step-k values as numerators over den = b**(n-k) * D
-    V = fnum
-    decisions = {(n, z): STOP for z in range(n + 1)}
-    stop_values, cont_values = {}, {}
+    # V holds the step-k values as numerators over den = b**(n-k) * D;
+    # G(0, .) = f is the value at the horizon
+    G = V = next(rows)
+    decisions = dict.fromkeys(zip(repeat(n), range(n + 1)), STOP)
+    tie_states = []
+    any_stop = False
     for k in range(n - 1, -1, -1):
+        G = next(rows)
         den *= b
-        row = []
-        for z in range(k + 1):
-            stop = G[n - k][z]
-            cont = a * V[max(z - 1, 0)] + (b - a) * V[z + 1]
-            stop_values[(k, z)] = Fraction(stop, den)
-            cont_values[(k, z)] = Fraction(cont, den)
-            if stop > cont:
-                decisions[(k, z)] = STOP
-            elif cont > stop:
-                decisions[(k, z)] = CONTINUE
-            else:
-                decisions[(k, z)] = TIE
-            row.append(max(stop, cont))
-        V = row
+        conts = [a * lo + (b - a) * hi for lo, hi in zip(V[:1] + V[:k], V[1:])]
+        row = [STOP if s > c else CONTINUE if c > s else TIE for s, c in zip(G, conts)]
+        decisions.update(zip(zip(repeat(k), range(k + 1)), row))
+        any_stop = any_stop or STOP in row
+        if TIE in row:
+            tie_states.extend((k, z) for z, d in enumerate(row) if d == TIE)
+        V = list(map(max, G, conts))
 
+    tie_states.sort()
     zlaw = final_law(drawdown_laws(w))
-    tie_states = tuple(sorted(s for s, d in decisions.items() if d == TIE))
     return SolveReport(
         optimal_value=Fraction(V[0], den),
         policy=PolicyTable(n, decisions),
-        value_tau0=Fraction(G[n][0], den),
+        value_tau0=Fraction(G[0], den),
         value_tauN=Fraction(sum(c * v for c, v in zip(zlaw, fnum)), den),
-        unique=_classify_uniqueness(n, decisions),
-        tie_states=tie_states,
-        stop_values=stop_values,
-        continue_values=cont_values,
+        unique=_classify_uniqueness(n, decisions, any_stop, tie_states),
+        tie_states=tuple(tie_states),
     )
 
 
-def _classify_uniqueness(n: int, decisions: dict) -> str:
-    inner = {(k, z): d for (k, z), d in decisions.items() if k < n}
-    ties = {s for s, d in inner.items() if d == TIE}
-
+def _classify_uniqueness(n: int, decisions: dict, any_stop: bool, tie_states: list) -> str:
+    """The uniqueness label; any_stop says whether some state k < N strictly
+    stops, and tie_states lists the TIE states in order."""
     # A strict stop at the root already certifies tau=0: every other rule
     # must run past time 0 (time 0 is deterministic) and is bounded by the
     # strictly smaller continuation value.
-    if inner.get((0, 0)) == STOP:
+    if n and decisions[(0, 0)] == STOP:
         return UNIQUE_TAU0
-    if inner and all(d == CONTINUE for d in inner.values()):
+    if n and not any_stop and not tie_states:
         return UNIQUE_TAUN
-    zero_states = {(k, 0) for k in range(n)}
-    if ties == zero_states and all(
-        d == CONTINUE for s, d in inner.items() if s not in zero_states
-    ):
+    if not any_stop and tie_states == [(k, 0) for k in range(n)]:
         return TIE_CLASS
-    if ties:
+    if tie_states:
         return NOT_UNIQUE
     return UNKNOWN
 
@@ -233,7 +227,7 @@ def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    G = _g_table(w, fnum)
+    G = list(_g_rows(w, fnum))
 
     dist = [1]
     total = 0

@@ -2,7 +2,9 @@
 
 Everything here recomputes walk functionals by enumerating all 2^n paths
 directly, independently of the library's forward-DP code paths, so tests
-compare two genuinely different routes to the same exact value.  The rule
+compare two genuinely different routes to the same exact value.  The
+Bellman reference runs the solver's recursion in Fractions on stop values
+from those enumerations, sharing no code with the library.  The rule
 enumerator below is the oracle's own oracle: it values every
 history-dependent stopping rule class on every path (n <= 4).
 """
@@ -67,6 +69,53 @@ def brute_rule_value(p, n, f, stops):
             m = max(m, s)
         total += pr * f(m_n - s)
     return total
+
+
+@lru_cache(maxsize=None)
+def _max_law(p, n):
+    """Law of M_n by full path enumeration, as {m: probability}."""
+    law = {}
+    for pr, m, _s in _path_stats(p, n):
+        law[m] = law.get(m, 0) + pr
+    return law
+
+
+def bellman_reference(p, n, f):
+    """(values, decisions) of sup_tau E[f(M_n - S_tau)] over (step, drawdown)
+    states, by backward induction in Fractions, independently of dpsolver.
+
+    Stopping in state (k, z) pays E[f(z v M_{n-k})], taken from the
+    path-enumerated law of the maximum; continuing moves the drawdown to
+    (z - 1) v 0 with probability p and to z + 1 with probability 1 - p.
+    values maps every state to its optimal value; decisions maps it to
+    "STOP", "CONTINUE" or "TIE" (stop and continue exactly equal), and
+    every state at k = n stops.
+    """
+    q = 1 - p
+    values = {(n, z): Fraction(f(z)) for z in range(n + 1)}
+    decisions = {(n, z): "STOP" for z in range(n + 1)}
+    for k in range(n - 1, -1, -1):
+        law = _max_law(p, n - k)
+        for z in range(k + 1):
+            stop = sum(pr * f(max(z, m)) for m, pr in law.items())
+            cont = p * values[(k + 1, max(z - 1, 0))] + q * values[(k + 1, z + 1)]
+            values[(k, z)] = max(stop, cont)
+            decisions[(k, z)] = "STOP" if stop > cont else "CONTINUE" if cont > stop else "TIE"
+    return values, decisions
+
+
+def reference_label(n, decisions):
+    """The uniqueness label that the decisions of `bellman_reference` imply,
+    by the rules listed in the dpsolver module docstring."""
+    inner = {s: d for s, d in decisions.items() if s[0] < n}
+    ties = {s for s, d in inner.items() if d == "TIE"}
+    if inner.get((0, 0)) == "STOP":
+        return "UNIQUE_TAU0"
+    if inner and set(inner.values()) == {"CONTINUE"}:
+        return "UNIQUE_TAUN"
+    if ties == {(k, 0) for k in range(n)} and "STOP" not in inner.values():
+        return "TIE_CLASS"
+    return "NOT_UNIQUE" if ties else "UNKNOWN"
 
 
 def brute_stopping_index(n, stop_prefixes, path):

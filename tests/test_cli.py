@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import warnings
 
 import pytest
 
@@ -231,6 +233,25 @@ def test_integer_flag_rejected_at_parse_time(argv, flag, want, capsys):
     assert f"argument {flag}: must be {want}" in captured.err
 
 
+def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
+    """The parser is built once per process; each call still parses afresh."""
+    assert cli.build_parser() is cli.build_parser()
+    target = tmp_path / "r.json"
+    solve = ["solve", "--p", "1/2", "--N", "2", "--reward", "table:1,1,0"]
+    assert cli.main(["--output", str(target)] + solve) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run_cli(solve, capsys)
+    assert code == 0
+    assert out == target.read_text()
+
+    oracle = ["oracle", "--p", "1/2", "--N", "4", "--reward", "geometric:1/2"]
+    assert cli.main(oracle + ["--max-n", "3"]) == 2
+    assert "capped at N <= 3" in capsys.readouterr().err
+    code, out = run_cli(oracle, capsys)
+    assert code == 0
+    assert json.loads(out)["dp_match"] is True
+
+
 class TestBmCommands:
     def test_bm_mc_tau0(self, capsys):
         code, out = run_cli(
@@ -278,6 +299,38 @@ class TestBmCommands:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "argument --lam: must be a finite number" in captured.err
+
+    @pytest.mark.parametrize("reward", ["linear_continuous:1", "exp_decay:1.0"])
+    def test_bm_mc_rejects_unrepresentable_lam(self, reward, capsys):
+        """At lam = 1e200 the sampler's endpoint**2 overflowed: the linear
+        reward exited 3 on an infinite value, exp_decay reported 0.0."""
+        argv = ["bm-mc", "--lam", "1e200", "--rule", "tau0", "--reward", reward,
+                "--replications", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: --lam must lie in [-6.7039e+153,")
+
+    def test_bm_mc_drift_limit_is_per_segment(self, capsys):
+        """The bound scales with the segment the rule's sampler draws: T for
+        tau0, T / steps for the path rules; within it the estimate is finite."""
+        bound = brownian.max_drift(1.0, 10, brownian.BmRule("tau0"))
+
+        def argv(lam, rule):
+            return ["bm-mc", f"--lam={lam!r}", "--steps", "10", "--replications", "50",
+                    "--rule", rule, "--reward", "linear_continuous:1"]
+
+        assert cli.main(argv(-2 * bound, "tau0")) == 2
+        assert "--lam must lie in" in capsys.readouterr().err
+        for lam, rule in [(-2 * bound, "drawdown:0.5"), (-bound, "tau0")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out = run_cli(argv(lam, rule), capsys)
+            assert code == 0
+            assert math.isfinite(json.loads(out)["estimate"]["value"])
 
     def test_discrete_only_reward_is_config_error(self, capsys):
         code = cli.main(

@@ -19,7 +19,13 @@ from maxstop.dpsolver import (
 )
 from maxstop.walkdist import WalkParams
 
-from conftest import brute_expect, brute_rule_value
+from conftest import (
+    bellman_reference,
+    brute_expect,
+    brute_joint,
+    brute_rule_value,
+    reference_label,
+)
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 WINNER_TAKE_TWO = rewards.table_reward([1, 1, 0])
@@ -64,14 +70,14 @@ class TestSolve:
     )
     @settings(max_examples=60, deadline=None)
     def test_bellman_consistency_any_reward(self, p, n, table):
-        """V >= both actions with equality at one, for arbitrary rewards."""
+        """The optimum and every decision equal the Fraction Bellman reference,
+        for arbitrary rewards."""
         f = rewards.table_reward(table)
         rep = solve(WalkParams(p, n), f)
+        values, decisions = bellman_reference(p, n, f)
+        assert rep.optimal_value == values[(0, 0)]
         assert rep.optimal_value >= max(rep.value_tau0, rep.value_tauN)
-        for (k, z), stop in rep.stop_values.items():
-            cont = rep.continue_values[(k, z)]
-            v = max(stop, cont)
-            assert v >= stop and v >= cont
+        assert rep.policy.decisions == decisions
 
     @given(p=rational_p, n=st.integers(min_value=1, max_value=7))
     @settings(max_examples=40, deadline=None)
@@ -83,13 +89,15 @@ class TestSolve:
             assert rep.optimal_value == rep.value_tauN
 
     def test_value_monotone_in_drawdown(self):
-        rep = solve(WalkParams(Fraction(2, 5), 6), GEOM_HALF)
-        # reconstruct V from recorded stop/continue values
-        for k in range(6):
-            vals = [
-                max(rep.stop_values[(k, z)], rep.continue_values[(k, z)])
-                for z in range(k + 1)
-            ]
+        p, n = Fraction(2, 5), 6
+        rep = solve(WalkParams(p, n), GEOM_HALF)
+        # the solver keeps no per-state values: read V off the reference,
+        # whose optimum and decisions the solver's match
+        values, decisions = bellman_reference(p, n, GEOM_HALF)
+        assert rep.optimal_value == values[(0, 0)]
+        assert rep.policy.decisions == decisions
+        for k in range(n):
+            vals = [values[(k, z)] for z in range(k + 1)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_non_rational_reward_rejected(self):
@@ -166,6 +174,41 @@ class TestAgainstEnumeration:
                     assert evaluate_policy(w, f, policy_tau0(n)) == tau0, (p, n)
                     assert evaluate_policy(w, f, policy_tauN(n)) == tauN, (p, n)
                     assert evaluate_policy(w, f, policy_stop_at_max(n, s)) == at_max, (p, n)
+
+
+class TestAgainstBellmanReference:
+    PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(3, 4)]
+
+    @staticmethod
+    def family(n):
+        """The rewards of `bench/specs.grid_family(n)`, plus winner-take-two."""
+        return {
+            "indicator_top": rewards.indicator_top_reward(),
+            "geometric:1/2": GEOM_HALF,
+            "geometric:3/4": rewards.geometric_reward(Fraction(3, 4)),
+            "exp_decay_table:1": rewards.exp_decay_table(1, n),
+            "exp_decay_table:1/2": rewards.exp_decay_table(Fraction(1, 2), n),
+            "linear": rewards.linear_reward(n),
+            "table": rewards.table_reward([max(0, n // 2 - k) for k in range(n + 1)]),
+            "winner_take_two": rewards.table_reward([1, 1] + [0] * n),
+        }
+
+    @pytest.mark.parametrize("p", PS)
+    def test_streamed_sweep_matches_reference(self, p):
+        """Every reported field, in exact Fractions, for N = 0..12."""
+        for n in range(13):
+            joint = brute_joint(p, n)
+            for name, f in self.family(n).items():
+                rep = solve(WalkParams(p, n), f)
+                values, decisions = bellman_reference(p, n, f)
+                ties = tuple(sorted(s for s, d in decisions.items() if d == "TIE"))
+                case = (p, n, name)
+                assert rep.optimal_value == values[(0, 0)], case
+                assert rep.value_tau0 == sum(pr * f(m) for (m, _s), pr in joint.items()), case
+                assert rep.value_tauN == sum(pr * f(m - s) for (m, s), pr in joint.items()), case
+                assert rep.policy.decisions == decisions, case
+                assert rep.tie_states == ties, case
+                assert rep.unique == reference_label(n, decisions), case
 
 
 class TestUniqueness:
