@@ -17,10 +17,8 @@ from .rewards import (  # noqa: F401
     geometric_reward,
     indicator_top_reward,
     linear_reward,
-    negate,
     power_penalty_reward,
     custom_table_reward,
-    reward_from_json,
     table_reward,
 )
 from .walkdist import (  # noqa: F401

@@ -340,17 +340,30 @@ def _conditional_max(endpoint: np.ndarray, duration: float, u: np.ndarray) -> np
     return 0.5 * (endpoint + np.sqrt(endpoint**2 - 2.0 * duration * np.log(u)))
 
 
-def max_drift(T: float, steps: int, rule: BmRule) -> float:
-    """Largest |lam| the samplers represent for this rule.
+# `_conditional_max` squares a segment's endpoint lam * t + sqrt(t) * Z and
+# adds -2 t log(u), so both must stay finite.  u = 1 - random() >= 2**-53
+# bounds -log(u) by 53 log 2, and numpy's ziggurat normal sampler returns
+# |Z| < 12.3 (its tail draw r + x, r = 3.654, accepts only x**2 < 2 * 53 log 2).
+# The drift part gets half of sqrt(float max) and the Gaussian part a
+# quarter, which caps the segment length t; the log(u) term then takes
+# less than a twentieth of float max.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+_MAX_SEGMENT = (_SQRT_MAX / (4 * 12.3)) ** 2
 
-    tau0 / tauT draw (M_T, B_T) as one segment of length t = T, the other
-    rules draw paths of segments of length t = T / steps.
-    `_conditional_max` squares a segment's endpoint lam * t + sqrt(t) * Z,
-    so it must stay below sqrt(float max).  The drift part gets half; the
-    other half holds the Gaussian part for any t below about 1e300.
-    """
-    t = T if rule.kind in ("tau0", "tauT") else T / steps
-    return math.sqrt(sys.float_info.max) / (2.0 * t)
+
+def _segments(steps: int, rule: BmRule) -> int:
+    """tau0 / tauT draw (M_T, B_T) as one segment, the other rules as `steps`."""
+    return 1 if rule.kind in ("tau0", "tauT") else steps
+
+
+def _max_horizon(steps: int, rule: BmRule) -> float:
+    """Largest T the samplers represent for this rule."""
+    return _MAX_SEGMENT * _segments(steps, rule)
+
+
+def max_drift(T: float, steps: int, rule: BmRule) -> float:
+    """Largest |lam| the samplers represent for this rule at T <= `_max_horizon`."""
+    return _SQRT_MAX / (2.0 * (T / _segments(steps, rule)))
 
 
 def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> np.ndarray:

@@ -455,6 +455,10 @@ def _parse_bm_rule(text: str) -> brownian.BmRule:
 def cmd_bm_mc(args) -> int:
     seed = _default_seed(args)
     rule = _parse_bm_rule(args.rule)
+    t_max = brownian._max_horizon(args.steps, rule)
+    if args.T > t_max:
+        raise ConfigError(f"--T must lie in (0, {t_max:.6g}] for rule {args.rule!r} "
+                          f"at --steps {args.steps}, got {args.T:g}")
     limit = brownian.max_drift(args.T, args.steps, rule)
     if abs(args.lam) > limit:
         raise ConfigError(f"--lam must lie in [-{limit:.6g}, {limit:.6g}] for rule {args.rule!r} "

@@ -14,8 +14,9 @@ compares it with a * V(z-1 v 0) + (b - a) * V(z+1), both over b^(N-k) * D,
 so stop / continue / TIE is an integer comparison.  The sweep is streamed:
 step k reads only G(N-k, .), and N-k rises as k falls, the order in which
 the law kernel yields rows, so O(N) integers stay alive and no per-state
-value is kept.  Fractions are built only for the three reported values,
-so rewards must be rational on {0..N}.
+value is kept.  `evaluate_policy` runs the same sweep with a given rule's
+decisions in place of the comparison.  Fractions are built only for the
+reported values, so rewards must be rational on {0..N}.
 
 Uniqueness labels:
 
@@ -216,28 +217,27 @@ def _classify_uniqueness(n: int, decisions: dict, any_stop: bool, tie_states: li
 
 
 def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
-    """Exact value of a Markov drawdown rule: push the chain law forward,
-    absorb on STOP (and TIE) states collecting G(N-k, z), pay f(z) at N.
+    """Exact value of a Markov drawdown rule by backward induction.
 
-    The surviving mass at step k is an integer row over b**k and G(N-k, .)
-    is over b**(N-k) * D, so every collected term is over b**N * D.
+    The same streamed sweep as `solve`, with the rule's decision in place
+    of the Bellman max: a STOP (or TIE) state takes G(N-k, z), a CONTINUE
+    state a * V(z-1 v 0) + (b - a) * V(z+1), computed only there.  Row k
+    is over b**(N-k) * D and O(N) integers stay alive.
     """
     if pol.n != w.n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    G = list(_g_rows(w, fnum))
+    rows = _g_rows(w, fnum)
 
-    dist = [1]
-    total = 0
-    for k in range(n + 1):
-        nxt = [0] * (k + 2)
-        for z, c in enumerate(dist):
-            if k == n or pol.stops(k, z):
-                total += c * G[n - k][z]
-            else:
-                nxt[max(z - 1, 0)] += a * c
-                nxt[z + 1] += (b - a) * c
-        dist = nxt
-    return Fraction(total, b**n * den)
+    V = next(rows)  # G(0, .) = f: every rule stops at the horizon
+    for k in range(n - 1, -1, -1):
+        G = next(rows)
+        den *= b
+        decs = map(pol.decisions.__getitem__, zip(repeat(k), range(k + 1)))
+        V = [
+            a * V[z - 1 if z else 0] + (b - a) * V[z + 1] if d == CONTINUE else g
+            for z, (g, d) in enumerate(zip(G, decs))
+        ]
+    return Fraction(V[0], den)

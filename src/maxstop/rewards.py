@@ -3,10 +3,10 @@
 A reward is a function f on {0,...,N} (discrete horizon) or [0, inf)
 (continuous horizon).  The bang-bang optimality results hold for
 nonincreasing convex f, and which theorem applies depends on structural
-properties (strict convexity, strict decrease, ...), so every reward can
-be classified exactly: on a discrete domain the flags are decided by
-checking first and second differences on all points, in exact rational
-arithmetic whenever the parameters are rational.
+properties (strict convexity, strict decrease, ...).  Both settings ask
+for them on {0..N} only, so `classify` decides them there, by checking
+first and second differences on all points, in exact rational arithmetic
+whenever the parameters are rational.
 
 Built-in families:
 
@@ -24,11 +24,9 @@ Built-in families:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -49,14 +47,12 @@ class RewardDomainError(ValueError):
 
 
 def as_rational(x):
-    """Coerce ints, Fractions and 'a/b' strings to Fraction; floats stay float."""
+    """Coerce ints and Fractions to Fraction; floats stay float."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a number")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         return x
@@ -100,39 +96,6 @@ class RewardSpec:
 
     def __call__(self, x):
         return evaluate(self, x)
-
-    def to_json(self) -> str:
-        obj = {"kind": self.kind, "domain": self.domain}
-        if self.params:
-            obj["params"] = {k: _num_to_json(v) for k, v in self.params.items()}
-        if self.table:
-            obj["table"] = [_num_to_json(v) for v in self.table]
-        return json.dumps(obj, sort_keys=True)
-
-
-def _num_to_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [_num_to_json(x) for x in v]
-    return v
-
-
-def reward_from_json(text: str) -> RewardSpec:
-    """Parse the documented reward schema: {"kind", "params", "table", "domain"}."""
-    obj = json.loads(text)
-    kind = obj.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown reward kind {kind!r}")
-    params = dict(obj.get("params", {}))
-    for key, val in params.items():
-        if isinstance(val, (list, tuple)):
-            params[key] = [as_rational(v) if isinstance(v, str) else v for v in val]
-        elif isinstance(val, str):
-            params[key] = as_rational(val)
-    table = tuple(as_rational(v) for v in obj.get("table", []))
-    domain = obj.get("domain", DISCRETE if kind != "custom_table" else CONTINUOUS)
-    return RewardSpec(kind=kind, params=params, domain=domain, table=table)
 
 
 def evaluate(f: RewardSpec, x):
@@ -200,7 +163,6 @@ class RewardFlags:
     strictly_decreasing: bool
     constant: bool
     linear: bool
-    grid_certified: bool = False
 
     def __post_init__(self):
         if self.strictly_convex and not self.convex:
@@ -211,7 +173,20 @@ class RewardFlags:
             raise ValueError("constant requires linear")
 
 
-def _flags_from_values(values, grid_certified=False) -> RewardFlags:
+def classify(f: RewardSpec, horizon=None) -> RewardFlags:
+    """Decide the structural flags of a discrete-domain f.
+
+    Exact first/second-difference tests on all horizon+1 points (horizon < 2
+    leaves the convexity flags vacuously true).  A table reward defaults to
+    its own length; a closed-form reward needs the horizon.
+    """
+    if f.domain != DISCRETE:
+        raise ValueError(f"classify needs a discrete-domain reward, got domain {f.domain!r}")
+    if horizon is None:
+        if f.kind != "table":
+            raise ValueError("classify on a closed-form discrete reward needs a horizon")
+        horizon = len(f.table) - 1
+    values = [evaluate(f, k) for k in range(horizon + 1)]
     d1 = [b - a for a, b in zip(values, values[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]
     return RewardFlags(
@@ -221,55 +196,7 @@ def _flags_from_values(values, grid_certified=False) -> RewardFlags:
         strictly_decreasing=bool(d1) and all(d < 0 for d in d1),
         constant=all(d == 0 for d in d1),
         linear=all(d == 0 for d in d2),
-        grid_certified=grid_certified,
     )
-
-
-def classify(f: RewardSpec, horizon=None, probe_grid: Sequence[float] | None = None) -> RewardFlags:
-    """Decide the structural flags of f.
-
-    Discrete domain: exact first/second-difference tests on all horizon+1
-    points (horizon < 2 leaves the convexity flags vacuously true).
-    Continuous domain: set analytically for the closed-form families; for
-    custom_table kinds the checks run on the probe grid only and the result
-    carries grid_certified=True.
-    """
-    if f.domain == DISCRETE:
-        if horizon is None:
-            if f.kind == "table":
-                horizon = len(f.table) - 1
-            else:
-                raise ValueError("classify on a closed-form discrete reward needs a horizon")
-        values = [evaluate(f, k) for k in range(horizon + 1)]
-        return _flags_from_values(values)
-
-    if f.kind == "exp_decay":
-        return RewardFlags(True, True, True, True, False, False)
-    if f.kind == "power_penalty_negated":
-        return RewardFlags(True, True, True, True, False, False)
-    if f.kind == "linear":
-        return RewardFlags(True, True, False, True, False, True)
-    if f.kind == "geometric":
-        return RewardFlags(True, True, True, True, False, False)
-    if f.kind == "custom_table":
-        if probe_grid is None:
-            probe_grid = f.params["xs"]
-        values = [evaluate(f, x) for x in probe_grid]
-        return _flags_from_values(values, grid_certified=True)
-    raise ValueError(f"no continuous classification for kind {f.kind!r}")
-
-
-def negate(f: RewardSpec, horizon: int) -> RewardSpec:
-    """Materialize -f as a table on {0..horizon}.
-
-    Turns a nonincreasing convex reward into the nondecreasing concave
-    penalty of the equivalent minimization problem.  Discrete rewards only;
-    continuous penalty families are expressed directly via
-    power_penalty_negated.
-    """
-    if f.domain != DISCRETE:
-        raise ValueError("negate is defined for discrete rewards")
-    return RewardSpec(kind="table", table=tuple(-evaluate(f, k) for k in range(horizon + 1)))
 
 
 # canonical constructors

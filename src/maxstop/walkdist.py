@@ -61,9 +61,6 @@ class JointLaw:
     n: int
     entries: dict
 
-    def total_mass(self):
-        return sum(self.entries.values())
-
     def max_marginal(self) -> dict:
         out = {}
         for (k, _l), pr in self.entries.items():
@@ -79,11 +76,10 @@ class JointLaw:
 
 
 @lru_cache(maxsize=4096)
-def _forward_laws(p, n: int) -> tuple:
-    """Joint (M_k, S_k) laws for every k = 0..n, one forward pass."""
+def _forward_laws(p, n: int) -> dict:
+    """Joint law of (M_n, S_n), one forward pass over k = 0..n."""
     q = 1 - p
     law = {(0, 0): Fraction(1)}
-    out = [dict(law)]
     for _ in range(n):
         nxt = {}
         for (k, l), pr in law.items():
@@ -92,13 +88,12 @@ def _forward_laws(p, n: int) -> tuple:
             nxt[up] = nxt.get(up, 0) + pr * p
             nxt[dn] = nxt.get(dn, 0) + pr * q
         law = nxt
-        out.append(dict(law))
-    return tuple(out)
+    return law
 
 
 def joint_pmf(w: WalkParams) -> JointLaw:
     """Exact pmf of (M_n, S_n); total mass is exactly 1."""
-    return JointLaw(w.n, dict(_forward_laws(w.p, w.n)[w.n]))
+    return JointLaw(w.n, dict(_forward_laws(w.p, w.n)))
 
 
 def drawdown_laws(w: WalkParams, start: int = 0):
@@ -133,15 +128,6 @@ def final_law(rows) -> list:
     for row in rows:
         pass
     return row
-
-
-def max_marginals(w: WalkParams) -> list:
-    """Law of M_k for every k = 0..n, as dicts of Fractions."""
-    b = w.p.denominator
-    return [
-        {m: Fraction(c, b**k) for m, c in enumerate(row)}
-        for k, row in enumerate(max_laws(w))
-    ]
 
 
 def reflection_check(w: WalkParams) -> bool:

@@ -332,6 +332,35 @@ class TestBmCommands:
             assert code == 0
             assert math.isfinite(json.loads(out)["estimate"]["value"])
 
+    def test_bm_mc_rejects_unrepresentable_T(self, capsys):
+        """At T = 1e308 the sampler's sqrt(T) * Z squared and T * log(u)
+        overflowed, and the linear reward exited 3 on an infinite value."""
+        argv = ["bm-mc", "--lam", "0", "--T", "1e308", "--rule", "tau0",
+                "--reward", "linear_continuous:1", "--replications", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: --T must lie in (0, 7.42652e+304]")
+
+    @pytest.mark.parametrize("rule, steps", [("tau0", 1000), ("drawdown:0", 10)])
+    def test_bm_mc_large_T_within_bound_runs(self, rule, steps, capsys):
+        """Up to the bound, which scales with the number of segments drawn,
+        the estimate stays finite and no overflow warning is raised."""
+        t_max = brownian._max_horizon(steps, cli._parse_bm_rule(rule))
+        for T, code_want in [(1e300, 0), (t_max, 0), (2 * t_max, 2)]:
+            argv = ["bm-mc", "--lam", "0", f"--T={T!r}", "--steps", str(steps), "--rule", rule,
+                    "--reward", "linear_continuous:1", "--replications", "100"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == code_want, (T, captured.err)
+            if code == 0:
+                assert math.isfinite(json.loads(captured.out)["estimate"]["value"])
+
     def test_discrete_only_reward_is_config_error(self, capsys):
         code = cli.main(
             ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "10",

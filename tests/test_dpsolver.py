@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,20 @@ class TestAgainstEnumeration:
                     assert evaluate_policy(w, f, policy_tauN(n)) == tauN, (p, n)
                     assert evaluate_policy(w, f, policy_stop_at_max(n, s)) == at_max, (p, n)
 
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)])
+    def test_random_markov_policies_match_enumeration(self, p):
+        """The backward fold against path enumeration for random STOP /
+        CONTINUE / TIE rules (TIE stops), 20 rules per horizon, n <= 8."""
+        rng = random.Random(f"evaluate-{p}")
+        choices = (dpsolver.STOP, dpsolver.CONTINUE, dpsolver.TIE)
+        for n in range(9):
+            for _ in range(20):
+                dec = {(k, z): rng.choice(choices) for k in range(n) for z in range(k + 1)}
+                dec.update({(n, z): dpsolver.STOP for z in range(n + 1)})
+                pol = PolicyTable(n, dec)
+                want = brute_rule_value(p, n, self.NONCONVEX, pol.stops)
+                assert evaluate_policy(WalkParams(p, n), self.NONCONVEX, pol) == want, (p, n, dec)
+
 
 class TestAgainstBellmanReference:
     PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(3, 4)]
@@ -257,6 +272,19 @@ class TestUniqueness:
                     stop = k == n or (z == 0 and mask >> k & 1)
                     dec[(k, z)] = dpsolver.STOP if stop else dpsolver.CONTINUE
             assert evaluate_policy(w, GEOM_HALF, PolicyTable(n, dec)) == rep.optimal_value
+
+    def test_tie_class_needs_no_strict_stop(self):
+        """Zero-drawdown ties at every k < N are the TIE_CLASS pattern only
+        when no state strictly stops; a strict stop elsewhere is another
+        optimal rule."""
+        n = 3
+        dec = {(k, z): dpsolver.CONTINUE for k in range(n) for z in range(k + 1)}
+        dec.update({(n, z): dpsolver.STOP for z in range(n + 1)})
+        ties = [(k, 0) for k in range(n)]
+        dec.update(dict.fromkeys(ties, dpsolver.TIE))
+        assert dpsolver._classify_uniqueness(n, dec, False, ties) == TIE_CLASS
+        dec[(2, 1)] = dpsolver.STOP
+        assert dpsolver._classify_uniqueness(n, dec, True, ties) == NOT_UNIQUE
 
     def test_stopping_at_positive_drawdown_is_strictly_worse(self):
         n = 5

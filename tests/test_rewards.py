@@ -13,8 +13,6 @@ from maxstop.rewards import (
     geometric_reward,
     indicator_top_reward,
     linear_reward,
-    negate,
-    reward_from_json,
     table_reward,
 )
 
@@ -96,19 +94,22 @@ class TestClassify:
         flags = classify(table_reward([2, 1]))
         assert flags.convex and flags.strictly_convex  # no second differences to check
 
-    def test_continuous_closed_forms(self):
-        assert classify(rewards.exp_decay_reward(1.0)).strictly_convex
-        assert classify(rewards.power_penalty_reward(0.5)).strictly_convex
-        lin = classify(rewards.linear_reward(1, domain=rewards.CONTINUOUS))
-        assert lin.linear and lin.strictly_decreasing and not lin.strictly_convex
+    def test_continuous_domain_rejected(self):
+        # linear between its nodes, so not strictly convex: flags taken on a
+        # probe grid would claim a hypothesis the reward does not have
+        for f in (
+            rewards.custom_table_reward([0, 2, 4], [1, 0, 0]),
+            rewards.exp_decay_reward(1.0),
+            rewards.linear_reward(1, domain=rewards.CONTINUOUS),
+        ):
+            with pytest.raises(ValueError, match="domain 'continuous'"):
+                classify(f)
+            with pytest.raises(ValueError, match="domain 'continuous'"):
+                classify(f, horizon=4)
 
-    def test_custom_table_grid_certified(self):
-        f = rewards.custom_table_reward([0.0, 2.0, 4.0], [1.0, 0.0, 0.0])
-        flags = classify(f, probe_grid=[0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
-        assert flags.grid_certified
-        assert flags.nonincreasing and flags.convex
-        discrete = classify(table_reward([1, 0, 0]))
-        assert not discrete.grid_certified
+    def test_closed_form_needs_horizon(self):
+        with pytest.raises(ValueError, match="needs a horizon"):
+            classify(geometric_reward(Fraction(1, 2)))
 
     @given(
         num=st.integers(min_value=1, max_value=9),
@@ -135,35 +136,6 @@ class TestClassify:
             assert flags.strictly_decreasing
 
 
-def _dual_flags(values):
-    """Classifier for penalties: nondecreasing / concave, used only by tests."""
-    d1 = [b - a for a, b in zip(values, values[1:])]
-    d2 = [b - a for a, b in zip(d1, d1[1:])]
-    return {
-        "nondecreasing": all(d >= 0 for d in d1),
-        "concave": all(d <= 0 for d in d2),
-    }
-
-
-class TestNegate:
-    @given(
-        dnum=st.integers(min_value=1, max_value=9),
-        n=st.integers(min_value=2, max_value=8),
-    )
-    @settings(max_examples=40)
-    def test_negation_flips_to_nondecreasing_concave(self, dnum, n):
-        f = geometric_reward(Fraction(dnum, 10))
-        g = negate(f, n)
-        dual = _dual_flags([evaluate(g, k) for k in range(n + 1)])
-        assert dual["nondecreasing"] and dual["concave"]
-        flags = classify(g)
-        assert not flags.nonincreasing and not flags.convex
-
-    def test_negate_rejects_continuous(self):
-        with pytest.raises(ValueError):
-            negate(rewards.exp_decay_reward(1.0), 5)
-
-
 class TestFlagsInvariants:
     def test_strictly_convex_requires_convex(self):
         with pytest.raises(ValueError):
@@ -178,22 +150,3 @@ class TestFlagsInvariants:
     def test_constant_requires_linear(self):
         with pytest.raises(ValueError):
             RewardFlags(True, True, False, False, True, False)
-
-
-class TestJson:
-    def test_round_trip_table(self):
-        f = table_reward([1, Fraction(1, 2), 0])
-        g = reward_from_json(f.to_json())
-        assert g == f
-
-    def test_round_trip_geometric(self):
-        f = geometric_reward(Fraction(2, 5))
-        g = reward_from_json(f.to_json())
-        assert g.kind == "geometric"
-        assert rewards.as_rational(g.params["d"]) == Fraction(2, 5)
-
-    def test_documented_schema(self):
-        g = reward_from_json('{"kind": "table", "table": ["1", "1", "0"]}')
-        assert g.table == (1, 1, 0)
-        with pytest.raises(ValueError):
-            reward_from_json('{"kind": "nope"}')
