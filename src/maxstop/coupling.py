@@ -110,7 +110,9 @@ class McEstimate:
         n = len(vals)
         if vals.min() == vals.max():  # constant sample: mean is exact, spread is zero
             return cls(float(vals[0]), 0.0, n, steps)
-        return cls(float(vals.mean()), float(vals.std() / math.sqrt(n)), n, steps)
+        # Dividing by a power of two is exact and keeps the sum of squares finite.
+        scale = 2.0 ** math.frexp(float(np.abs(vals).max()))[1]
+        return cls(float(vals.mean()), float((vals / scale).std() * scale / math.sqrt(n)), n, steps)
 
 
 def _batched_uniform_walks(seed: int, n: int, replications: int, p, first_stream: int = 0):

@@ -348,18 +348,20 @@ class TestBmCommands:
     @pytest.mark.parametrize("rule, steps", [("tau0", 1000), ("drawdown:0", 10)])
     def test_bm_mc_large_T_within_bound_runs(self, rule, steps, capsys):
         """Up to the bound, which scales with the number of segments drawn,
-        the estimate stays finite and no overflow warning is raised."""
+        the estimate and its standard error over the default 100,000
+        replications stay finite and no overflow warning is raised."""
         t_max = brownian._max_horizon(steps, cli._parse_bm_rule(rule))
         for T, code_want in [(1e300, 0), (t_max, 0), (2 * t_max, 2)]:
             argv = ["bm-mc", "--lam", "0", f"--T={T!r}", "--steps", str(steps), "--rule", rule,
-                    "--reward", "linear_continuous:1", "--replications", "100"]
+                    "--reward", "linear_continuous:1"]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code = cli.main(argv)
             captured = capsys.readouterr()
             assert code == code_want, (T, captured.err)
             if code == 0:
-                assert math.isfinite(json.loads(captured.out)["estimate"]["value"])
+                estimate = json.loads(captured.out)["estimate"]
+                assert math.isfinite(estimate["value"]) and math.isfinite(estimate["stderr"])
 
     def test_discrete_only_reward_is_config_error(self, capsys):
         code = cli.main(

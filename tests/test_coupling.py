@@ -90,6 +90,16 @@ class TestMcRuleValue:
             mc_rule_value(0, WalkParams(Fraction(1, 2), 3), GEOM_HALF, dpsolver.policy_tau0(2), 10)
 
 
+class TestMcEstimate:
+    def test_huge_sample_has_finite_stderr(self):
+        """A finite sample whose sum of squares overflows a float."""
+        vals = np.random.default_rng(4).normal(0.0, 1e153, 100_000)
+        with np.errstate(all="raise"):
+            est = coupling.McEstimate.from_sample(vals)
+        assert math.isfinite(est.stderr)
+        assert est.stderr == pytest.approx(1e153 / math.sqrt(100_000), rel=0.02)
+
+
 class TestTimeReversal:
     def test_zero_steps_distance_zero(self):
         rep = mc_time_reversal_check(1, WalkParams(Fraction(1, 2), 0), 100)

@@ -71,6 +71,20 @@ def _rows_as_laws(rows, b):
     return [{x: Fraction(c, b**k) for x, c in enumerate(row)} for k, row in enumerate(rows)]
 
 
+def _joint_laws(p, n):
+    """Law of (M_k, S_k) for every k = 0..n, from one Fraction forward pass."""
+    law = {(0, 0): Fraction(1)}
+    laws = [law]
+    for _ in range(n):
+        nxt = {}
+        for (m, s), pr in law.items():
+            for key, step in (((max(m, s + 1), s + 1), p), ((m, s - 1), 1 - p)):
+                nxt[key] = nxt.get(key, 0) + pr * step
+        law = nxt
+        laws.append(law)
+    return laws
+
+
 class TestDrawdownKernel:
     """The integer drawdown-chain laws against two independent routes."""
 
@@ -89,8 +103,10 @@ class TestDrawdownKernel:
             w = WalkParams(p, 40)
             m_laws = _rows_as_laws(max_laws(w), p.denominator)
             z_laws = _rows_as_laws(drawdown_laws(w), p.denominator)
-            for n in (0, 1, 2, 5, 12, 25, 40):
-                law = JointLaw(n, walkdist._forward_laws(p, n))
+            laws = _joint_laws(p, 40)
+            assert laws[40] == walkdist._forward_laws(p, 40), p
+            for n, entries in enumerate(laws):
+                law = JointLaw(n, entries)
                 assert m_laws[n] == law.max_marginal(), (p, n)
                 assert z_laws[n] == law.drawdown_marginal(), (p, n)
 
