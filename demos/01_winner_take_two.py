@@ -19,7 +19,7 @@ for p in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fracti
     v0 = evaluate_policy(w, f, policy_tau0(2))
     v2 = evaluate_policy(w, f, policy_tauN(2))
     rep = solve(w, f)
-    dec = {z: rep.policy.decisions[(1, z)] for z in (0, 1)}
+    dec = dict(enumerate(rep.policy.rows[1]))
     print(f"{str(p):>6} {str(v0):>8} {str(v2):>8} {str(rep.optimal_value):>8}  {dec}")
 
 print()

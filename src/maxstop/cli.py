@@ -163,9 +163,30 @@ def _solve_fields(rep: dpsolver.SolveReport) -> dict:
     }
 
 
-def _emit(report: dict, args, failed: bool) -> int:
+def _policy_listing(pol: dpsolver.PolicyTable) -> str:
+    """The [k, z, decision] triples of every state in (k, z) order, as
+    json.dumps(indent=2) lays out a list under a top-level key.  k and z are
+    ints and the decisions are plain ASCII tokens, so no escaping arises."""
+    return "[\n" + ",\n".join(
+        f'    [\n      {k},\n      {z},\n      "{d}"\n    ]'
+        for k, row in enumerate(pol.rows)
+        for z, d in enumerate(row)
+    ) + "\n  ]"
+
+
+def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None = None) -> int:
+    """Write the report; a policy goes in as its top-level `policy` listing.
+
+    json.dumps(indent=2) runs the pure-Python encoder, so the per-state
+    listing is formatted directly and spliced in where the sorted keys put
+    it: top-level keys are the only ones indented by two spaces.
+    """
     report["tool_version"] = __version__
+    if policy is not None:
+        report["policy"] = None
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if policy is not None:
+        text = text.replace('\n  "policy": null', '\n  "policy": ' + _policy_listing(policy), 1)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -196,12 +217,11 @@ def cmd_solve(args) -> int:
         "config": {"p": str(p), "N": args.N, "reward": args.reward},
         **_solve_fields(rep),
         "tie_states": [list(s) for s in rep.tie_states],
-        "policy": sorted([k, z, d] for (k, z), d in rep.policy.decisions.items()),
     }
     if args.policy_csv:
         with open(args.policy_csv, "w") as fh:
             fh.write(rep.policy.to_csv())
-    return _emit(report, args, failed=False)
+    return _emit(report, args, failed=False, policy=rep.policy)
 
 
 def _named_policy(name: str, n: int) -> dpsolver.PolicyTable:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpsolver import PolicyTable
+from .dpsolver import CONTINUE, PolicyTable
 from .walkdist import WalkParams, final_law, max_laws
 
 GENERATOR = "pcg64-v2"  # bump if the stream layout ever changes
@@ -127,8 +127,8 @@ def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: i
     if pol.n != n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
     stop_mat = np.zeros((n + 1, n + 2), dtype=bool)
-    for (k, z), _d in pol.decisions.items():
-        stop_mat[k, z] = pol.stops(k, z)
+    for k, row in enumerate(pol.rows):
+        stop_mat[k, : k + 1] = [d != CONTINUE for d in row]
     stop_mat[n, :] = True
 
     f_lut = np.array([float(f(i)) for i in range(n + 1)])

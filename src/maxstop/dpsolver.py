@@ -56,54 +56,61 @@ UNKNOWN = "UNKNOWN"
 class PolicyTable:
     """Stop/continue decision per reachable drawdown state (k, z), 0 <= z <= k.
 
-    Decisions at k = N are forced to STOP.  TIE marks states where stopping
-    and continuing have exactly equal value; for execution a TIE stops
-    (ties break toward STOP).
+    rows[k] is the tuple of decisions at z = 0..k.  Decisions at k = N are
+    forced to STOP.  TIE marks states where stopping and continuing have
+    exactly equal value; for execution a TIE stops (ties break toward STOP).
     """
 
     n: int
-    decisions: dict
+    rows: tuple
 
     def __post_init__(self):
-        for k in range(self.n + 1):
-            row = list(map(self.decisions.get, zip(repeat(k), range(k + 1))))
+        if len(self.rows) != self.n + 1:
+            raise ValueError(f"policy has {len(self.rows)} rows, needs {self.n + 1}")
+        for k, row in enumerate(self.rows):
+            if len(row) != k + 1:
+                raise ValueError(f"policy row {k} has {len(row)} decisions, needs {k + 1}")
             if row.count(STOP) + row.count(CONTINUE) + row.count(TIE) < len(row):
                 z, d = next((z, d) for z, d in enumerate(row) if d not in (STOP, CONTINUE, TIE))
                 raise ValueError(f"policy missing or invalid decision at {(k, z)}: {d!r}")
-            if k == self.n and CONTINUE in row:
-                z = row.index(CONTINUE)
-                raise ValueError(f"policy must stop at the horizon, state {(k, z)}")
+        if CONTINUE in self.rows[-1]:
+            z = self.rows[-1].index(CONTINUE)
+            raise ValueError(f"policy must stop at the horizon, state {(self.n, z)}")
+
+    @classmethod
+    def from_decisions(cls, n: int, decisions: dict) -> PolicyTable:
+        """The table of a {(k, z): decision} dict over every state up to n."""
+        get = decisions.get
+        return cls(n, tuple(tuple(map(get, zip(repeat(k), range(k + 1)))) for k in range(n + 1)))
+
+    @property
+    def decisions(self) -> dict:
+        """{(k, z): decision} for every state, built on each read."""
+        return {(k, z): d for k, row in enumerate(self.rows) for z, d in enumerate(row)}
 
     def stops(self, k: int, z: int) -> bool:
-        return self.decisions[(k, z)] in (STOP, TIE)
+        return self.rows[k][z] in (STOP, TIE)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["k", "z", "decision"])
-        for (k, z), d in sorted(self.decisions.items()):
-            w.writerow([k, z, d])
+        w.writerows((k, z, d) for k, row in enumerate(self.rows) for z, d in enumerate(row))
         return buf.getvalue()
 
 
 def policy_tau0(n: int) -> PolicyTable:
-    return PolicyTable(n, {(k, z): STOP for k in range(n + 1) for z in range(k + 1)})
+    return PolicyTable(n, tuple((STOP,) * (k + 1) for k in range(n + 1)))
 
 
 def policy_tauN(n: int) -> PolicyTable:
-    dec = {(k, z): CONTINUE for k in range(n) for z in range(k + 1)}
-    dec.update({(n, z): STOP for z in range(n + 1)})
-    return PolicyTable(n, dec)
+    return PolicyTable(n, tuple((CONTINUE,) * (k + 1) for k in range(n)) + ((STOP,) * (n + 1),))
 
 
 def policy_stop_at_max(n: int, from_step: int = 0) -> PolicyTable:
     """Stop at the first step >= from_step with zero drawdown, else at N."""
-    dec = {}
-    for k in range(n + 1):
-        for z in range(k + 1):
-            stop = k == n or (z == 0 and k >= from_step)
-            dec[(k, z)] = STOP if stop else CONTINUE
-    return PolicyTable(n, dec)
+    rows = tuple((STOP if k >= from_step else CONTINUE,) + (CONTINUE,) * k for k in range(n))
+    return PolicyTable(n, rows + ((STOP,) * (n + 1),))
 
 
 @dataclass(frozen=True)
@@ -168,44 +175,46 @@ def solve(w: WalkParams, f) -> SolveReport:
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    rows = _g_rows(w, fnum)
+    g_rows = _g_rows(w, fnum)
 
     # V holds the step-k values as numerators over den = b**(n-k) * D;
-    # G(0, .) = f is the value at the horizon
-    G = V = next(rows)
-    decisions = dict.fromkeys(zip(repeat(n), range(n + 1)), STOP)
-    tie_states = []
+    # G(0, .) = f is the value at the horizon.  rows collects the decision
+    # rows from k = n down and is turned round at the end.
+    G = V = next(g_rows)
+    rows = [(STOP,) * (n + 1)]
     any_stop = False
     for k in range(n - 1, -1, -1):
-        G = next(rows)
+        G = next(g_rows)
         den *= b
         conts = [a * lo + (b - a) * hi for lo, hi in zip(V[:1] + V[:k], V[1:])]
-        row = [STOP if s > c else CONTINUE if c > s else TIE for s, c in zip(G, conts)]
-        decisions.update(zip(zip(repeat(k), range(k + 1)), row))
+        row = tuple([STOP if s > c else CONTINUE if c > s else TIE for s, c in zip(G, conts)])
         any_stop = any_stop or STOP in row
-        if TIE in row:
-            tie_states.extend((k, z) for z, d in enumerate(row) if d == TIE)
+        rows.append(row)
         V = list(map(max, G, conts))
 
-    tie_states.sort()
+    rows.reverse()
+    tie_states = [
+        (k, z) for k, row in enumerate(rows) if TIE in row for z, d in enumerate(row) if d == TIE
+    ]
     zlaw = final_law(drawdown_laws(w))
     return SolveReport(
         optimal_value=Fraction(V[0], den),
-        policy=PolicyTable(n, decisions),
+        policy=PolicyTable(n, tuple(rows)),
         value_tau0=Fraction(G[0], den),
         value_tauN=Fraction(sum(c * v for c, v in zip(zlaw, fnum)), den),
-        unique=_classify_uniqueness(n, decisions, any_stop, tie_states),
+        unique=_classify_uniqueness(n, rows, any_stop, tie_states),
         tie_states=tuple(tie_states),
     )
 
 
-def _classify_uniqueness(n: int, decisions: dict, any_stop: bool, tie_states: list) -> str:
-    """The uniqueness label; any_stop says whether some state k < N strictly
-    stops, and tie_states lists the TIE states in order."""
+def _classify_uniqueness(n: int, rows, any_stop: bool, tie_states: list) -> str:
+    """The uniqueness label from the decision rows; any_stop says whether
+    some state k < N strictly stops, and tie_states lists the TIE states in
+    order."""
     # A strict stop at the root already certifies tau=0: every other rule
     # must run past time 0 (time 0 is deterministic) and is bounded by the
     # strictly smaller continuation value.
-    if n and decisions[(0, 0)] == STOP:
+    if n and rows[0][0] == STOP:
         return UNIQUE_TAU0
     if n and not any_stop and not tie_states:
         return UNIQUE_TAUN
@@ -229,15 +238,14 @@ def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    rows = _g_rows(w, fnum)
+    g_rows = _g_rows(w, fnum)
 
-    V = next(rows)  # G(0, .) = f: every rule stops at the horizon
+    V = next(g_rows)  # G(0, .) = f: every rule stops at the horizon
     for k in range(n - 1, -1, -1):
-        G = next(rows)
+        G = next(g_rows)
         den *= b
-        decs = map(pol.decisions.__getitem__, zip(repeat(k), range(k + 1)))
         V = [
             a * V[z - 1 if z else 0] + (b - a) * V[z + 1] if d == CONTINUE else g
-            for z, (g, d) in enumerate(zip(G, decs))
+            for z, (g, d) in enumerate(zip(G, pol.rows[k]))
         ]
     return Fraction(V[0], den)

@@ -70,7 +70,7 @@ def _tie_class_policy(n: int, mask: int) -> dpsolver.PolicyTable:
         for z in range(k + 1):
             stop = k == n or (z == 0 and mask >> k & 1)
             dec[(k, z)] = dpsolver.STOP if stop else dpsolver.CONTINUE
-    return dpsolver.PolicyTable(n, dec)
+    return dpsolver.PolicyTable.from_decisions(n, dec)
 
 
 def test_criterion_2_bang_bang_grid():

@@ -80,6 +80,43 @@ class TestSolveCommand:
             "09f93e0b7b2ab20a7c0468c16d8a94b9a9a12a7445e890e87fa95b26a8a25bd8"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (  # TIE states at zero drawdown
+                ["solve", "--p", "1/2", "--N", "12", "--reward", "geometric:1/2"],
+                "7fef7113cb7821ba23e42739443dbdbca0b30be37f509cb65517ce012a2e3043",
+            ),
+            (  # CONTINUE states
+                ["solve", "--p", "3/5", "--N", "12", "--reward", "linear:12"],
+                "c98576f3f6ef846d98fd476ff39edac5f27ac43d13929ae6fc7fcb53e4eac428",
+            ),
+            (  # one state, no ties
+                ["solve", "--p", "2/5", "--N", "0", "--reward", "indicator_top"],
+                "6f9e7505d4e8a234da777ddfee82d3a548aeb9632bf22d7b06057bdcbfcd8724",
+            ),
+            (
+                ["evaluate", "--p", "1/2", "--N", "12", "--reward", "geometric:1/2",
+                 "--policy", "stop-at-max"],
+                "6f8507c88b7f3882af04f23bbf4281be72eace80f3fb108e8019a42c1a7edc72",
+            ),
+        ],
+        ids=["solve-tie", "solve-continue", "solve-N0", "evaluate-stop-at-max"],
+    )
+    def test_small_report_bytes_frozen(self, argv, digest, tmp_path):
+        target = tmp_path / "r.json"
+        assert cli.main(["--output", str(target)] + argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    def test_policy_csv_bytes_frozen(self, tmp_path):
+        target = tmp_path / "pol.csv"
+        argv = ["solve", "--p", "1/2", "--N", "12", "--reward", "geometric:1/2",
+                "--policy-csv", str(target)]
+        assert cli.main(["--output", str(tmp_path / "r.json")] + argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "11da2ca539effc8e50c2b319f224a634984f3b4b5c525d0d1b61a623787b0afb"
+        )
+
     def test_policy_csv_out(self, tmp_path, capsys):
         target = tmp_path / "pol.csv"
         code, _ = run_cli(
@@ -102,6 +139,31 @@ class TestSolveCommand:
             )
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+
+def grid_family(n):
+    """The CLI reward strings of `bench/specs.grid_family(n)`."""
+    return [
+        "indicator_top",
+        "geometric:1/2",
+        "geometric:3/4",
+        "exp_decay_table:1",
+        "exp_decay_table:1/2",
+        f"linear:{n}",
+        "table:" + ",".join(str(max(0, n // 2 - k)) for k in range(n + 1)),
+    ]
+
+
+@pytest.mark.parametrize("p", ["1/4", "1/2", "3/5"])
+def test_solve_report_matches_stdlib_encoder(p, capsys):
+    """The directly formatted policy listing writes what the stdlib encoder
+    would: re-encoding the parsed report gives the same text."""
+    for n in range(17):
+        for reward in grid_family(n):
+            code, text = run_cli(["solve", "--p", p, "--N", str(n), "--reward", reward], capsys)
+            assert code == 0, (p, n, reward)
+            want = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
+            assert text == want, (p, n, reward)
 
 
 class TestEvaluateCommand:

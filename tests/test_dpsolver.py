@@ -142,12 +142,16 @@ class TestEvaluatePolicy:
         )
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            PolicyTable(2, {(0, 0): "STOP"})  # missing states
+        with pytest.raises(ValueError, match=r"missing or invalid decision at \(1, 0\): None"):
+            PolicyTable.from_decisions(2, {(0, 0): "STOP"})  # missing states
         dec = {(k, z): "CONTINUE" for k in range(3) for z in range(k + 1)}
         dec.update({(2, z): "CONTINUE" for z in range(3)})
-        with pytest.raises(ValueError):
-            PolicyTable(2, dec)  # must stop at the horizon
+        with pytest.raises(ValueError, match="must stop at the horizon"):
+            PolicyTable.from_decisions(2, dec)
+        with pytest.raises(ValueError, match="row 1 has 3 decisions"):
+            PolicyTable(2, (("STOP",), ("STOP",) * 3, ("STOP",) * 3))  # wrong row length
+        with pytest.raises(ValueError, match="2 rows"):
+            PolicyTable(2, (("STOP",), ("STOP",) * 2))  # a row short
         with pytest.raises(ValueError):
             evaluate_policy(WalkParams(Fraction(1, 2), 3), GEOM_HALF, policy_tau0(2))
 
@@ -186,7 +190,7 @@ class TestAgainstEnumeration:
             for _ in range(20):
                 dec = {(k, z): rng.choice(choices) for k in range(n) for z in range(k + 1)}
                 dec.update({(n, z): dpsolver.STOP for z in range(n + 1)})
-                pol = PolicyTable(n, dec)
+                pol = PolicyTable.from_decisions(n, dec)
                 want = brute_rule_value(p, n, self.NONCONVEX, pol.stops)
                 assert evaluate_policy(WalkParams(p, n), self.NONCONVEX, pol) == want, (p, n, dec)
 
@@ -271,7 +275,8 @@ class TestUniqueness:
                 for z in range(k + 1):
                     stop = k == n or (z == 0 and mask >> k & 1)
                     dec[(k, z)] = dpsolver.STOP if stop else dpsolver.CONTINUE
-            assert evaluate_policy(w, GEOM_HALF, PolicyTable(n, dec)) == rep.optimal_value
+            pol = PolicyTable.from_decisions(n, dec)
+            assert evaluate_policy(w, GEOM_HALF, pol) == rep.optimal_value
 
     def test_tie_class_needs_no_strict_stop(self):
         """Zero-drawdown ties at every k < N are the TIE_CLASS pattern only
@@ -282,9 +287,11 @@ class TestUniqueness:
         dec.update({(n, z): dpsolver.STOP for z in range(n + 1)})
         ties = [(k, 0) for k in range(n)]
         dec.update(dict.fromkeys(ties, dpsolver.TIE))
-        assert dpsolver._classify_uniqueness(n, dec, False, ties) == TIE_CLASS
+        rows = PolicyTable.from_decisions(n, dec).rows
+        assert dpsolver._classify_uniqueness(n, rows, False, ties) == TIE_CLASS
         dec[(2, 1)] = dpsolver.STOP
-        assert dpsolver._classify_uniqueness(n, dec, True, ties) == NOT_UNIQUE
+        rows = PolicyTable.from_decisions(n, dec).rows
+        assert dpsolver._classify_uniqueness(n, rows, True, ties) == NOT_UNIQUE
 
     def test_stopping_at_positive_drawdown_is_strictly_worse(self):
         n = 5
@@ -293,4 +300,4 @@ class TestUniqueness:
         dec = {(k, z): dpsolver.CONTINUE for k in range(n) for z in range(k + 1)}
         dec.update({(n, z): dpsolver.STOP for z in range(n + 1)})
         dec[(2, 2)] = dpsolver.STOP  # outside the optimal class
-        assert evaluate_policy(w, GEOM_HALF, PolicyTable(n, dec)) < rep.optimal_value
+        assert evaluate_policy(w, GEOM_HALF, PolicyTable.from_decisions(n, dec)) < rep.optimal_value
