@@ -8,7 +8,7 @@ The joint density of (M_t, B_t) for drift lambda is
 on s >= 0, b <= s.  Expectations E[f(x v M - B)] etc. are computed by
 adaptive tensor-product Gauss-Legendre quadrature in the coordinates
 (s, z) = (M, M - B), where the support is the quadrant z, s >= 0 and the
-Jacobian is 1, over a box covering `sigmas` standard deviations.  Kinks of
+Jacobian is 1, over a box covering `_SIGMAS` standard deviations.  Kinks of
 the integrands lie on the lines s = x, z = x and, for a piecewise-linear
 reward, s or z = a node; callers declare them as the first panel cuts.  The
 reported error is the 6- versus 12-point panel residual plus the truncated
@@ -52,9 +52,12 @@ class QuadratureError(RuntimeError):
         )
 
 
+_SIGMAS = 8.0  # quadrature box half-width in units of sqrt(t)
+_EPS_COEFF = 0.5  # stop-at-running-max triggers at Z <= _EPS_COEFF * sqrt(dt)
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    sigmas: float = 8.0  # box half-width in units of sqrt(t)
     tol: float = 1e-7
     max_panels: int = 6000
 
@@ -63,15 +66,12 @@ class QuadConfig:
 class McConfig:
     steps: int = 1000
     replications: int = 100_000
-    # stop-at-running-max triggers at Z <= eps_coeff * sqrt(dt)
-    eps_coeff: float = 0.5
 
 
 @dataclass(frozen=True)
 class BmModel:
     lam: float
     T: float
-    quad: QuadConfig = field(default_factory=QuadConfig)
     mc: McConfig = field(default_factory=McConfig)
 
     def __post_init__(self):
@@ -157,7 +157,7 @@ def expect_joint(
     phi(s, b) must be numpy-vectorized.  The integral runs over
     (s, z) = (M, M - B) on the box [0, s_hi] x [0, z_hi], with
     s_hi = max(lam t, 0) + c sqrt(t) and z_hi = max(-lam t, 0) + c sqrt(t)
-    (c = quad.sigmas); the support of the density is the whole quadrant and
+    (c = _SIGMAS); the support of the density is the whole quadrant and
     the Jacobian is 1, so the integrand is phi(s, s - z) h(s, s - z).
 
     s_cuts and z_cuts declare the lines s = const and z = const where phi
@@ -172,10 +172,9 @@ def expect_joint(
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    c = quad.sigmas
     st = math.sqrt(t)
-    s_hi = max(lam * t, 0.0) + c * st
-    z_hi = max(-lam * t, 0.0) + c * st
+    s_hi = max(lam * t, 0.0) + _SIGMAS * st
+    z_hi = max(-lam * t, 0.0) + _SIGMAS * st
     max_abs_phi = 0.0
 
     def integrand(ss, zz):
@@ -215,41 +214,18 @@ def expect_joint(
                 push(a, b, lo, hi)
 
     # truncated mass outside the box: P(M > s_hi) + P(M - B > z_hi) <= 4 Phi(-c)
-    tail = 4.0 * 0.5 * math.erfc(c / math.sqrt(2.0))
+    tail = 4.0 * 0.5 * math.erfc(_SIGMAS / math.sqrt(2.0))
     bound = total_err + tail * max(max_abs_phi, 1.0)
     if total_err > quad.tol:
         raise QuadratureError(achieved=bound, requested=quad.tol)
     return QuadResult(value=total, error=bound, panels=evaluated)
 
 
-def _vectorized_reward(f) -> Callable:
-    """Numpy-vectorized evaluation for the continuous reward families."""
-    if not isinstance(f, RewardSpec):
-        return f  # assume an already-vectorized callable
-    if f.kind == "exp_decay":
-        sigma = float(f.params["sigma"])
-        return lambda x: np.exp(-sigma * x)
-    if f.kind == "linear":
-        c = float(f.params["c"])
-        return lambda x: c - x
-    if f.kind == "power_penalty_negated":
-        alpha = float(f.params["alpha"])
-        return lambda x: -np.power(x, alpha)
-    if f.kind == "geometric":
-        d = float(f.params["d"])
-        return lambda x: np.power(d, x)
-    if f.kind == "custom_table":
-        xs = np.asarray(f.params["xs"], dtype=float)
-        ys = np.asarray(f.params["ys"], dtype=float)
-        return lambda x: np.interp(x, xs, ys)
-    raise RewardDomainError(f"reward kind {f.kind!r} has no continuous evaluation")
-
-
-def _reward_nodes(f) -> tuple:
-    """Where the continuous reward has a kink: the nodes of a custom_table."""
-    if isinstance(f, RewardSpec) and f.kind == "custom_table":
-        return tuple(float(v) for v in f.params["xs"])
-    return ()
+def _vectorized_reward(f: RewardSpec) -> Callable:
+    """f's numpy form; a reward defined only on the integers has none."""
+    if f.array is None:
+        raise RewardDomainError(f"reward kind {f.kind!r} has no continuous evaluation")
+    return f.array
 
 
 def g_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
@@ -260,7 +236,7 @@ def g_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> 
     if t == 0:
         return QuadResult(float(fv(np.asarray(x))), 0.0)
     return expect_joint(
-        lambda s, b: fv(np.maximum(x, s)), t, lam, quad, s_cuts=(x, *_reward_nodes(f))
+        lambda s, b: fv(np.maximum(x, s)), t, lam, quad, s_cuts=(x, *f.nodes)
     )
 
 
@@ -275,7 +251,7 @@ def dtilde_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()
     # s < x it is z + x - s, whose kinks lie on diagonals no cut can follow
     return expect_joint(
         lambda s, b: fv(np.maximum(x, s) - b), t, lam, quad,
-        s_cuts=(x,), z_cuts=_reward_nodes(f),
+        s_cuts=(x,), z_cuts=f.nodes,
     )
 
 
@@ -314,7 +290,7 @@ def check_bm_key_inequality(
         return BmInequalityReport(lhs=v, rhs=v, quad_error_bound=0.0)
     lhs = dtilde_bm(t, x, lam, f, quad)
     rhs = expect_joint(
-        lambda s, b: fv(np.maximum(x, s - b)), t, lam, quad, z_cuts=(x, *_reward_nodes(f))
+        lambda s, b: fv(np.maximum(x, s - b)), t, lam, quad, z_cuts=(x, *f.nodes)
     )
     return BmInequalityReport(
         lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
@@ -384,7 +360,7 @@ class BmRule:
     kind: 'tau0' | 'tauT' | 'drawdown_threshold' | 'time_threshold'.
     drawdown_threshold(a) stops when the drawdown reaches a > 0; the a = 0
     case means "stop at the running max": first grid time (after 0) with
-    drawdown <= eps, eps = eps_coeff * sqrt(dt), since an exact zero of the
+    drawdown <= eps, eps = _EPS_COEFF * sqrt(dt), since an exact zero of the
     drawdown is unobservable on a grid.
     """
 
@@ -416,9 +392,7 @@ def _exact_rule_value(seed, model, fv, rule, replications) -> McEstimate:
 _CHUNK = 10_000  # fixed: chunk boundaries are part of the stream layout
 
 
-def mc_bm_rule_values(
-    seed: int, model: BmModel, f, rules, replications: int | None = None
-) -> list:
+def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     """Estimate E[f(M_T - B_tau)] for several BmRules on shared simulated paths,
     one McEstimate per rule, in order.
 
@@ -426,7 +400,7 @@ def mc_bm_rule_values(
     the rest run on bridge-max-refined Euler paths of model.mc.steps steps.
     """
     fv = _vectorized_reward(f)
-    reps = model.mc.replications if replications is None else replications
+    reps = model.mc.replications
 
     results: dict = {}
     grid_rules = []
@@ -442,7 +416,7 @@ def mc_bm_rule_values(
     if steps < 1:
         raise ValueError("need at least one step per path")
     dt = model.T / steps
-    eps = model.mc.eps_coeff * math.sqrt(dt)
+    eps = _EPS_COEFF * math.sqrt(dt)
     collected = {idx: [] for idx, _r in grid_rules}
 
     done = 0
@@ -482,7 +456,5 @@ def mc_bm_rule_values(
     return [results[i] for i in range(len(rules))]
 
 
-def mc_bm_rule_value(
-    seed: int, model: BmModel, f, rule: BmRule, replications: int | None = None
-) -> McEstimate:
-    return mc_bm_rule_values(seed, model, f, [rule], replications)[0]
+def mc_bm_rule_value(seed: int, model: BmModel, f, rule: BmRule) -> McEstimate:
+    return mc_bm_rule_values(seed, model, f, [rule])[0]

@@ -270,7 +270,7 @@ def cmd_oracle(args) -> int:
 
 
 def _discrete_reward_family(n: int) -> list:
-    fam = [
+    return [
         ("indicator_top", rewards.indicator_top_reward()),
         ("geometric:1/2", rewards.geometric_reward(Fraction(1, 2))),
         ("geometric:3/4", rewards.geometric_reward(Fraction(3, 4))),
@@ -278,7 +278,6 @@ def _discrete_reward_family(n: int) -> list:
         ("linear", rewards.linear_reward(2 * n + 1)),
         ("convex_table", rewards.table_reward([max(0, n - 2 * k) for k in range(2 * n + 2)])),
     ]
-    return fam
 
 
 def cmd_verify_discrete(args) -> int:
@@ -300,11 +299,15 @@ def cmd_verify_discrete(args) -> int:
     record("reflection+time_reversal grid", not failures)
 
     ineq_ok = True
+    ineq_horizon = DEFAULT_INEQ_N + DEFAULT_INEQ_I
+    ineq_family = [
+        (name, f, rewards.classify(f, horizon=2 * ineq_horizon + 1))
+        for name, f in _discrete_reward_family(ineq_horizon)
+    ]
     for p in [pp for pp in DEFAULT_P_GRID if pp >= Fraction(1, 2)]:
         for n in range(0, DEFAULT_INEQ_N + 1):
             w = walkdist.WalkParams(p, n)
-            for name, f in _discrete_reward_family(DEFAULT_INEQ_N + DEFAULT_INEQ_I):
-                flags = rewards.classify(f, horizon=2 * (DEFAULT_INEQ_N + DEFAULT_INEQ_I) + 1)
+            for name, f, flags in ineq_family:
                 for i in range(0, DEFAULT_INEQ_I + 1):
                     key = walkdist.check_key_inequality(w, f, i)
                     cor = walkdist.check_corollary(w, f, i)
@@ -324,10 +327,11 @@ def cmd_verify_discrete(args) -> int:
     record("key_inequality+corollary grid", ineq_ok)
 
     thm_ok = True
+    families = {n: _discrete_reward_family(n) for n in DEFAULT_N_GRID}
     for p in DEFAULT_P_GRID:
         for n in DEFAULT_N_GRID:
             w = walkdist.WalkParams(p, n)
-            for name, f in _discrete_reward_family(n):
+            for name, f in families[n]:
                 rep = dpsolver.solve(w, f)
                 ok = True
                 if p <= Fraction(1, 2):

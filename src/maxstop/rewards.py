@@ -8,7 +8,7 @@ for them on {0..N} only, so `classify` decides them there, by checking
 first and second differences on all points, in exact rational arithmetic
 whenever the parameters are rational.
 
-Built-in families:
+Built-in families, each defined by its constructor alone:
 
 ``table``                   f given by N+1 values on {0..N}
 ``geometric``               f(k) = d**k, 0 < d < 1
@@ -24,22 +24,16 @@ Built-in families:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
-
-_KINDS = {
-    "table",
-    "exp_decay",
-    "geometric",
-    "indicator_top",
-    "power_penalty_negated",
-    "linear",
-    "custom_table",
-}
 
 
 class RewardDomainError(ValueError):
@@ -59,40 +53,23 @@ def as_rational(x):
     raise TypeError(f"cannot interpret {x!r} as a number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewardSpec:
-    """A reward function plus the metadata needed to evaluate and classify it."""
+    """A reward function, built by one of the constructors below.
+
+    The constructor checks the parameters once and binds every form of f:
+    `at` is f at one argument, exact on integers for the rational kinds;
+    `array` is f on a numpy array, None for a kind with no continuous form;
+    `nodes` are the kinks of a piecewise-linear f; `size` is a table's
+    length.  Equality is identity, since the forms are closures.
+    """
 
     kind: str
-    params: dict = field(default_factory=dict)
-    domain: str = DISCRETE
-    table: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown reward kind {self.kind!r}")
-        if self.domain not in (DISCRETE, CONTINUOUS):
-            raise ValueError(f"domain must be 'discrete' or 'continuous', got {self.domain!r}")
-        if self.kind == "table":
-            if not self.table:
-                raise ValueError("table reward needs a nonempty value table")
-            object.__setattr__(self, "table", tuple(as_rational(v) for v in self.table))
-        if self.kind == "geometric":
-            d = as_rational(self.params["d"])
-            if not 0 < d < 1:
-                raise ValueError(f"geometric reward needs 0 < d < 1, got {d}")
-        if self.kind == "exp_decay":
-            if not self.params["sigma"] > 0:
-                raise ValueError("exp_decay reward needs sigma > 0")
-        if self.kind == "power_penalty_negated":
-            if not 0 < self.params["alpha"] < 1:
-                raise ValueError("power_penalty_negated needs 0 < alpha < 1")
-        if self.kind == "custom_table":
-            xs, ys = self.params["xs"], self.params["ys"]
-            if len(xs) != len(ys) or len(xs) < 2:
-                raise ValueError("custom_table needs matching xs/ys with >= 2 points")
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ValueError("custom_table xs must be strictly increasing")
+    domain: str
+    at: Callable
+    array: Callable | None = None
+    nodes: tuple = ()
+    size: int | None = None
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -109,43 +86,7 @@ def evaluate(f: RewardSpec, x):
         raise ValueError(f"discrete reward evaluated at non-integer {x}")
     if x < 0:
         raise ValueError(f"reward argument must be >= 0, got {x}")
-
-    if f.kind == "table":
-        k = int(x)
-        if k >= len(f.table):
-            raise ValueError(f"table reward has {len(f.table)} entries, index {k} out of range")
-        return f.table[k]
-    if f.kind == "geometric":
-        d = as_rational(f.params["d"])
-        if f.domain == DISCRETE or (isinstance(x, int) or float(x).is_integer()):
-            return d ** int(x)
-        return float(d) ** float(x)
-    if f.kind == "exp_decay":
-        return math.exp(-f.params["sigma"] * float(x))
-    if f.kind == "indicator_top":
-        return Fraction(1) if x == 0 else Fraction(0)
-    if f.kind == "power_penalty_negated":
-        return -(float(x) ** f.params["alpha"])
-    if f.kind == "linear":
-        c = as_rational(f.params["c"])
-        if isinstance(c, Fraction) and (isinstance(x, (int, Fraction)) or float(x).is_integer()):
-            return c - Fraction(x)
-        return float(c) - float(x)
-    if f.kind == "custom_table":
-        return _interp_clamped(f.params["xs"], f.params["ys"], float(x))
-    raise AssertionError(f.kind)
-
-
-def _interp_clamped(xs, ys, x):
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    for i in range(len(xs) - 1):
-        if xs[i] <= x <= xs[i + 1]:
-            w = (x - xs[i]) / (xs[i + 1] - xs[i])
-            return ys[i] * (1 - w) + ys[i + 1] * w
-    raise AssertionError
+    return f.at(x)
 
 
 @dataclass(frozen=True)
@@ -183,9 +124,9 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
     if f.domain != DISCRETE:
         raise ValueError(f"classify needs a discrete-domain reward, got domain {f.domain!r}")
     if horizon is None:
-        if f.kind != "table":
+        if f.size is None:
             raise ValueError("classify on a closed-form discrete reward needs a horizon")
-        horizon = len(f.table) - 1
+        horizon = f.size - 1
     values = [evaluate(f, k) for k in range(horizon + 1)]
     d1 = [b - a for a, b in zip(values, values[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]
@@ -203,32 +144,76 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
 
 
 def table_reward(values) -> RewardSpec:
-    return RewardSpec(kind="table", table=tuple(values))
+    table = tuple(as_rational(v) for v in values)
+    if not table:
+        raise ValueError("table reward needs a nonempty value table")
+
+    def at(x):
+        k = int(x)
+        if k >= len(table):
+            raise ValueError(f"table reward has {len(table)} entries, index {k} out of range")
+        return table[k]
+
+    return RewardSpec("table", DISCRETE, at, size=len(table))
 
 
 def geometric_reward(d) -> RewardSpec:
-    return RewardSpec(kind="geometric", params={"d": as_rational(d)})
+    d = as_rational(d)
+    if not 0 < d < 1:
+        raise ValueError(f"geometric reward needs 0 < d < 1, got {d}")
+    d_float = float(d)
+    return RewardSpec("geometric", DISCRETE, lambda x: d ** int(x), lambda x: np.power(d_float, x))
 
 
 def indicator_top_reward() -> RewardSpec:
-    return RewardSpec(kind="indicator_top")
+    return RewardSpec("indicator_top", DISCRETE, lambda x: Fraction(1) if x == 0 else Fraction(0))
 
 
 def linear_reward(c, domain=DISCRETE) -> RewardSpec:
-    return RewardSpec(kind="linear", params={"c": as_rational(c)}, domain=domain)
+    if domain not in (DISCRETE, CONTINUOUS):
+        raise ValueError(f"domain must be 'discrete' or 'continuous', got {domain!r}")
+    c = as_rational(c)
+
+    def at(x):
+        if isinstance(c, Fraction) and (isinstance(x, (int, Fraction)) or float(x).is_integer()):
+            return c - Fraction(x)
+        return float(c) - float(x)
+
+    # float(c) on use, so an exact c beyond float range still solves exactly
+    return RewardSpec("linear", domain, at, lambda x: float(c) - x)
 
 
 def exp_decay_reward(sigma: float) -> RewardSpec:
-    return RewardSpec(kind="exp_decay", params={"sigma": sigma}, domain=CONTINUOUS)
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"exp_decay reward needs a finite sigma > 0, got {sigma}")
+    return RewardSpec(
+        "exp_decay", CONTINUOUS,
+        lambda x: math.exp(-sigma * float(x)), lambda x: np.exp(-sigma * x),
+    )
 
 
 def power_penalty_reward(alpha: float) -> RewardSpec:
-    return RewardSpec(kind="power_penalty_negated", params={"alpha": alpha}, domain=CONTINUOUS)
+    if not 0 < alpha < 1:
+        raise ValueError("power_penalty_negated needs 0 < alpha < 1")
+    alpha = float(alpha)
+    return RewardSpec(
+        "power_penalty_negated", CONTINUOUS,
+        lambda x: -(float(x) ** alpha), lambda x: -np.power(x, alpha),
+    )
 
 
 def custom_table_reward(xs, ys) -> RewardSpec:
+    xs, ys = tuple(map(float, xs)), tuple(map(float, ys))
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise ValueError("custom_table needs matching xs/ys with >= 2 points")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("custom_table needs finite xs and ys")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("custom_table xs must be strictly increasing")
+    array = functools.partial(np.interp, xp=np.array(xs), fp=np.array(ys))
     return RewardSpec(
-        kind="custom_table", params={"xs": tuple(xs), "ys": tuple(ys)}, domain=CONTINUOUS
+        "custom_table", CONTINUOUS, lambda x: float(array(float(x))), array, nodes=xs
     )
 
 
@@ -240,8 +225,7 @@ def exp_decay_table(sigma, horizon: int, max_denominator: int = 10**12) -> Rewar
     the strict convexity and strict decrease of exp(-sigma*x) survive the
     rounding and can then be certified exactly on the table.
     """
-    vals = [
+    return table_reward(
         Fraction(math.exp(-float(sigma) * k)).limit_denominator(max_denominator)
         for k in range(horizon + 1)
-    ]
-    return RewardSpec(kind="table", table=tuple(vals))
+    )

@@ -258,15 +258,15 @@ class TestMcRules:
             assert est.stderr == 0.0
 
     def test_tau0_matches_quadrature(self):
-        model = bm.BmModel(lam=-1.0, T=1.0)
-        est = bm.mc_bm_rule_value(7, model, EXP1, bm.BmRule("tau0"), replications=100_000)
+        model = bm.BmModel(lam=-1.0, T=1.0, mc=bm.McConfig(replications=100_000))
+        est = bm.mc_bm_rule_value(7, model, EXP1, bm.BmRule("tau0"))
         exact = bm.g_bm(1.0, 0.0, -1.0, EXP1, QUAD)
         assert abs(est.estimate - exact.value) < 4 * est.stderr
         assert est.steps is None  # exact sampler, no discretization
 
     def test_tauT_matches_quadrature(self):
-        model = bm.BmModel(lam=1.0, T=1.0)
-        est = bm.mc_bm_rule_value(8, model, EXP1, bm.BmRule("tauT"), replications=100_000)
+        model = bm.BmModel(lam=1.0, T=1.0, mc=bm.McConfig(replications=100_000))
+        est = bm.mc_bm_rule_value(8, model, EXP1, bm.BmRule("tauT"))
         exact = bm.dtilde_bm(1.0, 0.0, 1.0, EXP1, QUAD)
         assert abs(est.estimate - exact.value) < 4 * est.stderr
 

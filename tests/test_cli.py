@@ -426,16 +426,28 @@ class TestBmCommands:
                 assert math.isfinite(estimate["value"]) and math.isfinite(estimate["stderr"])
 
     def test_discrete_only_reward_is_config_error(self, capsys):
-        code = cli.main(
-            ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "10",
-             "--rule", "tau0", "--reward", "table:1,1,0"]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "configuration error: reward kind 'table' has no continuous evaluation\n"
-        )
+        for reward, kind in (("table:1,1,0", "table"), ("indicator_top", "indicator_top")):
+            code = cli.main(
+                ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "10",
+                 "--rule", "tau0", "--reward", reward]
+            )
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (
+                f"configuration error: reward kind {kind!r} has no continuous evaluation\n"
+            )
+
+    def test_non_finite_reward_parameter_is_config_error(self, capsys):
+        for reward in ("piecewise:0=nan,1=0", "piecewise:nan=1,1=0", "exp_decay:inf"):
+            code = cli.main(
+                ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "10",
+                 "--rule", "tau0", "--reward", reward]
+            )
+            captured = capsys.readouterr()
+            assert code == 2, reward
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error:"), captured.err
 
     def test_non_finite_report_value_is_internal_error(self, capsys, monkeypatch):
         def nan_estimate(*args, **kwargs):

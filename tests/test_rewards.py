@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,7 @@ class TestEvaluate:
         f = linear_reward(3)
         assert evaluate(f, 2) == 1
         assert evaluate(f, 5) == -2
+        assert evaluate(linear_reward(10**400), 3) == 10**400 - 3  # beyond float range
 
     def test_custom_table_interpolates_and_clamps(self):
         f = rewards.custom_table_reward([0.0, 2.0], [1.0, 0.0])
@@ -60,6 +63,38 @@ class TestEvaluate:
             rewards.exp_decay_reward(-1.0)
         with pytest.raises(ValueError):
             rewards.power_penalty_reward(1.5)
+
+    def test_non_finite_params_rejected(self):
+        for build in (
+            lambda: rewards.custom_table_reward([0.0, 1.0], [math.nan, 0.0]),
+            lambda: rewards.custom_table_reward([math.nan, 1.0], [1.0, 0.0]),
+            lambda: rewards.custom_table_reward([0.0, math.inf], [1.0, 0.0]),
+            lambda: rewards.exp_decay_reward(math.inf),
+            lambda: rewards.exp_decay_reward(math.nan),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
+
+class TestForms:
+    def test_array_form_matches_exact_form(self):
+        ints = list(range(13))
+        grid = ints + np.linspace(0.0, 12.0, 97).tolist()
+        for f, xs in (
+            (geometric_reward(Fraction(2, 3)), ints),
+            (linear_reward(Fraction(7, 2)), ints),
+            (linear_reward(Fraction(7, 2), domain=rewards.CONTINUOUS), grid),
+            (rewards.exp_decay_reward(0.7), grid),
+            (rewards.power_penalty_reward(0.5), grid),
+            (rewards.custom_table_reward([0.0, 1.0, 3.0, 6.0], [2.0, 1.0, 0.5, 0.25]), grid),
+        ):
+            np.testing.assert_allclose(
+                f.array(np.array(xs)), [float(f(x)) for x in xs], rtol=1e-14, atol=0, err_msg=f.kind
+            )
+
+    def test_discrete_only_kinds_have_no_array_form(self):
+        assert table_reward([1, 0]).array is None
+        assert indicator_top_reward().array is None
 
 
 class TestClassify:
