@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .rewards import RewardDomainError
+from .rewards import RewardDomainError, rational_numerators
 from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
 
 STOP = "STOP"
@@ -133,14 +132,7 @@ def _reward_numerators(f, n: int) -> tuple:
         vals = [f(z) for z in range(n + 1)]
     except ValueError as e:
         raise RewardDomainError(f"reward must be defined on 0..{n}: {e}") from e
-    for z, v in enumerate(vals):
-        if not isinstance(v, (int, Fraction)):
-            raise RewardDomainError(
-                f"reward value f({z}) = {v!r} is not rational; exact solving needs a rational reward"
-            )
-    vals = [Fraction(v) for v in vals]
-    den = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
+    return rational_numerators(vals)
 
 
 def _g_rows(w: WalkParams, fnum: list):

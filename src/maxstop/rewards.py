@@ -53,6 +53,22 @@ def as_rational(x):
     raise TypeError(f"cannot interpret {x!r} as a number")
 
 
+def rational_numerators(values: list) -> tuple:
+    """(numerators, D): exact values f(0), f(1), ... as integers over their
+    least common denominator D.
+
+    Raises RewardDomainError at the first value that is not an int or a
+    Fraction, naming its argument.
+    """
+    for z, v in enumerate(values):
+        if not isinstance(v, (int, Fraction)):
+            raise RewardDomainError(
+                f"reward value f({z}) = {v!r} is not rational; exact arithmetic needs a rational reward"
+            )
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 @dataclass(frozen=True, eq=False)
 class RewardSpec:
     """A reward function, built by one of the constructors below.
@@ -173,6 +189,13 @@ def linear_reward(c, domain=DISCRETE) -> RewardSpec:
     if domain not in (DISCRETE, CONTINUOUS):
         raise ValueError(f"domain must be 'discrete' or 'continuous', got {domain!r}")
     c = as_rational(c)
+    if domain == CONTINUOUS:
+        try:
+            in_range = math.isfinite(float(c))
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError("continuous linear reward needs a finite c within float range")
 
     def at(x):
         if isinstance(c, Fraction) and (isinstance(x, (int, Fraction)) or float(x).is_integer()):
@@ -211,6 +234,10 @@ def custom_table_reward(xs, ys) -> RewardSpec:
         raise ValueError("custom_table needs finite xs and ys")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("custom_table xs must be strictly increasing")
+    rises = [b - a for a, b in zip(ys, ys[1:])]
+    slopes = [dy / (b - a) for dy, a, b in zip(rises, xs, xs[1:])]
+    if not all(map(math.isfinite, rises + slopes)):
+        raise ValueError("custom_table needs finite differences and slopes between its points")
     array = functools.partial(np.interp, xp=np.array(xs), fp=np.array(ys))
     return RewardSpec(
         "custom_table", CONTINUOUS, lambda x: float(array(float(x))), array, nodes=xs

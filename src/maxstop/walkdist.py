@@ -11,9 +11,13 @@ inequalities, not up to tolerance.  Two forward passes compute laws:
   reversal, M_k under p has the law of Z_k under q (`max_laws`), and
   (i v M_k) - S_k is the drawdown chain started at i (`d_value`).
 - The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
-  in O(n^3) Fraction work.  It is reference only: the independent route
-  behind `joint_pmf` and the exact reflection and time-reversal checks
-  that the kernel rests on.
+  as integer numerators over b^n, in O(n^3) integer work.  It is
+  reference only: the independent route behind `joint_pmf` and the exact
+  reflection and time-reversal checks that the kernel rests on.
+
+The value functions and checks work on the reward's numerators over one
+common denominator and build one Fraction per reported value; a reward
+that is not rational raises RewardDomainError, as in the solver.
 
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
@@ -22,9 +26,12 @@ Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .rewards import rational_numerators
 
 
 @dataclass(frozen=True)
@@ -77,23 +84,28 @@ class JointLaw:
 
 @lru_cache(maxsize=4096)
 def _forward_laws(p, n: int) -> dict:
-    """Joint law of (M_n, S_n), one forward pass over k = 0..n."""
-    q = 1 - p
-    law = {(0, 0): Fraction(1)}
+    """Joint law of (M_n, S_n) as integer numerators over b**n, p = a/b.
+
+    One forward pass over k = 0..n: an up-step carries weight a, a
+    down-step weight b - a.
+    """
+    up, down = p.numerator, p.denominator - p.numerator
+    law = {(0, 0): 1}
     for _ in range(n):
         nxt = {}
-        for (k, l), pr in law.items():
-            up = (max(k, l + 1), l + 1)
-            dn = (k, l - 1)
-            nxt[up] = nxt.get(up, 0) + pr * p
-            nxt[dn] = nxt.get(dn, 0) + pr * q
+        for (k, l), c in law.items():
+            key = (max(k, l + 1), l + 1)
+            nxt[key] = nxt.get(key, 0) + c * up
+            key = (k, l - 1)
+            nxt[key] = nxt.get(key, 0) + c * down
         law = nxt
     return law
 
 
 def joint_pmf(w: WalkParams) -> JointLaw:
     """Exact pmf of (M_n, S_n); total mass is exactly 1."""
-    return JointLaw(w.n, dict(_forward_laws(w.p, w.n)))
+    den = w.p.denominator**w.n
+    return JointLaw(w.n, {key: Fraction(c, den) for key, c in _forward_laws(w.p, w.n).items()})
 
 
 def drawdown_laws(w: WalkParams, start: int = 0):
@@ -133,37 +145,48 @@ def final_law(rows) -> list:
 def reflection_check(w: WalkParams) -> bool:
     """(M_n - S_n, S_n) under p has the same law as (M_n, -S_n) under q.
 
-    Compares the pushforward of the p-law under (k,l) -> (k-l, l) with the
-    pushforward of the q-law under (k,l) -> (k, -l), exactly.
+    Both maps, (k,l) -> (k-l, l) and (k,l) -> (k, -l), are one-to-one, so
+    each pushforward relabels a law.  With p = a/b reduced, q = (b-a)/b, so
+    both laws are numerators over b**n and compare as integers.
     """
-    lhs = {}
-    for (k, l), pr in joint_pmf(w).entries.items():
-        key = (k - l, l)
-        lhs[key] = lhs.get(key, 0) + pr
-    rhs = {}
-    for (k, l), pr in joint_pmf(w.swapped()).entries.items():
-        key = (k, -l)
-        rhs[key] = rhs.get(key, 0) + pr
+    lhs = {(k - l, l): c for (k, l), c in _forward_laws(w.p, w.n).items()}
+    rhs = {(k, -l): c for (k, l), c in _forward_laws(w.q, w.n).items()}
     return lhs == rhs
 
 
 def time_reversal_check(w: WalkParams) -> bool:
-    """Law of M_n under p equals the law of Z_n = M_n - S_n under q, exactly."""
-    return joint_pmf(w).max_marginal() == joint_pmf(w.swapped()).drawdown_marginal()
+    """Law of M_n under p equals the law of Z_n = M_n - S_n under q, exactly
+    (integer numerators over b**n, as in `reflection_check`)."""
+    lhs, rhs = [0] * (w.n + 1), [0] * (w.n + 1)
+    for (k, _l), c in _forward_laws(w.p, w.n).items():
+        lhs[k] += c
+    for (k, l), c in _forward_laws(w.q, w.n).items():
+        rhs[k - l] += c
+    return lhs == rhs
 
 
-def g_value(w: WalkParams, f, k: int, i: int):
-    """G(k, i) = E[f(i v M_k)] under the w.p walk."""
+def _check_args(w: WalkParams, k: int, i: int):
     if k > w.n:
         raise ValueError(f"steps remaining {k} exceeds configured horizon {w.n}")
     if i < 0:
         raise ValueError("drawdown must be >= 0")
-    den = w.p.denominator**k
+
+
+def _expect_max(law: list, fnum: list, i: int) -> int:
+    """Sum of law[m] * fnum[i v m]: the numerator of E[f(i v X)] when law is
+    the numerator law of X and fnum the numerators of f from 0."""
+    return sum(law[: i + 1]) * fnum[i] + sum(map(operator.mul, law[i + 1 :], fnum[i + 1 :]))
+
+
+def g_value(w: WalkParams, f, k: int, i: int) -> Fraction:
+    """G(k, i) = E[f(i v M_k)] under the w.p walk."""
+    _check_args(w, k, i)
+    fnum, den = rational_numerators([f(z) for z in range(max(i, k) + 1)])
     law = final_law(max_laws(w.at_horizon(k)))
-    return sum(Fraction(c, den) * f(max(i, m)) for m, c in enumerate(law))
+    return Fraction(_expect_max(law, fnum, i), w.p.denominator**k * den)
 
 
-def d_value(w: WalkParams, f, k: int, i: int):
+def d_value(w: WalkParams, f, k: int, i: int) -> Fraction:
     """E[f((i v M_k) - S_k)] under the w.p walk.
 
     (i v M_k) - S_k is the drawdown chain started at i, so its law is row k
@@ -172,13 +195,10 @@ def d_value(w: WalkParams, f, k: int, i: int):
     bang-bang argument, called on the p-walk itself it values running to
     the horizon from drawdown i.
     """
-    if k > w.n:
-        raise ValueError(f"steps remaining {k} exceeds configured horizon {w.n}")
-    if i < 0:
-        raise ValueError("drawdown must be >= 0")
-    den = w.p.denominator**k
+    _check_args(w, k, i)
+    fnum, den = rational_numerators([f(z) for z in range(i + k + 1)])
     law = final_law(drawdown_laws(w.at_horizon(k), start=i))
-    return sum(Fraction(c, den) * f(z) for z, c in enumerate(law))
+    return Fraction(sum(map(operator.mul, law, fnum)), w.p.denominator**k * den)
 
 
 @dataclass(frozen=True)
@@ -190,8 +210,8 @@ class InequalityReport:
     when the proof's integrand gap psi is strictly positive there.
     """
 
-    lhs: Fraction | float
-    rhs: Fraction | float
+    lhs: Fraction
+    rhs: Fraction
     strict: bool
     witness: tuple | None = None
 
@@ -209,25 +229,32 @@ def _psi(f, i: int, k: int, l: int):
     return (f(max(i, k) - l) - f(max(i, k))) - (f(max(i, k - l)) - f(max(i, k - l) + l))
 
 
+def _check_against(w: WalkParams, f, i: int, rhs_law: list) -> InequalityReport:
+    """E[f((i v M_n) - S_n)] against E[f(i v X)], X with numerator law rhs_law.
+
+    Both sides are numerators over b**n * D, D the common denominator of
+    f(0..i+n), so the comparison is between integers.
+    """
+    n = w.n
+    _check_args(w, n, i)
+    fnum, den = rational_numerators([f(z) for z in range(i + n + 1)])
+    den *= w.p.denominator**n
+    lhs = sum(map(operator.mul, final_law(drawdown_laws(w, start=i)), fnum))
+    rhs = _expect_max(rhs_law, fnum, i)
+    witness = (n, n) if n > 0 and _psi(fnum.__getitem__, i, n, n) > 0 else None
+    return InequalityReport(Fraction(lhs, den), Fraction(rhs, den), lhs > rhs, witness)
+
+
 def check_key_inequality(w: WalkParams, f, i: int) -> InequalityReport:
     """E[f((i v M_n) - S_n)] >= E[f(i v (M_n - S_n))] under the w.p walk.
 
     Holds for every nonincreasing convex f when p >= 1/2; the operation
-    itself accepts any f and reports the raw values.  Needs f defined up to
-    i + n (the worst path ends n below the start).
+    itself accepts any f and reports the raw values.  Needs f defined and
+    rational up to i + n (the worst path ends n below the start).
     """
-    n = w.n
-    lhs = d_value(w, f, n, i)
-    den = w.p.denominator**n
-    rhs = sum(Fraction(c, den) * f(max(i, z)) for z, c in enumerate(final_law(drawdown_laws(w))))
-    witness = (n, n) if n > 0 and _psi(f, i, n, n) > 0 else None
-    return InequalityReport(lhs=lhs, rhs=rhs, strict=lhs > rhs, witness=witness)
+    return _check_against(w, f, i, final_law(drawdown_laws(w)))
 
 
 def check_corollary(w: WalkParams, f, i: int) -> InequalityReport:
     """E[f((i v M_n) - S_n)] >= E[f(i v M_n)] under the w.p walk."""
-    n = w.n
-    lhs = d_value(w, f, n, i)
-    rhs = g_value(w, f, n, i)
-    witness = (n, n) if n > 0 and _psi(f, i, n, n) > 0 else None
-    return InequalityReport(lhs=lhs, rhs=rhs, strict=lhs > rhs, witness=witness)
+    return _check_against(w, f, i, final_law(max_laws(w)))

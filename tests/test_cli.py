@@ -449,6 +449,17 @@ class TestBmCommands:
             assert captured.out == ""
             assert captured.err.startswith("configuration error:"), captured.err
 
+    def test_reward_beyond_float_range_is_config_error(self, capsys):
+        for reward in ("linear_continuous:1e400", "piecewise:0=1e308,1=-1e308"):
+            code = cli.main(
+                ["bm-mc", "--lam", "0.0", "--steps", "5", "--replications", "100",
+                 "--rule", "tau0", "--reward", reward]
+            )
+            captured = capsys.readouterr()
+            assert code == 2, reward
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error:"), captured.err
+
     def test_non_finite_report_value_is_internal_error(self, capsys, monkeypatch):
         def nan_estimate(*args, **kwargs):
             return coupling.McEstimate(float("nan"), 0.0, 10)

@@ -75,6 +75,16 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="finite"):
                 build()
 
+    def test_float_overflow_rejected(self):
+        for build in (
+            lambda: rewards.custom_table_reward([0.0, 1.0], [1e308, -1e308]),  # the rise overflows
+            lambda: rewards.custom_table_reward([0.0, 1e-300], [1e10, 0.0]),  # the slope overflows
+            lambda: rewards.linear_reward(Fraction(10**400), rewards.CONTINUOUS),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+        assert rewards.linear_reward(Fraction(10**400))(1) == 10**400 - 1  # discrete c stays exact
+
 
 class TestForms:
     def test_array_form_matches_exact_form(self):

@@ -12,6 +12,7 @@ from maxstop.walkdist import (
     check_key_inequality,
     d_value,
     drawdown_laws,
+    final_law,
     g_value,
     joint_pmf,
     max_laws,
@@ -104,7 +105,7 @@ class TestDrawdownKernel:
             m_laws = _rows_as_laws(max_laws(w), p.denominator)
             z_laws = _rows_as_laws(drawdown_laws(w), p.denominator)
             laws = _joint_laws(p, 40)
-            assert laws[40] == walkdist._forward_laws(p, 40), p
+            assert laws[40] == joint_pmf(WalkParams(p, 40)).entries, p
             for n, entries in enumerate(laws):
                 law = JointLaw(n, entries)
                 assert m_laws[n] == law.max_marginal(), (p, n)
@@ -129,6 +130,23 @@ class TestReflectionAndReversal:
                 w = WalkParams(p, n)
                 assert reflection_check(w)
                 assert time_reversal_check(w)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3)])
+    def test_checks_fail_on_one_wrong_numerator(self, monkeypatch, p):
+        """One q-law numerator off by one fails both checks."""
+        w = WalkParams(p, 5)
+        real = walkdist._forward_laws
+
+        def off_by_one(pp, n):
+            law = dict(real(pp, n))
+            if pp == w.q:
+                key = max(law)
+                law[key] += 1
+            return law
+
+        monkeypatch.setattr(walkdist, "_forward_laws", off_by_one)
+        assert not reflection_check(w)
+        assert not time_reversal_check(w)
 
 
 class TestValues:
@@ -183,6 +201,37 @@ class TestValues:
         for k in range(7):
             vals = [g_value(w, GEOM_HALF, k, i) for i in range(8)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    @given(
+        p=rational_p,
+        n=st.integers(min_value=0, max_value=6),
+        i=st.integers(min_value=0, max_value=5),
+        table=st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=12, max_size=12
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_values_match_fraction_sums(self, p, n, i, table):
+        """The integer-numerator values equal plain Fraction sums over the kernel laws."""
+        f = rewards.table_reward(table)
+        w = WalkParams(p, n)
+        b = p.denominator
+
+        def expect(rows, k, g):
+            return sum(Fraction(c, b**k) * g(x) for x, c in enumerate(final_law(rows)))
+
+        for k in range(n + 1):
+            assert g_value(w, f, k, i) == expect(max_laws(w.at_horizon(k)), k, lambda m: f(max(i, m)))
+            assert d_value(w, f, k, i) == expect(drawdown_laws(w.at_horizon(k), start=i), k, f)
+        lhs = expect(drawdown_laws(w, start=i), n, f)
+        rhs = expect(drawdown_laws(w), n, lambda z: f(max(i, z)))
+        rep = check_key_inequality(w, f, i)
+        assert (rep.lhs, rep.rhs, rep.strict) == (lhs, rhs, lhs > rhs)
+
+    def test_float_reward_rejected(self):
+        f = rewards.table_reward([0.5, 0.25, 0.0])
+        with pytest.raises(rewards.RewardDomainError, match=r"f\(0\) = 0\.5 is not rational"):
+            d_value(WalkParams(Fraction(1, 2), 2), f, 2, 0)
 
     def test_horizon_guard(self):
         with pytest.raises(ValueError):
