@@ -59,7 +59,6 @@ from .coupling import (  # noqa: F401
     CoupledPaths,
     McEstimate,
     mc_rule_value,
-    mc_time_reversal_check,
     simulate,
 )
 from .brownian import (  # noqa: F401

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import McEstimate, _rng
+from .coupling import McEstimate, _blocks, _rng
 from .rewards import RewardDomainError, RewardSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -419,11 +419,8 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     eps = _EPS_COEFF * math.sqrt(dt)
     collected = {idx: [] for idx, _r in grid_rules}
 
-    done = 0
-    chunk_id = 0
-    while done < reps:
-        count = min(_CHUNK, reps - done)
-        gen = _rng(seed, 1 + chunk_id)  # stream 0 is the exact sampler
+    # stream 0 is the exact sampler
+    for gen, count in _blocks(seed, reps, first_stream=1, size=_CHUNK):
         b = np.zeros(count)
         m = np.zeros(count)
         stopped = {idx: np.zeros(count, dtype=bool) for idx, _r in grid_rules}
@@ -448,8 +445,6 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
                 stopped[idx] |= now
         for idx, _rule in grid_rules:
             collected[idx].append(np.asarray(fv(m - b_tau[idx]), dtype=float))
-        done += count
-        chunk_id += 1
 
     for idx, _rule in grid_rules:
         results[idx] = McEstimate.from_sample(np.concatenate(collected[idx]), steps)

@@ -136,7 +136,7 @@ def parse_reward(text: str, horizon: int | None = None) -> rewards.RewardSpec:
             xs = [float(a) for a, _b in pts]
             ys = [float(b) for _a, b in pts]
             return rewards.custom_table_reward(xs, ys)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, ZeroDivisionError) as e:
         raise ConfigError(f"cannot parse reward {text!r}: {e}") from e
     raise ConfigError(f"unknown reward syntax {text!r}")
 
@@ -359,17 +359,10 @@ def cmd_simulate(args) -> int:
     ps = tuple(parse_probability(t) for t in args.ps.split(","))
     ordering_violations = 0
     endpoints = {p: [] for p in ps}
-    paths = []
     for cp in coupling.simulate(seed, args.n, ps, args.replications):
-        if not cp.check_ordering():
-            ordering_violations += 1
+        ordering_violations += cp.ordering_violations()
         for p in ps:
-            endpoints[p].append(int(cp.s[p][-1]))
-        if args.csv_out and cp.replication < args.csv_limit:
-            paths.append(cp)
-    if args.csv_out:
-        with open(args.csv_out, "w") as fh:
-            fh.write(coupling.paths_to_csv(paths))
+            endpoints[p] += cp.s[p][:, -1].tolist()
 
     def mc_mean(vals):
         mean = sum(vals) / len(vals)
@@ -583,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_range(0), required=True)
     sp.add_argument("--ps", required=True, help="comma-separated rationals, e.g. 1/4,3/4")
     sp.add_argument("--replications", type=_positive(int, "integer"), default=1000)
-    sp.add_argument("--csv-out", help="dump the first replications as CSV")
-    sp.add_argument("--csv-limit", type=_int_range(0), default=10)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")

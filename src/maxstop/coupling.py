@@ -10,55 +10,54 @@ stream per block of BLOCK replications spawned from the root SeedSequence:
 replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
 r // BLOCK.  A run with fewer replications draws a prefix of the same rows,
 so results are bit-identical for a given seed regardless of batching.
+`_blocks` is the one place that lays out streams; the Brownian simulator
+reads it too, with its own block size and first stream.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dpsolver import CONTINUE, PolicyTable
-from .walkdist import WalkParams, final_law, max_laws
+from .walkdist import WalkParams
 
 GENERATOR = "pcg64-v2"  # bump if the stream layout ever changes
 BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
+_CELLS = 2**16  # uniforms drawn at once by `simulate`; bounds a batch's memory
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def _blocks(seed: int, replications: int, first_stream: int = 0):
-    """(generator, row count) for each block of the stream layout."""
-    for block, start in enumerate(range(0, replications, BLOCK)):
-        yield _rng(seed, first_stream + block), min(BLOCK, replications - start)
+def _blocks(seed: int, replications: int, first_stream: int = 0, size: int = BLOCK):
+    """(generator, row count) for each block of `size` rows of the stream
+    layout; block b reads stream first_stream + b."""
+    for block, start in enumerate(range(0, replications, size)):
+        yield _rng(seed, first_stream + block), min(size, replications - start)
 
 
 @dataclass(frozen=True)
 class CoupledPaths:
-    """One replication of the common-uniform construction."""
+    """Consecutive replications of the common-uniform construction, one row each."""
 
-    seed: int
-    replication: int
-    n: int
     ps: tuple
-    s: dict  # p -> int array of S_0..S_n
+    s: dict  # p -> int array (rows, n + 1) of S_0..S_n
     m: dict  # p -> running max
     z: dict  # p -> drawdown
 
-    def check_ordering(self) -> bool:
-        """Pathwise: larger p gives pointwise larger walk and smaller drawdown."""
+    def ordering_violations(self) -> int:
+        """Rows where a larger p fails to give a pointwise larger walk and
+        smaller drawdown; the construction makes this 0."""
         ordered = sorted(self.ps)
+        bad = False
         for lo, hi in zip(ordered, ordered[1:]):
-            if not (self.s[hi] >= self.s[lo]).all():
-                return False
-            if not (self.z[hi] <= self.z[lo]).all():
-                return False
-        return True
+            bad = bad | (self.s[hi] < self.s[lo]).any(axis=1)
+            bad = bad | (self.z[hi] > self.z[lo]).any(axis=1)
+        return int(np.sum(bad))
 
 
 def _walk_arrays(uniforms: np.ndarray, p) -> tuple:
@@ -71,28 +70,24 @@ def _walk_arrays(uniforms: np.ndarray, p) -> tuple:
 
 
 def simulate(seed: int, n: int, ps, replications: int):
-    """Yield CoupledPaths, one per replication, deterministically per seed."""
+    """Yield CoupledPaths over consecutive slices of the replications,
+    deterministically per seed.
+
+    Each block's (rows, n) uniforms are drawn a slice of rows at a time;
+    row-major draws read the stream as one row at a time would, so the
+    slicing does not move any path.
+    """
     if replications < 1:
         raise ValueError("need at least one replication")
     ps = tuple(ps)
-    # each block's rows, drawn one at a time
-    rows = (gen.random(n) for gen, count in _blocks(seed, replications) for _ in range(count))
-    for r, u in enumerate(rows):
-        s, m, z = {}, {}, {}
-        for p in ps:
-            s[p], m[p], z[p] = _walk_arrays(u, p)
-        yield CoupledPaths(seed=seed, replication=r, n=n, ps=ps, s=s, m=m, z=z)
-
-
-def paths_to_csv(paths) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["replication", "k", "p", "S", "M", "Z"])
-    for cp in paths:
-        for p in cp.ps:
-            for k in range(cp.n + 1):
-                w.writerow([cp.replication, k, str(p), cp.s[p][k], cp.m[p][k], cp.z[p][k]])
-    return buf.getvalue()
+    rows = max(1, _CELLS // max(n, 1))
+    for gen, count in _blocks(seed, replications):
+        for start in range(0, count, rows):
+            u = gen.random((min(rows, count - start), n))
+            s, m, z = {}, {}, {}
+            for p in ps:
+                s[p], m[p], z[p] = _walk_arrays(u, p)
+            yield CoupledPaths(ps, s, m, z)
 
 
 @dataclass(frozen=True)
@@ -115,12 +110,6 @@ class McEstimate:
         return cls(float(vals.mean()), float((vals / scale).std() * scale / math.sqrt(n)), n, steps)
 
 
-def _batched_uniform_walks(seed: int, n: int, replications: int, p, first_stream: int = 0):
-    """(S, M, Z) arrays, one batch per block of the stream layout."""
-    for gen, count in _blocks(seed, replications, first_stream):
-        yield _walk_arrays(gen.random((count, n)), p)
-
-
 def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: int) -> McEstimate:
     """Unbiased Monte Carlo estimate of E[f(M_N - S_tau)] under a Markov rule."""
     n = w.n
@@ -133,7 +122,8 @@ def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: i
 
     f_lut = np.array([float(f(i)) for i in range(n + 1)])
     chunks = []
-    for s, m, z in _batched_uniform_walks(seed, n, replications, w.p):
+    for cp in simulate(seed, n, (w.p,), replications):
+        s, m, z = cp.s[w.p], cp.m[w.p], cp.z[w.p]
         reps = s.shape[0]
         stopped = np.zeros(reps, dtype=bool)
         s_tau = np.zeros(reps, dtype=np.int64)
@@ -143,45 +133,3 @@ def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: i
             stopped |= now
         chunks.append(f_lut[m[:, -1] - s_tau])
     return McEstimate.from_sample(np.concatenate(chunks))
-
-
-@dataclass(frozen=True)
-class TimeReversalReport:
-    """Empirical check that M_n under p matches Z_n under q in law."""
-
-    tv_max: float
-    tv_drawdown: float
-    tolerance: float
-    passed: bool
-
-
-def mc_time_reversal_check(
-    seed: int, w: WalkParams, replications: int, tolerance: float | None = None
-) -> TimeReversalReport:
-    """Simulate M_n under p and Z_n under q on independent streams and compare
-    each empirical law to its exact counterpart in total variation."""
-    n = w.n
-    if tolerance is None:
-        # ~4x the typical TV fluctuation of an empirical law on n+1 atoms
-        tolerance = 2.4 * math.sqrt((n + 1) / replications)
-
-    # the law of Z_n under q, which time reversal makes the law of M_n under p
-    den = w.p.denominator**n
-    exact = [c / den for c in final_law(max_laws(w))]
-
-    counts_m = np.zeros(n + 1)
-    counts_z = np.zeros(n + 1)
-    for s, m, z in _batched_uniform_walks(seed, n, replications, w.p):
-        counts_m += np.bincount(m[:, -1], minlength=n + 1)
-    p_blocks = -(-replications // BLOCK)  # the q-walk's blocks follow the p-walk's
-    for s, m, z in _batched_uniform_walks(seed, n, replications, w.q, first_stream=p_blocks):
-        counts_z += np.bincount(z[:, -1], minlength=n + 1)
-
-    tv_m = 0.5 * sum(abs(counts_m[k] / replications - exact[k]) for k in range(n + 1))
-    tv_z = 0.5 * sum(abs(counts_z[k] / replications - exact[k]) for k in range(n + 1))
-    return TimeReversalReport(
-        tv_max=float(tv_m),
-        tv_drawdown=float(tv_z),
-        tolerance=float(tolerance),
-        passed=bool(tv_m < tolerance and tv_z < tolerance),
-    )

@@ -252,7 +252,10 @@ def exp_decay_table(sigma, horizon: int, max_denominator: int = 10**12) -> Rewar
     the strict convexity and strict decrease of exp(-sigma*x) survive the
     rounding and can then be certified exactly on the table.
     """
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"exp_decay_table needs a finite sigma > 0, got {sigma}")
     return table_reward(
-        Fraction(math.exp(-float(sigma) * k)).limit_denominator(max_denominator)
+        Fraction(math.exp(-sigma * k)).limit_denominator(max_denominator)
         for k in range(horizon + 1)
     )

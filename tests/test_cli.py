@@ -53,6 +53,24 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "configuration error" in captured.err and "not rational" in captured.err
 
+    @pytest.mark.parametrize(
+        "reward", ["table:1/0,1,0", "linear:1/0", "geometric:1/0", "exp_decay_table:1/0"]
+    )
+    def test_zero_denominator_reward_is_config_error(self, reward, capsys):
+        code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", reward])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot parse reward {reward!r}")
+
+    @pytest.mark.parametrize("N", ["3", "800"])
+    def test_nonpositive_exp_decay_table_is_config_error(self, N, capsys):
+        code = cli.main(["solve", "--p", "1/2", "--N", N, "--reward", "exp_decay_table:-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "exp_decay_table needs a finite sigma > 0" in captured.err
+
     def test_reward_too_short_is_config_error(self, capsys):
         code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", "table:1,0"])
         captured = capsys.readouterr()
@@ -224,17 +242,14 @@ class TestOracleCommand:
 
 
 class TestSimulateCommand:
-    def test_ordering_and_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "paths.csv"
+    def test_ordering_and_csv(self, capsys):
         code, out = run_cli(
-            ["simulate", "--seed", "5", "--n", "30", "--ps", "1/4,3/4",
-             "--replications", "50", "--csv-out", str(csv_path)],
+            ["simulate", "--seed", "5", "--n", "30", "--ps", "1/4,3/4", "--replications", "50"],
             capsys,
         )
         assert code == 0
         rep = json.loads(out)
         assert rep["ordering_violations"] == 0
-        assert csv_path.read_text().startswith("replication,k,p,S,M,Z")
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_SEED, "77")
@@ -260,8 +275,7 @@ class TestSimulateCommand:
         (["simulate", "--ps", "1/2", "--n", "-1"], "--n", "an integer >= 0"),
         (["simulate", "--ps", "1/2", "--n", "3", "--replications", "0"], "--replications",
          "a positive integer"),
-        (["simulate", "--ps", "1/2", "--n", "3", "--csv-limit", "-1"], "--csv-limit",
-         "an integer >= 0"),
+        (["simulate", "--ps", "1/2", "--n", "2.5"], "--n", "an integer >= 0"),
         (["solve", "--p", "1/2", "--reward", "geometric:1/2", "--N", "-1"], "--N",
          "an integer >= 0"),
         (["evaluate", "--p", "1/2", "--reward", "geometric:1/2", "--policy", "tau0",
@@ -544,6 +558,15 @@ class TestSweepCommand:
             ["simulate", "--seed", "5", "--n", "40", "--ps", "1/4,3/4", "--replications", "200"],
             "b646a1405e90bb9bb49115f202122dcc599fb42e38155ac72cbe130f743b208a",
         ),
+        (  # one row past the first block: the second block opens stream 1
+            ["simulate", "--seed", "5", "--n", "3", "--ps", "1/4,3/4", "--replications", "20003"],
+            "b622caded27cd31105e1b43812abc30d085fbd9eee06cc30b2f33bafc29504e7",
+        ),
+        (  # three chunks of grid paths, streams 1..3
+            ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "10", "--replications", "20003",
+             "--rule", "drawdown:0", "--reward", "exp_decay:1.0"],
+            "c65171ee7a6738879048f79c806349a779419e1abbd8fff6832701366970a389",
+        ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],
             "8901af1f13559a542695d76fa5cd4a171df5fb0353b39a26d6d8ff53b7301660",
@@ -557,7 +580,8 @@ class TestSweepCommand:
             "433d4698fd2773960890dfbc8f5f1b9377919682e3a637f9470a53ce22c039e5",
         ),
     ],
-    ids=["bm-mc", "bm-mc-exact-constant", "simulate", "sweep", "bm-verify", "verify-discrete"],
+    ids=["bm-mc", "bm-mc-exact-constant", "simulate", "simulate-two-blocks", "bm-mc-three-chunks",
+         "sweep", "bm-verify", "verify-discrete"],
 )
 def test_report_bytes_frozen(argv, digest, tmp_path):
     """Report bytes of the grid and float-valued commands, pinned so that a

@@ -180,6 +180,13 @@ class TestClassify:
             assert flags.strictly_convex
             assert flags.strictly_decreasing
 
+    @pytest.mark.parametrize("sigma", [0, -1, Fraction(-1, 2), Fraction(1, 10**400), math.inf,
+                                       math.nan])
+    def test_exp_decay_table_needs_positive_finite_sigma(self, sigma):
+        # 10**-400 rounds to 0.0; -1 at a long horizon would overflow exp
+        with pytest.raises(ValueError, match="finite sigma > 0"):
+            exp_decay_table(sigma, 800)
+
 
 class TestFlagsInvariants:
     def test_strictly_convex_requires_convex(self):
