@@ -10,7 +10,6 @@ x is positive.
 import numpy as np
 
 from maxstop import (
-    QuadConfig,
     check_bm_key_inequality,
     density_reflection_check,
     exp_decay_reward,
@@ -18,12 +17,10 @@ from maxstop import (
     joint_density,
 )
 
-quad = QuadConfig()
-
 print("normalization of the joint density (adaptive tensor quadrature):")
 for t in (1.0, 2.0):
     for lam in (-1.0, 0.0, 1.0):
-        res = expect_joint(lambda s, b: np.ones_like(s), t, lam, quad)
+        res = expect_joint(lambda s, b: np.ones_like(s), t, lam)
         print(f"  t={t} lam={lam:+.0f}: integral = {res.value:.9f} (bound {res.error:.1e})")
 
 rng = np.random.Generator(np.random.PCG64(5))
@@ -42,6 +39,6 @@ f = exp_decay_reward(1.0)
 print("\nkey inequality E[f((x v M)-B)] >= E[f(x v (M-B))], f=exp(-x), t=1:")
 for lam in (0.0, 0.5, 1.0):
     for x in (0.0, 0.5, 1.0):
-        rep = check_bm_key_inequality(1.0, x, lam, f, quad)
+        rep = check_bm_key_inequality(1.0, x, lam, f)
         print(f"  lam={lam:3.1f} x={x:3.1f}: margin={rep.strict_margin:+.5f} "
               f"(bound {rep.quad_error_bound:.1e}) -> {rep.verdict}")

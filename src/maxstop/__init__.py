@@ -66,7 +66,6 @@ from .brownian import (  # noqa: F401
     BmModel,
     BmRule,
     McConfig,
-    QuadConfig,
     check_bm_corollary,
     check_bm_key_inequality,
     d_bm,

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import McEstimate, _blocks, _rng
+from .coupling import McEstimate, _blocks
 from .rewards import RewardDomainError, RewardSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -54,12 +54,8 @@ class QuadratureError(RuntimeError):
 
 _SIGMAS = 8.0  # quadrature box half-width in units of sqrt(t)
 _EPS_COEFF = 0.5  # stop-at-running-max triggers at Z <= _EPS_COEFF * sqrt(dt)
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    tol: float = 1e-7
-    max_panels: int = 6000
+_TOL = 1e-7  # summed panel residual at which `expect_joint` stops refining
+_MAX_PANELS = 6000  # panels `expect_joint` may evaluate before it gives up
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,10 @@ class BmModel:
     mc: McConfig = field(default_factory=McConfig)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"drift lam must be finite, got {self.lam}")
 
 
 def joint_density(s, b, t: float, lam: float):
@@ -147,7 +145,6 @@ def expect_joint(
     phi: Callable,
     t: float,
     lam: float,
-    quad: QuadConfig = QuadConfig(),
     *,
     s_cuts=(),
     z_cuts=(),
@@ -163,7 +160,7 @@ def expect_joint(
     s_cuts and z_cuts declare the lines s = const and z = const where phi
     has a kink or a jump; they seed the first panel cuts.  Panels are then
     split in four, worst first, until the summed residual |Q12 - Q6| of the
-    6- and 12-point tensor Gauss-Legendre rules is within quad.tol.
+    6- and 12-point tensor Gauss-Legendre rules is within _TOL.
 
     The returned error is that residual plus the truncated tail mass times
     max |phi| seen.  The residual bounds the 12-point error only when phi
@@ -204,7 +201,7 @@ def expect_joint(
         for z0, z1 in zip(z_edges, z_edges[1:]):
             push(s0, s1, z0, z1)
 
-    while total_err > quad.tol and len(heap) < quad.max_panels:
+    while total_err > _TOL and len(heap) < _MAX_PANELS:
         _negerr, _sn, (s0, s1, z0, z1, fine, err) = heapq.heappop(heap)
         total -= fine
         total_err -= err
@@ -216,8 +213,8 @@ def expect_joint(
     # truncated mass outside the box: P(M > s_hi) + P(M - B > z_hi) <= 4 Phi(-c)
     tail = 4.0 * 0.5 * math.erfc(_SIGMAS / math.sqrt(2.0))
     bound = total_err + tail * max(max_abs_phi, 1.0)
-    if total_err > quad.tol:
-        raise QuadratureError(achieved=bound, requested=quad.tol)
+    if total_err > _TOL:
+        raise QuadratureError(achieved=bound, requested=_TOL)
     return QuadResult(value=total, error=bound, panels=evaluated)
 
 
@@ -228,19 +225,17 @@ def _vectorized_reward(f: RewardSpec) -> Callable:
     return f.array
 
 
-def g_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
+def g_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f(x v M_t)] under drift lam."""
     if x < 0:
         raise ValueError("x must be >= 0")
     fv = _vectorized_reward(f)
     if t == 0:
         return QuadResult(float(fv(np.asarray(x))), 0.0)
-    return expect_joint(
-        lambda s, b: fv(np.maximum(x, s)), t, lam, quad, s_cuts=(x, *f.nodes)
-    )
+    return expect_joint(lambda s, b: fv(np.maximum(x, s)), t, lam, s_cuts=(x, *f.nodes))
 
 
-def dtilde_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
+def dtilde_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f((x v M_t) - B_t)] under drift lam."""
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -250,14 +245,13 @@ def dtilde_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()
     # f's argument is z where s >= x, so its nodes are z-lines there; where
     # s < x it is z + x - s, whose kinks lie on diagonals no cut can follow
     return expect_joint(
-        lambda s, b: fv(np.maximum(x, s) - b), t, lam, quad,
-        s_cuts=(x,), z_cuts=f.nodes,
+        lambda s, b: fv(np.maximum(x, s) - b), t, lam, s_cuts=(x,), z_cuts=f.nodes
     )
 
 
-def d_bm(t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()) -> QuadResult:
+def d_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f((x v M_t) - B_t)] under drift -lam (the reflected companion)."""
-    return dtilde_bm(t, x, -lam, f, quad)
+    return dtilde_bm(t, x, -lam, f)
 
 
 @dataclass(frozen=True)
@@ -279,30 +273,26 @@ class BmInequalityReport:
         return "violated"
 
 
-def check_bm_key_inequality(
-    t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()
-) -> BmInequalityReport:
+def check_bm_key_inequality(t: float, x: float, lam: float, f) -> BmInequalityReport:
     """E[f((x v M) - B)] >= E[f(x v (M - B))]; holds for nonincreasing convex
     f when lam >= 0, any lam accepted for raw reporting."""
+    if x < 0:
+        raise ValueError("x must be >= 0")
     fv = _vectorized_reward(f)
     if t == 0:
         v = float(fv(np.asarray(x)))
         return BmInequalityReport(lhs=v, rhs=v, quad_error_bound=0.0)
-    lhs = dtilde_bm(t, x, lam, f, quad)
-    rhs = expect_joint(
-        lambda s, b: fv(np.maximum(x, s - b)), t, lam, quad, z_cuts=(x, *f.nodes)
-    )
+    lhs = dtilde_bm(t, x, lam, f)
+    rhs = expect_joint(lambda s, b: fv(np.maximum(x, s - b)), t, lam, z_cuts=(x, *f.nodes))
     return BmInequalityReport(
         lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
     )
 
 
-def check_bm_corollary(
-    t: float, x: float, lam: float, f, quad: QuadConfig = QuadConfig()
-) -> BmInequalityReport:
+def check_bm_corollary(t: float, x: float, lam: float, f) -> BmInequalityReport:
     """E[f((x v M) - B)] >= E[f(x v M)] (strict for lam > 0, f nonconstant)."""
-    lhs = dtilde_bm(t, x, lam, f, quad)
-    rhs = g_bm(t, x, lam, f, quad)
+    lhs = dtilde_bm(t, x, lam, f)
+    rhs = g_bm(t, x, lam, f)
     return BmInequalityReport(
         lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
     )
@@ -329,7 +319,7 @@ _MAX_SEGMENT = (_SQRT_MAX / (4 * 12.3)) ** 2
 
 def _segments(steps: int, rule: BmRule) -> int:
     """tau0 / tauT draw (M_T, B_T) as one segment, the other rules as `steps`."""
-    return 1 if rule.kind in ("tau0", "tauT") else steps
+    return 1 if rule.kind in _EXACT_KINDS else steps
 
 
 def _max_horizon(steps: int, rule: BmRule) -> float:
@@ -340,17 +330,6 @@ def _max_horizon(steps: int, rule: BmRule) -> float:
 def max_drift(T: float, steps: int, rule: BmRule) -> float:
     """Largest |lam| the samplers represent for this rule at T <= `_max_horizon`."""
     return _SQRT_MAX / (2.0 * (T / _segments(steps, rule)))
-
-
-def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> np.ndarray:
-    """Exact-in-law samples of (M_t, B_t), shape (replications, 2)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    gen = _rng(seed)
-    b = lam * t + math.sqrt(t) * gen.standard_normal(replications)
-    u = 1.0 - gen.random(replications)  # in (0, 1]
-    m = _conditional_max(b, t, u)
-    return np.column_stack([m, b])
 
 
 @dataclass(frozen=True)
@@ -380,47 +359,64 @@ class BmRule:
         return self.kind if self.param is None else f"{self.kind}({self.param:g})"
 
 
-def _exact_rule_value(seed, model, fv, rule, replications) -> McEstimate:
-    mb = sample_max_endpoint(seed, model.T, model.lam, replications)
-    if rule.kind == "tau0":
-        vals = fv(mb[:, 0])
-    else:
-        vals = fv(mb[:, 0] - mb[:, 1])
-    return McEstimate.from_sample(np.asarray(vals, dtype=float))
+_EXACT_KINDS = ("tau0", "tauT")  # rules valued on the exact (M_T, B_T) pair
+_CHUNK = 10_000  # rows per stream; fixed: chunk boundaries are part of the stream layout
 
 
-_CHUNK = 10_000  # fixed: chunk boundaries are part of the stream layout
+def _chunks(seed: int, replications: int):
+    """(generator, normals, uniforms) per chunk: chunk c of _CHUNK rows reads
+    stream c, whose first draws are one normal and one uniform per row."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    for gen, count in _blocks(seed, replications, _CHUNK):
+        yield gen, gen.standard_normal(count), gen.random(count)
+
+
+def _max_endpoint(t: float, lam: float, normal: np.ndarray, uniform: np.ndarray) -> tuple:
+    """Exact-in-law (M_t, B_t) from a chunk's first draws."""
+    b = lam * t + math.sqrt(t) * normal
+    return _conditional_max(b, t, 1.0 - uniform), b  # 1 - uniform in (0, 1]
+
+
+def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> np.ndarray:
+    """Exact-in-law samples of (M_t, B_t), shape (replications, 2): the pairs
+    on which `mc_bm_rule_values` values tau0 and tauT."""
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    return np.concatenate([
+        np.column_stack(_max_endpoint(t, lam, normal, uniform))
+        for _gen, normal, uniform in _chunks(seed, replications)
+    ])
 
 
 def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
-    """Estimate E[f(M_T - B_tau)] for several BmRules on shared simulated paths,
-    one McEstimate per rule, in order.
+    """Estimate E[f(M_T - B_tau)] for several BmRules, one McEstimate per rule,
+    in order.
 
-    tau0 / tauT use the exact (M_T, B_T) sampler (no discretization error);
-    the rest run on bridge-max-refined Euler paths of model.mc.steps steps.
+    Each chunk's first draws give every row its exact (M_T, B_T), on which
+    tau0 / tauT are valued without discretization error; the other rules
+    share the bridge-max-refined Euler paths of model.mc.steps steps drawn
+    after them.  No estimate depends on the other rules in the call, and
+    the exact and path estimates read disjoint draws.
     """
     fv = _vectorized_reward(f)
-    reps = model.mc.replications
-
-    results: dict = {}
-    grid_rules = []
-    for idx, rule in enumerate(rules):
-        if rule.kind in ("tau0", "tauT"):
-            results[idx] = _exact_rule_value(seed, model, fv, rule, reps)
-        else:
-            grid_rules.append((idx, rule))
-    if not grid_rules:
-        return [results[i] for i in range(len(rules))]
-
+    exact = [idx for idx, rule in enumerate(rules) if rule.kind in _EXACT_KINDS]
+    grid_rules = [(idx, rule) for idx, rule in enumerate(rules) if rule.kind not in _EXACT_KINDS]
     steps = model.mc.steps
-    if steps < 1:
+    if grid_rules and steps < 1:
         raise ValueError("need at least one step per path")
-    dt = model.T / steps
+    dt = model.T / max(steps, 1)
     eps = _EPS_COEFF * math.sqrt(dt)
-    collected = {idx: [] for idx, _r in grid_rules}
+    collected = [[] for _rule in rules]
 
-    # stream 0 is the exact sampler
-    for gen, count in _blocks(seed, reps, first_stream=1, size=_CHUNK):
+    for gen, normal, uniform in _chunks(seed, model.mc.replications):
+        if exact:  # a path rule's T may be too long for one segment: leave the draws raw
+            m_T, b_T = _max_endpoint(model.T, model.lam, normal, uniform)
+            for idx in exact:
+                collected[idx].append(fv(m_T if rules[idx].kind == "tau0" else m_T - b_T))
+        if not grid_rules:
+            continue
+        count = len(normal)
         b = np.zeros(count)
         m = np.zeros(count)
         stopped = {idx: np.zeros(count, dtype=bool) for idx, _r in grid_rules}
@@ -444,11 +440,12 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
                 b_tau[idx][now] = b[now]
                 stopped[idx] |= now
         for idx, _rule in grid_rules:
-            collected[idx].append(np.asarray(fv(m - b_tau[idx]), dtype=float))
+            collected[idx].append(fv(m - b_tau[idx]))
 
-    for idx, _rule in grid_rules:
-        results[idx] = McEstimate.from_sample(np.concatenate(collected[idx]), steps)
-    return [results[i] for i in range(len(rules))]
+    return [
+        McEstimate.from_sample(np.concatenate(vals), None if idx in exact else steps)
+        for idx, vals in enumerate(collected)
+    ]
 
 
 def mc_bm_rule_value(seed: int, model: BmModel, f, rule: BmRule) -> McEstimate:

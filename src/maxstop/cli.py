@@ -355,19 +355,18 @@ def cmd_verify_discrete(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
     seed = _default_seed(args)
     ps = tuple(parse_probability(t) for t in args.ps.split(","))
+    if len(set(ps)) < len(ps):
+        raise ConfigError(f"--ps lists a probability twice: {args.ps!r}")
     ordering_violations = 0
     endpoints = {p: [] for p in ps}
     for cp in coupling.simulate(seed, args.n, ps, args.replications):
         ordering_violations += cp.ordering_violations()
         for p in ps:
-            endpoints[p] += cp.s[p][:, -1].tolist()
-
-    def mc_mean(vals):
-        mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / len(vals)
-        return _mc(coupling.McEstimate(mean, math.sqrt(var / len(vals)), len(vals)))
+            endpoints[p].append(cp.s[p][:, -1].astype(float))
 
     report = {
         "command": "simulate",
@@ -379,7 +378,9 @@ def cmd_simulate(args) -> int:
             "generator": coupling.GENERATOR,
         },
         "ordering_violations": ordering_violations,
-        "mean_endpoint": {str(p): mc_mean(endpoints[p]) for p in ps},
+        "mean_endpoint": {
+            str(p): _mc(coupling.McEstimate.from_sample(np.concatenate(endpoints[p]))) for p in ps
+        },
     }
     return _emit(report, args, failed=ordering_violations > 0)
 
@@ -389,11 +390,10 @@ def cmd_bm_verify(args) -> int:
 
     failures = []
     checks = []
-    quad = brownian.QuadConfig()
 
     for t in (1.0, 2.0):
         for lam in (-1.0, 0.0, 1.0):
-            norm = brownian.expect_joint(lambda s, b: np.ones_like(s), t, lam, quad)
+            norm = brownian.expect_joint(lambda s, b: np.ones_like(s), t, lam)
             ok = abs(norm.value - 1.0) < 1e-6
             checks.append(
                 {"check": f"normalization t={t} lam={lam}", "passed": ok, "value": _quad(norm)}
@@ -425,7 +425,7 @@ def cmd_bm_verify(args) -> int:
     for t in (0.5, 1.0):
         for x in (0.0, 0.5, 1.0):
             for lam in (0.0, 0.5, 1.0):
-                rep = brownian.check_bm_key_inequality(t, x, lam, f, quad)
+                rep = brownian.check_bm_key_inequality(t, x, lam, f)
                 ok = rep.verdict != "violated"
                 if x > 0 and lam > 0:
                     ok = rep.verdict == "strict"

@@ -11,7 +11,7 @@ replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
 r // BLOCK.  A run with fewer replications draws a prefix of the same rows,
 so results are bit-identical for a given seed regardless of batching.
 `_blocks` is the one place that lays out streams; the Brownian simulator
-reads it too, with its own block size and first stream.
+reads it too, with its own block size.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .dpsolver import CONTINUE, PolicyTable
 from .walkdist import WalkParams
 
-GENERATOR = "pcg64-v2"  # bump if the stream layout ever changes
+GENERATOR = "pcg64-v3"  # bump if the stream layout ever changes
 BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
 _CELLS = 2**16  # uniforms drawn at once by `simulate`; bounds a batch's memory
 
@@ -33,11 +33,11 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def _blocks(seed: int, replications: int, first_stream: int = 0, size: int = BLOCK):
+def _blocks(seed: int, replications: int, size: int = BLOCK):
     """(generator, row count) for each block of `size` rows of the stream
-    layout; block b reads stream first_stream + b."""
+    layout; block b reads stream b."""
     for block, start in enumerate(range(0, replications, size)):
-        yield _rng(seed, first_stream + block), min(size, replications - start)
+        yield _rng(seed, block), min(size, replications - start)
 
 
 @dataclass(frozen=True)

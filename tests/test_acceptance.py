@@ -174,10 +174,9 @@ def test_criterion_6_brownian_density():
     """Normalization 1e-6, reflection identity 1e-12 relative on 1e4 random
     points, pointwise density ordering."""
     with criterion(6, "brownian density checks, <60s", budget=60.0):
-        quad = bm.QuadConfig()
         for t in (1.0, 2.0):
             for lam in (-1.0, 0.0, 1.0):
-                res = bm.expect_joint(lambda s, b: np.ones_like(s), t, lam, quad)
+                res = bm.expect_joint(lambda s, b: np.ones_like(s), t, lam)
                 assert abs(res.value - 1.0) < 1e-6, (t, lam)
 
         rng = np.random.Generator(np.random.PCG64(2026))
@@ -200,7 +199,6 @@ def test_criterion_7_brownian_inequality_grid():
     """Quadrature verification of the continuous key inequality and its
     corollary: margins vs honest error bounds on a (t, x, lam >= 0) grid."""
     with criterion(7, "brownian inequality quadrature grid, <10s", budget=10.0):
-        quad = bm.QuadConfig()
         fam = [
             rewards.exp_decay_reward(1.0),
             rewards.exp_decay_reward(2.0),
@@ -210,7 +208,7 @@ def test_criterion_7_brownian_inequality_grid():
         xs = (0.0, 0.25, 0.6, 1.2)
         lams = (0.0, 0.4, 1.0)
         for f, t, x, lam in itertools.product(fam, ts, xs, lams):
-            rep = bm.check_bm_key_inequality(t, x, lam, f, quad)
+            rep = bm.check_bm_key_inequality(t, x, lam, f)
             assert rep.lhs >= rep.rhs - rep.quad_error_bound, (f.kind, t, x, lam)
             if x > 0:  # strictness: f nonconstant (drift > 0) / nonlinear (drift 0)
                 assert rep.verdict == "strict", (f.kind, t, x, lam)
@@ -218,14 +216,14 @@ def test_criterion_7_brownian_inequality_grid():
                 assert rep.verdict == "equal_within_tolerance", (f.kind, t, lam)
 
         for f, x, lam in itertools.product(fam, xs, lams):
-            rep = bm.check_bm_corollary(1.0, x, lam, f, quad)
+            rep = bm.check_bm_corollary(1.0, x, lam, f)
             assert rep.lhs >= rep.rhs - rep.quad_error_bound, (f.kind, x, lam)
             if lam > 0:  # strict for every x >= 0 when the drift is positive
                 assert rep.verdict == "strict", (f.kind, x, lam)
 
         linear = rewards.linear_reward(1, domain=rewards.CONTINUOUS)
         for t, x in itertools.product(ts, xs):
-            rep = bm.check_bm_key_inequality(t, x, 0.0, linear, quad)
+            rep = bm.check_bm_key_inequality(t, x, 0.0, linear)
             assert abs(rep.lhs - rep.rhs) <= rep.quad_error_bound, (t, x)
 
 
@@ -261,10 +259,19 @@ def test_criterion_8_brownian_bang_bang_dominance():
 
         model = bm.BmModel(lam=0.0, T=1.0)
         rules = [bm.BmRule("tau0"), bm.BmRule("tauT"), bm.BmRule("drawdown_threshold", 0.0)]
-        ests = bm.mc_bm_rule_values(813, model, f, rules)
-        for (ra, a), (rb, b) in itertools.combinations(zip(rules, ests), 2):
-            tol = 4 * math.hypot(a.stderr, b.stderr)
-            assert abs(a.estimate - b.estimate) < tol, (ra.label(), rb.label(), "lam=0")
+        tau0, tauT, at_max = bm.mc_bm_rule_values(813, model, f, rules)
+        # the path rule reads draws disjoint from the exact pair's
+        for rule, est in ((rules[0], tau0), (rules[1], tauT)):
+            tol = 4 * math.hypot(est.stderr, at_max.stderr)
+            assert abs(est.estimate - at_max.estimate) < tol, (rule.label(), "lam=0")
+        # tau0 and tauT read the same (M_T, B_T) pairs, negatively correlated
+        # through f: test their paired difference
+        mb = bm.sample_max_endpoint(813, 1.0, 0.0, model.mc.replications)
+        a, b = f.array(mb[:, 0]), f.array(mb[:, 0] - mb[:, 1])
+        assert coupling.McEstimate.from_sample(a) == tau0
+        assert coupling.McEstimate.from_sample(b) == tauT
+        d = a - b
+        assert abs(d.mean()) < 4 * d.std() / math.sqrt(len(d)), "tau0 vs tauT, lam=0"
 
 
 def test_criterion_9_determinism(tmp_path):

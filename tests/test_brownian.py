@@ -7,8 +7,8 @@ from scipy.stats import norm
 
 from maxstop import brownian as bm
 from maxstop import rewards
+from maxstop.coupling import McEstimate
 
-QUAD = bm.QuadConfig()
 EXP1 = rewards.exp_decay_reward(1.0)
 HINGE = rewards.custom_table_reward([0.0, 2.0], [1.0, 0.0])  # max(0, 1 - x/2)
 LINEAR = rewards.linear_reward(1, domain=rewards.CONTINUOUS)
@@ -78,7 +78,7 @@ class TestJointDensity:
     @pytest.mark.parametrize("t", [1.0, 2.0])
     @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
     def test_normalization(self, t, lam):
-        res = bm.expect_joint(lambda s, b: np.ones_like(s), t, lam, QUAD)
+        res = bm.expect_joint(lambda s, b: np.ones_like(s), t, lam)
         assert abs(res.value - 1.0) < 1e-6
         assert abs(res.value - 1.0) < res.error
 
@@ -117,26 +117,30 @@ class TestQuadratureValues:
 
     def test_g_matches_closed_form_zero_drift(self):
         for t, x in [(1.0, 0.0), (1.0, 0.5), (2.0, 1.0), (0.5, 0.25)]:
-            res = bm.g_bm(t, x, 0.0, EXP1, QUAD)
+            res = bm.g_bm(t, x, 0.0, EXP1)
             assert abs(res.value - g_closed_form(t, x)) < res.error + 1e-9
 
     def test_g_equals_d_at_zero_drift_zero_start(self):
-        g = bm.g_bm(1.0, 0.0, 0.0, EXP1, QUAD)
-        d = bm.d_bm(1.0, 0.0, 0.0, EXP1, QUAD)
+        g = bm.g_bm(1.0, 0.0, 0.0, EXP1)
+        d = bm.d_bm(1.0, 0.0, 0.0, EXP1)
         assert abs(g.value - d.value) < g.error + d.error
 
     def test_dtilde_beats_g_with_positive_drift(self):
-        rep = bm.check_bm_corollary(1.0, 0.5, 1.0, EXP1, QUAD)
+        rep = bm.check_bm_corollary(1.0, 0.5, 1.0, EXP1)
         assert rep.verdict == "strict"
 
     def test_d_is_dtilde_with_negated_drift(self):
-        a = bm.d_bm(1.0, 0.3, 0.8, EXP1, QUAD)
-        b = bm.dtilde_bm(1.0, 0.3, -0.8, EXP1, QUAD)
+        a = bm.d_bm(1.0, 0.3, 0.8, EXP1)
+        b = bm.dtilde_bm(1.0, 0.3, -0.8, EXP1)
         assert a.value == b.value
 
     def test_x_negative_rejected(self):
         with pytest.raises(ValueError):
             bm.g_bm(1.0, -0.1, 0.0, EXP1)
+
+    def test_key_inequality_rejects_negative_x_at_t_zero(self):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            bm.check_bm_key_inequality(0.0, -1.0, 0.5, EXP1)
 
     @pytest.mark.parametrize("name", sorted(HONESTY_REWARDS))
     def test_claimed_error_bounds_hold(self, name):
@@ -147,8 +151,8 @@ class TestQuadratureValues:
         for t, x, lam in itertools.product(
             (0.5, 1.0, 2.0), (0.0, 0.25, 0.6, 1.2), (-1.0, -0.4, 0.0, 0.4, 1.0)
         ):
-            g = bm.g_bm(t, x, lam, spec, QUAD)
-            rep = bm.check_bm_key_inequality(t, x, lam, spec, QUAD)
+            g = bm.g_bm(t, x, lam, spec)
+            rep = bm.check_bm_key_inequality(t, x, lam, spec)
             for what, value, error, ref in (
                 ("g_bm", g.value, g.error, expect_f_of_max(t, x, lam, f, fprime, kinks)),
                 ("key rhs", rep.rhs, rep.quad_error_bound,
@@ -167,40 +171,41 @@ class TestQuadratureValues:
             return results[-1]
 
         monkeypatch.setattr(bm, "expect_joint", spy)
-        bm.g_bm(0.5, 0.25, 1.0, EXP1, QUAD)
-        bm.check_bm_key_inequality(0.5, 0.25, 1.0, EXP1, QUAD)
+        bm.g_bm(0.5, 0.25, 1.0, EXP1)
+        bm.check_bm_key_inequality(0.5, 0.25, 1.0, EXP1)
         assert len(results) == 3
         assert all(0 < res.panels <= 64 for res in results), results
         assert bm.g_bm(0.0, 0.25, 1.0, EXP1).panels == 0
 
-    def test_nonconvergence_raises(self):
-        tight = bm.QuadConfig(tol=1e-16, max_panels=8)
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(bm, "_TOL", 1e-16)
+        monkeypatch.setattr(bm, "_MAX_PANELS", 8)
         with pytest.raises(bm.QuadratureError) as exc:
-            bm.g_bm(1.0, 0.5, 0.0, HINGE, tight)
+            bm.g_bm(1.0, 0.5, 0.0, HINGE)
         assert exc.value.achieved > 1e-16
 
 
 class TestKeyInequality:
     def test_zero_start_is_equality(self):
-        rep = bm.check_bm_key_inequality(1.0, 0.0, 0.8, EXP1, QUAD)
+        rep = bm.check_bm_key_inequality(1.0, 0.0, 0.8, EXP1)
         assert rep.strict_margin == 0.0  # identical integrands at x = 0
         assert rep.verdict == "equal_within_tolerance"
 
     def test_t_zero_is_equality(self):
-        rep = bm.check_bm_key_inequality(0.0, 0.5, 0.8, EXP1, QUAD)
+        rep = bm.check_bm_key_inequality(0.0, 0.5, 0.8, EXP1)
         assert rep.lhs == rep.rhs
 
     def test_strict_for_positive_drift(self):
-        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.8, rewards.exp_decay_reward(2.0), QUAD)
+        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.8, rewards.exp_decay_reward(2.0))
         assert rep.verdict == "strict"
         assert rep.strict_margin > 100 * rep.quad_error_bound
 
     def test_strict_at_zero_drift_for_nonlinear(self):
-        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.0, EXP1, QUAD)
+        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.0, EXP1)
         assert rep.verdict == "strict"
 
     def test_linear_zero_drift_equality_within_bound(self):
-        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.0, LINEAR, QUAD)
+        rep = bm.check_bm_key_inequality(1.0, 0.6, 0.0, LINEAR)
         assert rep.verdict == "equal_within_tolerance"
 
 
@@ -229,11 +234,10 @@ class TestExactSampler:
         t, lam = 1.0, 0.6
         mb = bm.sample_max_endpoint(seed=4, t=t, lam=lam, replications=reps)
         band = math.sqrt(math.log(2 / 1e-4) / (2 * reps))  # ~0.00704
-        loose = bm.QuadConfig(tol=1e-5, max_panels=8000)
         for m in (0.5, 1.0, 2.0):
             # the step integrand jumps on the line s = m, declared as a cut
             cdf_quad = bm.expect_joint(
-                lambda s, b: (s <= m).astype(float), t, lam, loose, s_cuts=(m,)
+                lambda s, b: (s <= m).astype(float), t, lam, s_cuts=(m,)
             )
             # independent closed-form oracle agrees with the quadrature route
             ref = max_cdf_drifted(m, t, lam)
@@ -260,14 +264,14 @@ class TestMcRules:
     def test_tau0_matches_quadrature(self):
         model = bm.BmModel(lam=-1.0, T=1.0, mc=bm.McConfig(replications=100_000))
         est = bm.mc_bm_rule_value(7, model, EXP1, bm.BmRule("tau0"))
-        exact = bm.g_bm(1.0, 0.0, -1.0, EXP1, QUAD)
+        exact = bm.g_bm(1.0, 0.0, -1.0, EXP1)
         assert abs(est.estimate - exact.value) < 4 * est.stderr
         assert est.steps is None  # exact sampler, no discretization
 
     def test_tauT_matches_quadrature(self):
         model = bm.BmModel(lam=1.0, T=1.0, mc=bm.McConfig(replications=100_000))
         est = bm.mc_bm_rule_value(8, model, EXP1, bm.BmRule("tauT"))
-        exact = bm.dtilde_bm(1.0, 0.0, 1.0, EXP1, QUAD)
+        exact = bm.dtilde_bm(1.0, 0.0, 1.0, EXP1)
         assert abs(est.estimate - exact.value) < 4 * est.stderr
 
     def test_negative_drift_dominance_smoke(self):
@@ -310,3 +314,53 @@ class TestMcRules:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             bm.BmModel(lam=0.0, T=0.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_model_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="horizon T"):
+            bm.BmModel(lam=0.0, T=T)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_model_rejects_non_finite_drift(self, lam):
+        with pytest.raises(ValueError, match="drift lam"):
+            bm.BmModel(lam=lam, T=1.0)
+
+
+class TestChunkLayout:
+    """Chunk c of _CHUNK rows reads stream c: every row's exact (M_T, B_T)
+    draws, then the path steps."""
+
+    REPS = 2 * bm._CHUNK + 5_003
+    RULES = [
+        bm.BmRule("tau0"), bm.BmRule("tauT"),
+        bm.BmRule("drawdown_threshold", 0.5), bm.BmRule("time_threshold", 0.4),
+    ]
+
+    def model(self):
+        return bm.BmModel(lam=0.3, T=1.0, mc=bm.McConfig(steps=20, replications=self.REPS))
+
+    def test_each_rule_alone_matches_the_joint_call(self):
+        together = bm.mc_bm_rule_values(31, self.model(), EXP1, self.RULES)
+        for rule, est in zip(self.RULES, together):
+            assert bm.mc_bm_rule_value(31, self.model(), EXP1, rule) == est, rule.label()
+
+    def test_exact_rules_read_sample_max_endpoint(self):
+        tau0, tauT = bm.mc_bm_rule_values(31, self.model(), EXP1, self.RULES)[:2]
+        mb = bm.sample_max_endpoint(31, 1.0, 0.3, self.REPS)
+        assert mb.shape == (self.REPS, 2)
+        assert tau0 == McEstimate.from_sample(EXP1.array(mb[:, 0]))
+        assert tauT == McEstimate.from_sample(EXP1.array(mb[:, 0] - mb[:, 1]))
+
+    def test_zero_replications_rejected(self):
+        with pytest.raises(ValueError, match="at least one replication"):
+            bm.sample_max_endpoint(1, 1.0, 0.0, 0)
+        model = bm.BmModel(lam=0.0, T=1.0, mc=bm.McConfig(replications=0))
+        with pytest.raises(ValueError, match="at least one replication"):
+            bm.mc_bm_rule_value(1, model, EXP1, bm.BmRule("tau0"))
+
+    def test_whole_chunks_do_not_depend_on_later_rows(self):
+        full = bm.sample_max_endpoint(32, 1.0, 0.0, self.REPS)
+        for k in (bm._CHUNK, 2 * bm._CHUNK):
+            assert (bm.sample_max_endpoint(32, 1.0, 0.0, k) == full[:k]).all()
+        # chunk 1 opens a new stream rather than repeating chunk 0's rows
+        assert (full[bm._CHUNK : bm._CHUNK + 3] != full[:3]).any()

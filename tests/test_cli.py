@@ -259,6 +259,17 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 77
 
+    @pytest.mark.parametrize("ps", ["1/2,1/2", "1/2,2/4"])
+    def test_repeated_probability_is_config_error(self, ps, capsys, monkeypatch):
+        """A repeated p would count every replication twice in its mean."""
+        monkeypatch.setattr(cli.coupling, "simulate", None)  # rejected before any draw
+        argv = ["simulate", "--seed", "1", "--n", "4", "--ps", ps, "--replications", "100"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: --ps lists a probability twice")
+
     @pytest.mark.parametrize("value", ["x", "1.5", "-3"])
     def test_invalid_env_seed_is_config_error(self, value, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_SEED, value)
@@ -421,11 +432,15 @@ class TestBmCommands:
         assert captured.out == ""
         assert captured.err.startswith("configuration error: --T must lie in (0, 7.42652e+304]")
 
-    @pytest.mark.parametrize("rule, steps", [("tau0", 1000), ("drawdown:0", 10)])
+    @pytest.mark.parametrize(
+        "rule, steps", [("tau0", 1000), ("drawdown:0", 10), ("drawdown:0", 1000)]
+    )
     def test_bm_mc_large_T_within_bound_runs(self, rule, steps, capsys):
         """Up to the bound, which scales with the number of segments drawn,
         the estimate and its standard error over the default 100,000
-        replications stay finite and no overflow warning is raised."""
+        replications stay finite and no overflow warning is raised.  A path
+        rule's chunks take the exact (M_T, B_T) draws too, untransformed, so
+        its longer T cannot overflow them."""
         t_max = brownian._max_horizon(steps, cli._parse_bm_rule(rule))
         for T, code_want in [(1e300, 0), (t_max, 0), (2 * t_max, 2)]:
             argv = ["bm-mc", "--lam", "0", f"--T={T!r}", "--steps", str(steps), "--rule", rule,
@@ -547,25 +562,30 @@ class TestSweepCommand:
         (
             ["bm-mc", "--seed", "6", "--lam", "-0.5", "--steps", "100",
              "--replications", "5000", "--rule", "drawdown:0.5", "--reward", "exp_decay:1.0"],
-            "9334973269d1441d99ea95da986e04e51fc6f279842bec6427b100514adc85a3",
+            "349b0a5019c21d429166e4657cf4199500836398b8958a5367857d3d9af926af",
         ),
         (  # exact (M, B) sampler, constant sample: steps null, stderr 0
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "3000",
              "--rule", "tau0", "--reward", "piecewise:0=1,5=1"],
-            "c59f968f50728104c87e65b230730915ac92fecefe3d68261e4e1afadd4f73ae",
+            "338c02f011c45e1f2d03799ff5a0da58d609e374cdbe61d9345c1ea6427618fd",
         ),
         (
             ["simulate", "--seed", "5", "--n", "40", "--ps", "1/4,3/4", "--replications", "200"],
-            "b646a1405e90bb9bb49115f202122dcc599fb42e38155ac72cbe130f743b208a",
+            "8c109cebcaa9140f2bff584ac35a585b70c3739edd74f142593ed67e685833a7",
         ),
         (  # one row past the first block: the second block opens stream 1
             ["simulate", "--seed", "5", "--n", "3", "--ps", "1/4,3/4", "--replications", "20003"],
-            "b622caded27cd31105e1b43812abc30d085fbd9eee06cc30b2f33bafc29504e7",
+            "ac236ca40720706de2883428d19b49d271951862cc3003d05ba64108e64bd607",
         ),
-        (  # three chunks of grid paths, streams 1..3
+        (  # three chunks, streams 0..2: each chunk's exact pair draws, then its grid paths
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "10", "--replications", "20003",
              "--rule", "drawdown:0", "--reward", "exp_decay:1.0"],
-            "c65171ee7a6738879048f79c806349a779419e1abbd8fff6832701366970a389",
+            "544f80297354539c2223d9b9a29437a0882c45425320dbc106541605bc2176eb",
+        ),
+        (  # the exact (M, B) sampler across the same three chunks
+            ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "20003",
+             "--rule", "tau0", "--reward", "exp_decay:1.0"],
+            "c82032a05d50aae84b44a5d9c4b87b7329fa29eacce4d131432201c5926fc0d8",
         ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],
@@ -581,7 +601,7 @@ class TestSweepCommand:
         ),
     ],
     ids=["bm-mc", "bm-mc-exact-constant", "simulate", "simulate-two-blocks", "bm-mc-three-chunks",
-         "sweep", "bm-verify", "verify-discrete"],
+         "bm-mc-exact-three-chunks", "sweep", "bm-verify", "verify-discrete"],
 )
 def test_report_bytes_frozen(argv, digest, tmp_path):
     """Report bytes of the grid and float-valued commands, pinned so that a
