@@ -12,8 +12,8 @@ plain dataclasses, and every number goes out through `_exact`, `_quad` or
 
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
 instance is serialized in the report), 2 configuration error (a bad flag,
-environment variable or reward), 3 internal failure (a quadrature that did
-not reach its tolerance, or any other ValueError from the library).
+environment variable, reward or output path), 3 internal failure (a
+quadrature that missed its tolerance, or any other library ValueError).
 """
 
 from __future__ import annotations
@@ -68,25 +68,20 @@ def _finite(text: str) -> float:
     return v
 
 
-def _int_range(lo: int, hi: int | None = None):
-    """argparse type: an integer in lo..hi (no upper end when hi is None)."""
-    want = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
-
-    def parse(text: str) -> int:
-        try:
-            v = int(text)
-        except ValueError:
-            v = None
-        if v is None or v < lo or (hi is not None and v > hi):
-            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
-        return v
-
-    return parse
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = None
+    if v is None or v < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return v
 
 
 def _int_list(text: str) -> list:
     """argparse type: comma-separated integers >= 0."""
-    return [_int_range(0)(v) for v in text.split(",")]
+    return [_nonnegative_int(v) for v in text.split(",")]
 
 
 def parse_probability(text: str) -> Fraction:
@@ -174,6 +169,15 @@ def _policy_listing(pol: dpsolver.PolicyTable) -> str:
     ) + "\n  ]"
 
 
+def _write(path: str, text: str) -> None:
+    """Write a named file; a path that cannot be written is a configuration error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path!r}: {e.strerror or e}") from e
+
+
 def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None = None) -> int:
     """Write the report; a policy goes in as its top-level `policy` listing.
 
@@ -188,8 +192,7 @@ def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None 
     if policy is not None:
         text = text.replace('\n  "policy": null', '\n  "policy": ' + _policy_listing(policy), 1)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 1 if failed else 0
@@ -200,7 +203,7 @@ def _default_seed(args) -> int:
         return args.seed
     text = os.environ.get(ENV_SEED, "0")
     try:
-        return _int_range(0)(text)
+        return _nonnegative_int(text)
     except argparse.ArgumentTypeError as e:
         raise ConfigError(f"environment variable {ENV_SEED}: {e}") from e
 
@@ -219,8 +222,7 @@ def cmd_solve(args) -> int:
         "tie_states": [list(s) for s in rep.tie_states],
     }
     if args.policy_csv:
-        with open(args.policy_csv, "w") as fh:
-            fh.write(rep.policy.to_csv())
+        _write(args.policy_csv, rep.policy.to_csv())
     return _emit(report, args, failed=False, policy=rep.policy)
 
 
@@ -252,7 +254,7 @@ def cmd_oracle(args) -> int:
     f = parse_reward(args.reward, horizon=args.N)
     w = walkdist.WalkParams(p, args.N)
     try:
-        res = oracle.enumerate_optimum(w, f, max_n=args.max_n)
+        res = oracle.enumerate_optimum(w, f)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     rep = dpsolver.solve(w, f)
@@ -347,7 +349,7 @@ def cmd_verify_discrete(args) -> int:
 
     report = {
         "command": "verify-discrete",
-        "config": {"grid": args.grid, "grid_version": GRID_VERSION},
+        "config": {"grid_version": GRID_VERSION},
         "checks": checks,
         "failures": failures,
     }
@@ -504,28 +506,21 @@ def cmd_bm_mc(args) -> int:
     return _emit(report, args, failed=False)
 
 
-def _solve_cell(task):
-    p_text, n, reward_text = task
-    p = parse_probability(p_text)
-    f = parse_reward(reward_text, horizon=n)
-    return _solve_fields(dpsolver.solve(walkdist.WalkParams(p, n), f))
-
-
 def cmd_sweep(args) -> int:
-    ps = args.p_list.split(",")
-    ns = args.n_list
-    tasks = sorted((p, n, args.reward) for p in ps for n in ns)
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_solve_cell, tasks))
-    else:
-        results = [_solve_cell(t) for t in tasks]
-    cells = {f"p={p},N={n}": res for (p, n, _r), res in zip(tasks, results)}
+    texts = args.p_list.split(",")
+    ps = [parse_probability(t) for t in texts]
+    if len(set(ps)) < len(ps):
+        raise ConfigError(f"--p-list lists a probability twice: {args.p_list!r}")
+    if len(set(args.n_list)) < len(args.n_list):
+        raise ConfigError(f"--n-list lists a horizon twice: {args.n_list}")
+    cells = {}
+    for n in args.n_list:
+        f = parse_reward(args.reward, horizon=n)
+        for text, p in zip(texts, ps):
+            cells[f"p={text},N={n}"] = _solve_fields(dpsolver.solve(walkdist.WalkParams(p, n), f))
     report = {
         "command": "sweep",
-        "config": {"reward": args.reward, "p_list": ps, "n_list": ns, "workers": args.workers},
+        "config": {"reward": args.reward, "p_list": texts, "n_list": args.n_list},
         "cells": cells,
     }
     return _emit(report, args, failed=False)
@@ -546,44 +541,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="exact backward-induction solve")
     sp.add_argument("--p", required=True, help="up probability as a rational a/b")
-    sp.add_argument("--N", type=_int_range(0), required=True)
+    sp.add_argument("--N", type=_nonnegative_int, required=True)
     sp.add_argument("--reward", required=True)
     sp.add_argument("--policy-csv", help="also write the optimal policy as CSV")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("evaluate", help="exact value of a named Markov policy")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--N", type=_int_range(0), required=True)
+    sp.add_argument("--N", type=_nonnegative_int, required=True)
     sp.add_argument("--reward", required=True)
     sp.add_argument("--policy", required=True, help="tau0 | tauN | stop-at-max")
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("oracle", help="exhaustive small-horizon ground truth")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--N", type=_int_range(0), required=True)
+    sp.add_argument("--N", type=_nonnegative_int, required=True)
     sp.add_argument("--reward", required=True)
-    # n_rules_total = 2^(2^N - 1) must print: at N = 14 it has 4,933 digits,
-    # past Python's default int-to-str limit of 4,300
-    sp.add_argument("--max-n", type=_int_range(0, 13), default=oracle.DEFAULT_MAX_HORIZON)
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("verify-discrete", help="exact theorem checks on the default grid")
-    sp.add_argument("--grid", default="default")
     sp.set_defaults(fn=cmd_verify_discrete)
 
     sp = sub.add_parser("simulate", help="coupled walks from shared uniforms")
-    sp.add_argument("--seed", type=_int_range(0), default=None)
-    sp.add_argument("--n", type=_int_range(0), required=True)
+    sp.add_argument("--seed", type=_nonnegative_int, default=None)
+    sp.add_argument("--n", type=_nonnegative_int, required=True)
     sp.add_argument("--ps", required=True, help="comma-separated rationals, e.g. 1/4,3/4")
     sp.add_argument("--replications", type=_positive(int, "integer"), default=1000)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")
-    sp.add_argument("--seed", type=_int_range(0), default=None)
+    sp.add_argument("--seed", type=_nonnegative_int, default=None)
     sp.set_defaults(fn=cmd_bm_verify)
 
     sp = sub.add_parser("bm-mc", help="Monte Carlo value of a Brownian stopping rule")
-    sp.add_argument("--seed", type=_int_range(0), default=None)
+    sp.add_argument("--seed", type=_nonnegative_int, default=None)
     sp.add_argument("--lam", type=_finite, required=True)
     sp.add_argument("--T", type=_positive(float, "number"), default=1.0)
     sp.add_argument("--steps", type=_positive(int, "integer"), default=1000)
@@ -596,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reward", required=True)
     sp.add_argument("--p-list", required=True)
     sp.add_argument("--n-list", type=_int_list, required=True)
-    sp.add_argument("--workers", type=_positive(int, "integer"), default=1)
     sp.set_defaults(fn=cmd_sweep)
 
     return ap

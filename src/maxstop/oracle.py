@@ -32,9 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dpsolver
+from .rewards import RewardDomainError
 from .walkdist import WalkParams
 
-DEFAULT_MAX_HORIZON = 12
+# n_rules_total = 2^(2^N - 1) must print: at N = 14 it has 4,933 digits,
+# past Python's default int-to-str limit of 4,300
+MAX_HORIZON = 13
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,21 @@ def _suffix_max_laws(p: Fraction, n: int) -> list:
     return laws
 
 
-def enumerate_optimum(w: WalkParams, f, max_n: int = DEFAULT_MAX_HORIZON) -> OracleResult:
+def enumerate_optimum(w: WalkParams, f) -> OracleResult:
     """Exact maximum of E[f(M_N - S_tau)] over all adapted stopping rules."""
     n = w.n
-    if n > max_n:
+    if n > MAX_HORIZON:
         raise ValueError(
-            f"the prefix-tree oracle is capped at N <= {max_n} "
+            f"the prefix-tree oracle is capped at N <= {MAX_HORIZON} "
             f"(2^(N+1) - 1 step histories); got N = {n}"
         )
     p, q = w.p, 1 - w.p
     # from z = N down, so a table reward too short for the horizon is
     # reported at its first use on the all-up path
     fv = [f(z) for z in range(n, -1, -1)][::-1]
+    for z, v in enumerate(fv):
+        if not isinstance(v, (int, Fraction)):
+            raise RewardDomainError(f"the oracle needs a rational reward, got f({z}) = {v!r}")
     laws = _suffix_max_laws(p, n)
     stop_strict_at_root = n == 0
     continue_strict = tie_pattern = True
@@ -135,6 +141,6 @@ def agrees(res: OracleResult, rep: dpsolver.SolveReport) -> bool:
     return True  # UNKNOWN constrains nothing beyond the value
 
 
-def cross_validate(w: WalkParams, f, max_n: int = DEFAULT_MAX_HORIZON) -> bool:
+def cross_validate(w: WalkParams, f) -> bool:
     """Exhaustive check that the DP solver's value and uniqueness label are right."""
-    return agrees(enumerate_optimum(w, f, max_n=max_n), dpsolver.solve(w, f))
+    return agrees(enumerate_optimum(w, f), dpsolver.solve(w, f))

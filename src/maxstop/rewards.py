@@ -244,18 +244,20 @@ def custom_table_reward(xs, ys) -> RewardSpec:
     )
 
 
-def exp_decay_table(sigma, horizon: int, max_denominator: int = 10**12) -> RewardSpec:
+def exp_decay_table(sigma, horizon: int) -> RewardSpec:
     """Rationalize exp(-sigma*k) on {0..horizon} into an exact table.
 
-    The denominator cap keeps the rationalization error ~1e-12, far below
-    the smallest second difference of the family at the horizons we use, so
-    the strict convexity and strict decrease of exp(-sigma*x) survive the
-    rounding and can then be certified exactly on the table.
+    Each value is the closest fraction with denominator <= 10**12 (error
+    ~1e-12).  Strict convexity and strict decrease of exp(-sigma*x) survive
+    this rounding only while the second differences stay well above it:
+    `classify` finds the table strictly convex and strictly decreasing for
+    horizon <= 28 at sigma = 1 and <= 56 at sigma = 1/2, and not convex
+    from horizon 29 and 57 on.
     """
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"exp_decay_table needs a finite sigma > 0, got {sigma}")
     return table_reward(
-        Fraction(math.exp(-sigma * k)).limit_denominator(max_denominator)
+        Fraction(math.exp(-sigma * k)).limit_denominator(10**12)
         for k in range(horizon + 1)
     )

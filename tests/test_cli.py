@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,23 @@ class TestSolveCommand:
         assert code == 0
         assert target.read_text().splitlines()[0] == "k,z,decision"
 
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        code = cli.main(["--output", str(target), "solve", "--p", "1/2", "--N", "2",
+                         "--reward", "geometric:1/2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {str(target)!r}")
+
+    def test_directory_as_policy_csv_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["solve", "--p", "1/2", "--N", "2", "--reward", "geometric:1/2",
+                         "--policy-csv", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {str(tmp_path)!r}")
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for run in range(2):
@@ -216,10 +235,31 @@ class TestOracleCommand:
         assert rep["cross_validate"] is True
 
     def test_infeasible_size(self, capsys):
-        code, _ = run_cli(
-            ["oracle", "--p", "1/3", "--N", "13", "--reward", "geometric:1/2"], capsys
-        )
+        code = cli.main(["oracle", "--p", "1/3", "--N", "14", "--reward", "geometric:1/2"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+        assert "N <= 13" in captured.err
+
+    def test_largest_horizon_runs(self, capsys):
+        code, out = run_cli(
+            ["oracle", "--p", "2/5", "--N", "13", "--reward", "geometric:1/2"], capsys
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["n_rules_total"] == 2 ** (2**13 - 1)
+        assert len(str(rep["n_rules_total"])) == 2466
+        assert rep["dp_match"] is True
+
+    def test_float_reward_refused_by_oracle(self, capsys, monkeypatch):
+        """The oracle itself refuses the reward: the solver never runs."""
+        monkeypatch.setattr(cli.dpsolver, "solve", None)
+        code = cli.main(["oracle", "--p", "1/2", "--N", "3", "--reward", "exp_decay:1.0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: the oracle needs a rational reward")
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -293,14 +333,13 @@ class TestSimulateCommand:
           "--N", "-2"], "--N", "an integer >= 0"),
         (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", "-1"], "--N",
          "an integer >= 0"),
-        (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", "2", "--max-n", "14"],
-         "--max-n", "an integer in 0..13"),
-        (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", "2", "--max-n", "-1"],
-         "--max-n", "an integer in 0..13"),
-        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2",
-          "--workers", "0"], "--workers", "a positive integer"),
-        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2",
-          "--workers", "-3"], "--workers", "a positive integer"),
+        (["oracle", "--p", "1/2", "--reward", "geometric:1/2", "--N", ""], "--N",
+         "an integer >= 0"),
+        (["solve", "--p", "1/2", "--reward", "geometric:1/2", "--N", "0x10"], "--N",
+         "an integer >= 0"),
+        (["bm-verify", "--seed", "1e3"], "--seed", "an integer >= 0"),
+        (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2,"], "--n-list",
+         "an integer >= 0"),
         (["simulate", "--ps", "1/2", "--n", "3", "--seed", "-1"], "--seed", "an integer >= 0"),
         (["bm-verify", "--seed", "-1"], "--seed", "an integer >= 0"),
         (["bm-mc", "--lam", "0", "--rule", "tau0", "--reward", "exp_decay:1.0", "--seed", "x"],
@@ -320,7 +359,7 @@ def test_integer_flag_rejected_at_parse_time(argv, flag, want, capsys):
     assert f"argument {flag}: must be {want}" in captured.err
 
 
-def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
+def test_successive_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
     """The parser is built once per process; each call still parses afresh."""
     assert cli.build_parser() is cli.build_parser()
     target = tmp_path / "r.json"
@@ -331,12 +370,14 @@ def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
     assert code == 0
     assert out == target.read_text()
 
-    oracle = ["oracle", "--p", "1/2", "--N", "4", "--reward", "geometric:1/2"]
-    assert cli.main(oracle + ["--max-n", "3"]) == 2
-    assert "capped at N <= 3" in capsys.readouterr().err
-    code, out = run_cli(oracle, capsys)
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    simulate = ["simulate", "--n", "2", "--ps", "1/2", "--replications", "5"]
+    code, out = run_cli(simulate + ["--seed", "3"], capsys)
     assert code == 0
-    assert json.loads(out)["dp_match"] is True
+    assert json.loads(out)["config"]["seed"] == 3
+    code, out = run_cli(simulate, capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 0
 
 
 class TestBmCommands:
@@ -546,14 +587,22 @@ class TestSweepCommand:
         assert rep["cells"]["p=1/4,N=2"]["unique"] == "UNIQUE_TAU0"
         assert rep["cells"]["p=3/4,N=4"]["unique"] == "UNIQUE_TAUN"
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        args = ["sweep", "--reward", "geometric:1/2", "--p-list", "1/5,4/5", "--n-list", "3"]
-        seq = tmp_path / "seq.json"
-        par = tmp_path / "par.json"
-        cli.main(["--output", str(seq)] + args + ["--workers", "1"])
-        cli.main(["--output", str(par)] + args + ["--workers", "2"])
-        # reports embed their own worker count; the payload must match exactly
-        assert json.loads(seq.read_text())["cells"] == json.loads(par.read_text())["cells"]
+    @pytest.mark.parametrize(
+        "p_list, n_list, message",
+        [
+            ("1/2,1/2", "2", "--p-list lists a probability twice"),
+            ("1/2,2/4", "2", "--p-list lists a probability twice"),
+            ("1/2", "2,2", "--n-list lists a horizon twice"),
+        ],
+    )
+    def test_repeated_cell_is_config_error(self, p_list, n_list, message, capsys, monkeypatch):
+        monkeypatch.setattr(cli.dpsolver, "solve", None)  # rejected before any solve
+        argv = ["sweep", "--reward", "geometric:1/2", "--p-list", p_list, "--n-list", n_list]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {message}")
 
 
 @pytest.mark.parametrize(
@@ -589,7 +638,7 @@ class TestSweepCommand:
         ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],
-            "8901af1f13559a542695d76fa5cd4a171df5fb0353b39a26d6d8ff53b7301660",
+            "6d34c480ec28889cde334f906ab156f4e3d55214929e9c7ceac7af5965e9802e",
         ),
         (
             ["bm-verify", "--seed", "1"],
@@ -597,7 +646,7 @@ class TestSweepCommand:
         ),
         (
             ["verify-discrete"],
-            "433d4698fd2773960890dfbc8f5f1b9377919682e3a637f9470a53ce22c039e5",
+            "29062e83578fe435d23741c5b21213818e74fe30989dd3f773827c624325d336",
         ),
     ],
     ids=["bm-mc", "bm-mc-exact-constant", "simulate", "simulate-two-blocks", "bm-mc-three-chunks",
@@ -613,3 +662,12 @@ def test_report_bytes_frozen(argv, digest, tmp_path):
     target = tmp_path / "r.json"
     assert cli.main(["--output", str(target)] + argv) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_readme_command_lines_parse():
+    """Every `maxstop ...` line of the README is a valid command line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("maxstop ")]
+    assert len(lines) >= 9
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

@@ -55,13 +55,15 @@ class TestEnumerate:
         assert res.n_optimal_classes == 1
 
     def test_refuses_large_horizon(self):
-        with pytest.raises(ValueError, match="N <= 12"):
-            enumerate_optimum(WalkParams(Fraction(1, 2), 13), GEOM_HALF)
-        # the cap is an explicit argument, movable in both directions
-        with pytest.raises(ValueError, match="N <= 3"):
-            enumerate_optimum(WalkParams(Fraction(1, 2), 4), GEOM_HALF, max_n=3)
-        res = enumerate_optimum(WalkParams(Fraction(1, 2), 3), GEOM_HALF, max_n=3)
-        assert res.n_rules_total == 2**7
+        with pytest.raises(ValueError, match="N <= 13"):
+            enumerate_optimum(WalkParams(Fraction(1, 2), 14), GEOM_HALF)
+
+    def test_refuses_float_reward(self):
+        """A float f(z) would leave exact arithmetic without notice."""
+        with pytest.raises(rewards.RewardDomainError, match=r"f\(0\) = 1.0"):
+            enumerate_optimum(WalkParams(HALF, 3), rewards.exp_decay_reward(1.0))
+        with pytest.raises(rewards.RewardDomainError, match=r"f\(2\) = 0.5"):
+            enumerate_optimum(WalkParams(HALF, 3), rewards.table_reward([1, 1, 0.5, 0]))
 
     def test_rule_count_and_class_count(self):
         res = enumerate_optimum(WalkParams(Fraction(1, 2), 4), GEOM_HALF)

@@ -180,6 +180,19 @@ class TestClassify:
             assert flags.strictly_convex
             assert flags.strictly_decreasing
 
+    @pytest.mark.parametrize(
+        "sigma, horizon, strict",
+        [(1, 28, True), (Fraction(1, 2), 56, True), (1, 29, False), (Fraction(1, 2), 57, False)],
+    )
+    def test_exp_decay_table_strict_range(self, sigma, horizon, strict):
+        """The rounding to denominators <= 10**12 breaks convexity past these
+        horizons, as the docstring states."""
+        flags = classify(exp_decay_table(sigma, horizon))
+        if strict:
+            assert flags.strictly_convex and flags.strictly_decreasing
+        else:
+            assert not flags.convex
+
     @pytest.mark.parametrize("sigma", [0, -1, Fraction(-1, 2), Fraction(1, 10**400), math.inf,
                                        math.nan])
     def test_exp_decay_table_needs_positive_finite_sigma(self, sigma):
