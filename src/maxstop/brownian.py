@@ -32,8 +32,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .coupling import McEstimate, _blocks
 from .rewards import RewardDomainError, RewardSpec
 

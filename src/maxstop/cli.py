@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, brownian, coupling, dpsolver, oracle, rewards, walkdist
+from ._lazy import np
 
 GRID_VERSION = "grids-v1"
 DEFAULT_P_GRID = tuple(Fraction(k, 10) for k in range(1, 10))
@@ -221,9 +222,14 @@ def cmd_solve(args) -> int:
         **_solve_fields(rep),
         "tie_states": [list(s) for s in rep.tie_states],
     }
-    if args.policy_csv:
+    # A report file goes before the CSV, so an unwritable --output leaves no
+    # CSV; the CSV goes before a report on stdout, so a bad CSV path prints none.
+    if args.policy_csv and not args.output:
         _write(args.policy_csv, rep.policy.to_csv())
-    return _emit(report, args, failed=False, policy=rep.policy)
+    code = _emit(report, args, failed=False, policy=rep.policy)
+    if args.policy_csv and args.output:
+        _write(args.policy_csv, rep.policy.to_csv())
+    return code
 
 
 def _named_policy(name: str, n: int) -> dpsolver.PolicyTable:
@@ -357,8 +363,6 @@ def cmd_verify_discrete(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
     seed = _default_seed(args)
     ps = tuple(parse_probability(t) for t in args.ps.split(","))
     if len(set(ps)) < len(ps):
@@ -388,8 +392,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bm_verify(args) -> int:
-    import numpy as np
-
     failures = []
     checks = []
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .dpsolver import CONTINUE, PolicyTable
 from .walkdist import WalkParams
 

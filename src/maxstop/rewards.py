@@ -5,8 +5,8 @@ A reward is a function f on {0,...,N} (discrete horizon) or [0, inf)
 nonincreasing convex f, and which theorem applies depends on structural
 properties (strict convexity, strict decrease, ...).  Both settings ask
 for them on {0..N} only, so `classify` decides them there, by checking
-first and second differences on all points, in exact rational arithmetic
-whenever the parameters are rational.
+first and second differences on all points, exactly: on the values as
+integers over their common denominator.
 
 Built-in families, each defined by its constructor alone:
 
@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from ._lazy import np
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -134,8 +134,10 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
     """Decide the structural flags of a discrete-domain f.
 
     Exact first/second-difference tests on all horizon+1 points (horizon < 2
-    leaves the convexity flags vacuously true).  A table reward defaults to
-    its own length; a closed-form reward needs the horizon.
+    leaves the convexity flags vacuously true), taken on the numerators over
+    the values' common denominator, which keeps every sign.  A table reward
+    defaults to its own length; a closed-form reward needs the horizon.  A
+    value that is not rational raises RewardDomainError.
     """
     if f.domain != DISCRETE:
         raise ValueError(f"classify needs a discrete-domain reward, got domain {f.domain!r}")
@@ -143,8 +145,8 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
         if f.size is None:
             raise ValueError("classify on a closed-form discrete reward needs a horizon")
         horizon = f.size - 1
-    values = [evaluate(f, k) for k in range(horizon + 1)]
-    d1 = [b - a for a, b in zip(values, values[1:])]
+    nums, _den = rational_numerators([f.at(k) for k in range(horizon + 1)])
+    d1 = [b - a for a, b in zip(nums, nums[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]
     return RewardFlags(
         nonincreasing=all(d <= 0 for d in d1),
@@ -210,9 +212,10 @@ def exp_decay_reward(sigma: float) -> RewardSpec:
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"exp_decay reward needs a finite sigma > 0, got {sigma}")
+    exp = np.exp  # loads numpy now, not in the first quadrature or Monte Carlo job
     return RewardSpec(
         "exp_decay", CONTINUOUS,
-        lambda x: math.exp(-sigma * float(x)), lambda x: np.exp(-sigma * x),
+        lambda x: math.exp(-sigma * float(x)), lambda x: exp(-sigma * x),
     )
 
 
@@ -220,9 +223,10 @@ def power_penalty_reward(alpha: float) -> RewardSpec:
     if not 0 < alpha < 1:
         raise ValueError("power_penalty_negated needs 0 < alpha < 1")
     alpha = float(alpha)
+    power = np.power  # loads numpy now, as exp_decay_reward does
     return RewardSpec(
         "power_penalty_negated", CONTINUOUS,
-        lambda x: -(float(x) ** alpha), lambda x: -np.power(x, alpha),
+        lambda x: -(float(x) ** alpha), lambda x: -power(x, alpha),
     )
 
 

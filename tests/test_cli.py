@@ -158,6 +158,15 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"configuration error: cannot write {str(target)!r}")
 
+    def test_unwritable_output_leaves_no_policy_csv(self, tmp_path, capsys):
+        target, csv = tmp_path / "missing" / "r.json", tmp_path / "pc.csv"
+        code = cli.main(["--output", str(target), "solve", "--p", "1/2", "--N", "2",
+                         "--reward", "geometric:1/2", "--policy-csv", str(csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"configuration error: cannot write {str(target)!r}")
+        assert not csv.exists()
+
     def test_directory_as_policy_csv_is_config_error(self, tmp_path, capsys):
         code = cli.main(["solve", "--p", "1/2", "--N", "2", "--reward", "geometric:1/2",
                          "--policy-csv", str(tmp_path)])

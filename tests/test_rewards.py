@@ -152,6 +152,38 @@ class TestClassify:
             with pytest.raises(ValueError, match="domain 'continuous'"):
                 classify(f, horizon=4)
 
+    def test_float_table_refused(self):
+        with pytest.raises(rewards.RewardDomainError, match=r"f\(0\) = 0\.5 is not rational"):
+            classify(table_reward([0.5, 0.25, 0.125]))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 16, 33, 60])
+    def test_flags_match_fraction_differences(self, n):
+        """The flags on integer numerators equal a direct Fraction-difference
+        test, for the rewards of `bench/specs.grid_family(n)` plus
+        winner-take-two; exp_decay_table stops being convex at n = 29 / 57."""
+        family = [
+            indicator_top_reward(),
+            geometric_reward(Fraction(1, 2)),
+            geometric_reward(Fraction(3, 4)),
+            exp_decay_table(1, n),
+            exp_decay_table(Fraction(1, 2), n),
+            linear_reward(n),
+            table_reward([max(0, n // 2 - k) for k in range(n + 1)]),
+            table_reward([1, 1] + [0] * n),
+        ]
+        for f in family:
+            vals = [Fraction(f(k)) for k in range(n + 1)]
+            d1 = [b - a for a, b in zip(vals, vals[1:])]
+            d2 = [b - a for a, b in zip(d1, d1[1:])]
+            assert classify(f, horizon=n) == RewardFlags(
+                nonincreasing=all(d <= 0 for d in d1),
+                convex=all(d >= 0 for d in d2),
+                strictly_convex=all(d > 0 for d in d2),
+                strictly_decreasing=bool(d1) and all(d < 0 for d in d1),
+                constant=all(d == 0 for d in d1),
+                linear=all(d == 0 for d in d2),
+            ), (f.kind, n)
+
     def test_closed_form_needs_horizon(self):
         with pytest.raises(ValueError, match="needs a horizon"):
             classify(geometric_reward(Fraction(1, 2)))
