@@ -170,21 +170,47 @@ def _policy_listing(pol: dpsolver.PolicyTable) -> str:
     ) + "\n  ]"
 
 
-def _write(path: str, text: str) -> None:
-    """Write a named file; a path that cannot be written is a configuration error."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ConfigError(f"cannot write {path!r}: {e.strerror or e}") from e
+def _write(files: list) -> None:
+    """Write each (path, text) of a list of named files.
+
+    Every path is opened (in append mode, which keeps an existing file's
+    content) before any is written.  A path that cannot be opened or
+    written is a configuration error; when an open fails, the files this
+    call created are removed, so no file is left behind.
+    """
+    made = []
+    for path, _text in files:
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as e:
+            for created in made:
+                os.remove(created)
+            raise _unwritable(path, e) from e
+        if not existed:
+            made.append(path)
+    for path, text in files:
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _unwritable(path, e) from e
 
 
-def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None = None) -> int:
-    """Write the report; a policy goes in as its top-level `policy` listing.
+def _unwritable(path: str, e: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path!r}: {e.strerror or e}")
+
+
+def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None = None,
+          policy_csv: str | None = None) -> int:
+    """Write the report, and the policy as CSV to `policy_csv` if given; a
+    policy goes in the report as its top-level `policy` listing.
 
     json.dumps(indent=2) runs the pure-Python encoder, so the per-state
     listing is formatted directly and spliced in where the sorted keys put
-    it: top-level keys are the only ones indented by two spaces.
+    it: top-level keys are the only ones indented by two spaces.  The files
+    are written before the report goes to stdout, so a path that cannot be
+    written leaves no file and prints no report.
     """
     report["tool_version"] = __version__
     if policy is not None:
@@ -192,9 +218,12 @@ def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None 
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if policy is not None:
         text = text.replace('\n  "policy": null', '\n  "policy": ' + _policy_listing(policy), 1)
-    if getattr(args, "output", None):
-        _write(args.output, text)
-    else:
+    output = getattr(args, "output", None)
+    files = [(output, text)] if output else []
+    if policy_csv:
+        files.append((policy_csv, policy.to_csv()))
+    _write(files)
+    if not output:
         sys.stdout.write(text)
     return 1 if failed else 0
 
@@ -222,14 +251,7 @@ def cmd_solve(args) -> int:
         **_solve_fields(rep),
         "tie_states": [list(s) for s in rep.tie_states],
     }
-    # A report file goes before the CSV, so an unwritable --output leaves no
-    # CSV; the CSV goes before a report on stdout, so a bad CSV path prints none.
-    if args.policy_csv and not args.output:
-        _write(args.policy_csv, rep.policy.to_csv())
-    code = _emit(report, args, failed=False, policy=rep.policy)
-    if args.policy_csv and args.output:
-        _write(args.policy_csv, rep.policy.to_csv())
-    return code
+    return _emit(report, args, failed=False, policy=rep.policy, policy_csv=args.policy_csv)
 
 
 def _named_policy(name: str, n: int) -> dpsolver.PolicyTable:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .rewards import RewardDomainError, rational_numerators
+from .rewards import RewardDomainError, reward_numerators
 from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
 
 STOP = "STOP"
@@ -129,10 +129,11 @@ def _reward_numerators(f, n: int) -> tuple:
     rational.
     """
     try:
-        vals = [f(z) for z in range(n + 1)]
+        return reward_numerators(f, n)
+    except RewardDomainError:
+        raise
     except ValueError as e:
         raise RewardDomainError(f"reward must be defined on 0..{n}: {e}") from e
-    return rational_numerators(vals)
 
 
 def _g_rows(w: WalkParams, fnum: list):

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from ._lazy import np
 
@@ -54,8 +56,8 @@ def as_rational(x):
 
 
 def rational_numerators(values: list) -> tuple:
-    """(numerators, D): exact values f(0), f(1), ... as integers over their
-    least common denominator D.
+    """(numerators, D): exact values f(0), f(1), ... as a tuple of integers
+    over their least common denominator D.
 
     Raises RewardDomainError at the first value that is not an int or a
     Fraction, naming its argument.
@@ -66,7 +68,13 @@ def rational_numerators(values: list) -> tuple:
                 f"reward value f({z}) = {v!r} is not rational; exact arithmetic needs a rational reward"
             )
     den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _numerators_via(at) -> Callable:
+    """The generic `numerators` form: f(0..n) through `at`, then
+    `rational_numerators`, which rejects a value that is not rational."""
+    return lambda n: rational_numerators([at(z) for z in range(n + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +83,31 @@ class RewardSpec:
 
     The constructor checks the parameters once and binds every form of f:
     `at` is f at one argument, exact on integers for the rational kinds;
-    `array` is f on a numpy array, None for a kind with no continuous form;
-    `nodes` are the kinks of a piecewise-linear f; `size` is a table's
-    length.  Equality is identity, since the forms are closures.
+    `numerators(n)` is `rational_numerators` of f(0..n), the same integers
+    and D, in closed form for the rational kinds (memoized per n for a
+    table) and through `at` for the float kinds, so it raises what `at` and
+    `rational_numerators` raise there; `array` is f on a numpy array, None
+    for a kind with no continuous form; `nodes` are the kinks of a
+    piecewise-linear f; `size` is a table's length.  Equality is identity,
+    since the forms are closures.
     """
 
     kind: str
     domain: str
     at: Callable
+    numerators: Callable
     array: Callable | None = None
     nodes: tuple = ()
     size: int | None = None
 
     def __call__(self, x):
         return evaluate(self, x)
+
+
+def reward_numerators(f, n: int) -> tuple:
+    """(numerators, D) of f(0..n): the bound form of a RewardSpec, and
+    `rational_numerators` over f(z) for any other callable."""
+    return (f.numerators if isinstance(f, RewardSpec) else _numerators_via(f))(n)
 
 
 def evaluate(f: RewardSpec, x):
@@ -145,7 +164,7 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
         if f.size is None:
             raise ValueError("classify on a closed-form discrete reward needs a horizon")
         horizon = f.size - 1
-    nums, _den = rational_numerators([f.at(k) for k in range(horizon + 1)])
+    nums, _den = f.numerators(horizon)
     d1 = [b - a for a, b in zip(nums, nums[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]
     return RewardFlags(
@@ -172,7 +191,14 @@ def table_reward(values) -> RewardSpec:
             raise ValueError(f"table reward has {len(table)} entries, index {k} out of range")
         return table[k]
 
-    return RewardSpec("table", DISCRETE, at, size=len(table))
+    # a failed n raises and is not memoized, so at most len(table) entries
+    numerators = functools.cache(_numerators_via(at))
+    return RewardSpec("table", DISCRETE, at, numerators, size=len(table))
+
+
+def _powers(x: int, n: int) -> list:
+    """[1, x, x**2, ..., x**n]."""
+    return list(accumulate(repeat(x, n), operator.mul, initial=1))
 
 
 def geometric_reward(d) -> RewardSpec:
@@ -180,11 +206,26 @@ def geometric_reward(d) -> RewardSpec:
     if not 0 < d < 1:
         raise ValueError(f"geometric reward needs 0 < d < 1, got {d}")
     d_float = float(d)
-    return RewardSpec("geometric", DISCRETE, lambda x: d ** int(x), lambda x: np.power(d_float, x))
+
+    def at(x):
+        return d ** int(x)
+
+    def numerators(n):
+        # d**k = a**k / b**k in lowest terms, so D = b**n and the k-th
+        # numerator is a**k * b**(n - k)
+        ups, downs = _powers(d.numerator, n), _powers(d.denominator, n)
+        return tuple(map(operator.mul, ups, reversed(downs))), downs[-1]
+
+    if not isinstance(d, Fraction):
+        numerators = _numerators_via(at)
+    return RewardSpec("geometric", DISCRETE, at, numerators, lambda x: np.power(d_float, x))
 
 
 def indicator_top_reward() -> RewardSpec:
-    return RewardSpec("indicator_top", DISCRETE, lambda x: Fraction(1) if x == 0 else Fraction(0))
+    return RewardSpec(
+        "indicator_top", DISCRETE,
+        lambda x: Fraction(1) if x == 0 else Fraction(0), lambda n: ((1,) + (0,) * n, 1),
+    )
 
 
 def linear_reward(c, domain=DISCRETE) -> RewardSpec:
@@ -204,8 +245,15 @@ def linear_reward(c, domain=DISCRETE) -> RewardSpec:
             return c - Fraction(x)
         return float(c) - float(x)
 
+    def numerators(n):
+        # c - k = (u - k*v) / v in lowest terms for c = u/v, so D = v
+        u, v = c.numerator, c.denominator
+        return tuple(u - k * v for k in range(n + 1)), v
+
+    if not isinstance(c, Fraction):
+        numerators = _numerators_via(at)
     # float(c) on use, so an exact c beyond float range still solves exactly
-    return RewardSpec("linear", domain, at, lambda x: float(c) - x)
+    return RewardSpec("linear", domain, at, numerators, lambda x: float(c) - x)
 
 
 def exp_decay_reward(sigma: float) -> RewardSpec:
@@ -213,10 +261,11 @@ def exp_decay_reward(sigma: float) -> RewardSpec:
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"exp_decay reward needs a finite sigma > 0, got {sigma}")
     exp = np.exp  # loads numpy now, not in the first quadrature or Monte Carlo job
-    return RewardSpec(
-        "exp_decay", CONTINUOUS,
-        lambda x: math.exp(-sigma * float(x)), lambda x: exp(-sigma * x),
-    )
+
+    def at(x):
+        return math.exp(-sigma * float(x))
+
+    return RewardSpec("exp_decay", CONTINUOUS, at, _numerators_via(at), lambda x: exp(-sigma * x))
 
 
 def power_penalty_reward(alpha: float) -> RewardSpec:
@@ -224,9 +273,12 @@ def power_penalty_reward(alpha: float) -> RewardSpec:
         raise ValueError("power_penalty_negated needs 0 < alpha < 1")
     alpha = float(alpha)
     power = np.power  # loads numpy now, as exp_decay_reward does
+
+    def at(x):
+        return -(float(x) ** alpha)
+
     return RewardSpec(
-        "power_penalty_negated", CONTINUOUS,
-        lambda x: -(float(x) ** alpha), lambda x: -power(x, alpha),
+        "power_penalty_negated", CONTINUOUS, at, _numerators_via(at), lambda x: -power(x, alpha)
     )
 
 
@@ -243,9 +295,11 @@ def custom_table_reward(xs, ys) -> RewardSpec:
     if not all(map(math.isfinite, rises + slopes)):
         raise ValueError("custom_table needs finite differences and slopes between its points")
     array = functools.partial(np.interp, xp=np.array(xs), fp=np.array(ys))
-    return RewardSpec(
-        "custom_table", CONTINUOUS, lambda x: float(array(float(x))), array, nodes=xs
-    )
+
+    def at(x):
+        return float(array(float(x)))
+
+    return RewardSpec("custom_table", CONTINUOUS, at, _numerators_via(at), array, nodes=xs)
 
 
 def exp_decay_table(sigma, horizon: int) -> RewardSpec:
@@ -261,7 +315,15 @@ def exp_decay_table(sigma, horizon: int) -> RewardSpec:
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"exp_decay_table needs a finite sigma > 0, got {sigma}")
-    return table_reward(
-        Fraction(math.exp(-sigma * k)).limit_denominator(10**12)
-        for k in range(horizon + 1)
-    )
+    return table_reward(_rational_exp(sigma, k) for k in range(horizon + 1))
+
+
+@functools.lru_cache(maxsize=4096)
+def _rational_exp(sigma: float, k: int) -> Fraction:
+    """exp(-sigma*k) as the closest fraction with denominator <= 10**12.
+
+    `sweep` and `verify-discrete` build the table again for each horizon,
+    so each value is rationalized once per process; the 4096 entries take
+    about 1 MB.
+    """
+    return Fraction(math.exp(-sigma * k)).limit_denominator(10**12)

@@ -167,6 +167,21 @@ class TestSolveCommand:
         assert captured.err.startswith(f"configuration error: cannot write {str(target)!r}")
         assert not csv.exists()
 
+    def test_unwritable_policy_csv_leaves_no_report(self, tmp_path, capsys):
+        target, csv = tmp_path / "r.json", tmp_path / "missing" / "pc.csv"
+        code = cli.main(["--output", str(target), "solve", "--p", "1/2", "--N", "2",
+                         "--reward", "geometric:1/2", "--policy-csv", str(csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {str(csv)!r}")
+        assert not target.exists()
+        assert not csv.exists()
+        target.write_text("kept")
+        assert cli.main(["--output", str(target), "solve", "--p", "1/2", "--N", "2",
+                         "--reward", "geometric:1/2", "--policy-csv", str(csv)]) == 2
+        assert target.read_text() == "kept"
+
     def test_directory_as_policy_csv_is_config_error(self, tmp_path, capsys):
         code = cli.main(["solve", "--p", "1/2", "--N", "2", "--reward", "geometric:1/2",
                          "--policy-csv", str(tmp_path)])

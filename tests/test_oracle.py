@@ -197,3 +197,19 @@ class TestAgainstBruteEnumeration:
                             p, n, f, rep.optimal_value, label
                         ), (name, p, n, label)
         assert seen == set(LABELS)
+
+
+class TestIndependence:
+    def test_oracle_does_not_read_the_bound_numerators(self):
+        """The oracle values f itself; the solver it checks reads the reward's
+        bound integer form, so a broken form fails the solver only."""
+
+        def broken(n):
+            raise RuntimeError("numerators form read")
+
+        w = WalkParams(Fraction(3, 5), 4)
+        for _name, f in BRUTE_REWARDS:
+            f_broken = replace(f, numerators=broken)
+            assert enumerate_optimum(w, f_broken) == enumerate_optimum(w, f)
+            with pytest.raises(RuntimeError, match="numerators form read"):
+                dpsolver.solve(w, f_broken)

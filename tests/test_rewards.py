@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxstop import rewards
+from maxstop import dpsolver, rewards, walkdist
 from maxstop.rewards import (
     RewardFlags,
     classify,
@@ -247,3 +247,103 @@ class TestFlagsInvariants:
     def test_constant_requires_linear(self):
         with pytest.raises(ValueError):
             RewardFlags(True, True, False, False, True, False)
+
+
+def _numerators_by_values(f, n):
+    """The route the bound `numerators` form replaces: f(0..n), then reduced."""
+    return rewards.rational_numerators([f(z) for z in range(n + 1)])
+
+
+RATIONAL_KINDS = {
+    "table": table_reward([Fraction(k % 7 - 3, k % 5 + 1) for k in range(91)]),
+    "geometric:2/3": geometric_reward(Fraction(2, 3)),
+    "geometric:1/10": geometric_reward(Fraction(1, 10)),
+    "indicator_top": indicator_top_reward(),
+    "linear:7": linear_reward(7),
+    "linear:-7/3": linear_reward(Fraction(-7, 3)),
+    "linear_continuous:5/2": linear_reward(Fraction(5, 2), domain=rewards.CONTINUOUS),
+    "exp_decay_table:1": exp_decay_table(1, 90),
+    "exp_decay_table:1/2": exp_decay_table(Fraction(1, 2), 90),
+}
+
+
+class TestNumerators:
+    @pytest.mark.parametrize("n", [0, 1, 7, 33, 90])
+    @pytest.mark.parametrize("name", list(RATIONAL_KINDS))
+    def test_bound_form_matches_values(self, name, n):
+        f = RATIONAL_KINDS[name]
+        assert f.numerators(n) == _numerators_by_values(f, n)
+
+    def test_table_form_is_memoized_per_horizon(self):
+        f = table_reward([Fraction(1, 2), Fraction(1, 3), 0])
+        assert f.numerators(1) is f.numerators(1)
+        assert f.numerators(1) == ((3, 2), 6)
+        assert f.numerators(2) == ((3, 2, 0), 6)
+
+    @given(
+        table=st.lists(st.fractions(max_denominator=30), min_size=1, max_size=25),
+        d=st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda d: 0 < d < 1),
+        c=st.fractions(min_value=-50, max_value=50, max_denominator=40),
+        n=st.integers(min_value=0, max_value=24),
+    )
+    @settings(max_examples=80)
+    def test_bound_forms_match_values(self, table, d, c, n):
+        for f in (table_reward(table), geometric_reward(d), linear_reward(c),
+                  linear_reward(c, domain=rewards.CONTINUOUS)):
+            if f.size is None or n < f.size:
+                assert f.numerators(n) == _numerators_by_values(f, n), (f.kind, n)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+NOT_RATIONAL = "is not rational; exact arithmetic needs a rational reward"
+
+
+class TestNumeratorErrors:
+    """A reward the exact layer cannot use fails with the same exception and
+    message through every caller of its numerators."""
+
+    @pytest.mark.parametrize(
+        "f, value",
+        [
+            (rewards.exp_decay_reward(1.0), "1.0"),
+            (rewards.power_penalty_reward(0.5), "-0.0"),
+            (rewards.custom_table_reward([0, 2], [1, 0]), "1.0"),
+            (table_reward([0.5, 0.25, 0.125]), "0.5"),
+            (geometric_reward(0.5), "1.0"),
+            (linear_reward(2.5), "2.5"),
+        ],
+        ids=["exp_decay", "power", "piecewise", "float_table", "float_geometric", "float_linear"],
+    )
+    def test_float_kinds(self, f, value):
+        expected = (rewards.RewardDomainError, f"reward value f(0) = {value} {NOT_RATIONAL}")
+        w = walkdist.WalkParams(Fraction(1, 2), 2)
+        assert _raised(lambda: dpsolver.solve(w, f)) == expected
+        assert _raised(lambda: walkdist.check_key_inequality(w, f, 0)) == expected
+        if f.domain == rewards.DISCRETE:
+            assert _raised(lambda: classify(f, horizon=2)) == expected
+        else:
+            assert _raised(lambda: classify(f, horizon=2)) == (
+                ValueError, "classify needs a discrete-domain reward, got domain 'continuous'"
+            )
+
+    def test_table_index_out_of_range(self):
+        f = table_reward([2, 1, 0])
+        w = walkdist.WalkParams(Fraction(1, 2), 4)
+        short = "table reward has 3 entries, index 3 out of range"
+        assert _raised(lambda: dpsolver.solve(w, f)) == (
+            rewards.RewardDomainError, f"reward must be defined on 0..4: {short}"
+        )
+        assert _raised(lambda: walkdist.check_key_inequality(w, f, 0)) == (ValueError, short)
+        assert _raised(lambda: classify(f, horizon=4)) == (ValueError, short)
+
+    def test_short_float_table_reports_the_index_first(self):
+        f = table_reward([0.5, 0.25])
+        w = walkdist.WalkParams(Fraction(1, 2), 3)
+        assert _raised(lambda: walkdist.check_key_inequality(w, f, 0)) == (
+            ValueError, "table reward has 2 entries, index 2 out of range"
+        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxstop import rewards, walkdist
+from maxstop import dpsolver, rewards, walkdist
 from maxstop.walkdist import (
     JointLaw,
     WalkParams,
@@ -221,8 +221,8 @@ class TestValues:
             return sum(Fraction(c, b**k) * g(x) for x, c in enumerate(final_law(rows)))
 
         for k in range(n + 1):
-            assert g_value(w, f, k, i) == expect(max_laws(w.at_horizon(k)), k, lambda m: f(max(i, m)))
-            assert d_value(w, f, k, i) == expect(drawdown_laws(w.at_horizon(k), start=i), k, f)
+            assert g_value(w, f, k, i) == expect(max_laws(WalkParams(p, k)), k, lambda m: f(max(i, m)))
+            assert d_value(w, f, k, i) == expect(drawdown_laws(WalkParams(p, k), start=i), k, f)
         lhs = expect(drawdown_laws(w, start=i), n, f)
         rhs = expect(drawdown_laws(w), n, lambda z: f(max(i, z)))
         rep = check_key_inequality(w, f, i)
@@ -290,3 +290,36 @@ class TestKeyInequality:
                     assert rep.strict
                 if flags.strictly_convex:
                     assert rep.strict
+
+
+class TestFinalRowCache:
+    # the tenths and the exact benchmark grid's p values
+    PS = sorted({Fraction(k, 10) for k in range(1, 10)} | {
+        Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 2),
+        Fraction(4, 7), Fraction(3, 5), Fraction(2, 3), Fraction(3, 4)})
+
+    def test_rows_are_the_kernel_rows(self):
+        for p in self.PS:
+            for n in range(21):
+                for start in range(11):
+                    row = walkdist._final_row(p, n, start)
+                    assert isinstance(row, tuple)
+                    assert walkdist._final_row(p, n, start) is row
+                    assert list(row) == final_law(drawdown_laws(WalkParams(p, n), start=start))
+
+    def test_solver_sweeps_do_not_fill_it(self):
+        walkdist._final_row.cache_clear()
+        w = WalkParams(Fraction(3, 5), 200)
+        dpsolver.solve(w, GEOM_HALF)
+        dpsolver.evaluate_policy(w, GEOM_HALF, dpsolver.policy_stop_at_max(200))
+        info = walkdist._final_row.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
+
+    def test_checks_share_rows(self):
+        walkdist._final_row.cache_clear()
+        w = WalkParams(Fraction(3, 5), 6)
+        for f in (GEOM_HALF, rewards.indicator_top_reward(), rewards.linear_reward(20)):
+            check_key_inequality(w, f, 2)
+            check_corollary(w, f, 2)
+        # rows (p, 6, 2), (p, 6, 0) and (q, 6, 0), each computed once
+        assert walkdist._final_row.cache_info().misses == 3
