@@ -17,7 +17,7 @@ from maxstop import (
     joint_density,
 )
 
-print("normalization of the joint density (adaptive tensor quadrature):")
+print("normalization of the joint density (nested Gauss-Legendre quadrature):")
 for t in (1.0, 2.0):
     for lam in (-1.0, 0.0, 1.0):
         res = expect_joint(lambda s, b: np.ones_like(s), t, lam)

@@ -68,7 +68,6 @@ from .brownian import (  # noqa: F401
     McConfig,
     check_bm_corollary,
     check_bm_key_inequality,
-    d_bm,
     density_reflection_check,
     dtilde_bm,
     expect_joint,

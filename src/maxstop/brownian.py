@@ -6,27 +6,25 @@ The joint density of (M_t, B_t) for drift lambda is
               * exp(-(2s - b)^2 / (2t)) * exp(lambda * (b - lambda * t / 2))
 
 on s >= 0, b <= s.  Expectations E[f(x v M - B)] etc. are computed by
-adaptive tensor-product Gauss-Legendre quadrature in the coordinates
-(s, z) = (M, M - B), where the support is the quadrant z, s >= 0 and the
-Jacobian is 1, over a box covering `_SIGMAS` standard deviations.  Kinks of
-the integrands lie on the lines s = x, z = x and, for a piecewise-linear
-reward, s or z = a node; callers declare them as the first panel cuts.  The
-reported error is the 6- versus 12-point panel residual plus the truncated
-tail mass: it bounds the error when the integrand is smooth between the
-declared lines.  One kink is not declared: inside dtilde_bm, a
-custom_table reward bends on the diagonals z - s = node - x for s < x.
+conditioning on the endpoint: given B_t = b the maximum has the explicit
+law P(M_t >= s | B_t = b) = exp(-2s(s-b)/t), so E[phi(M, B)] is a nested
+integral, over b outside and over s >= max(0, b) inside, which one fixed
+Gauss-Legendre rule evaluates (`expect_joint`).  Every kink of the
+integrands lies on a line s = const, s - b = const or b = const (the
+lines s = x, s - b = x, b = x - node and those of a piecewise-linear
+reward's nodes); callers declare them, and they become panel edges.  The
+reported error is the difference of the rule on the declared panels and
+on their halves, plus the truncated tail mass.
 
-Sampling (M_T, B_T) needs no path discretization: conditionally on
-B_t = b, P(M_t >= s | B_t = b) = exp(-2s(s-b)/t), which inverts to
-M = (b + sqrt(b^2 - 2t ln U)) / 2.  The same inversion applied per grid
-segment ("bridge max refinement") removes the O(sqrt(dt)) bias of the
-running maximum in discretized path simulation.
+Sampling (M_T, B_T) needs no path discretization: the same conditional
+law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  The same inversion
+applied per grid segment ("bridge max refinement") removes the
+O(sqrt(dt)) bias of the running maximum in discretized path simulation.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import sys
 from dataclasses import dataclass, field
@@ -38,23 +36,9 @@ from .rewards import RewardDomainError, RewardSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement ran out of panels before reaching the tolerance."""
-
-    def __init__(self, achieved: float, requested: float):
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"quadrature did not converge: achieved error bound {achieved:.3e} "
-            f"> requested {requested:.3e}"
-        )
-
-
-_SIGMAS = 8.0  # quadrature box half-width in units of sqrt(t)
+_SIGMAS = 8.0  # quadrature range half-width in units of sqrt(t)
 _EPS_COEFF = 0.5  # stop-at-running-max triggers at Z <= _EPS_COEFF * sqrt(dt)
-_TOL = 1e-7  # summed panel residual at which `expect_joint` stops refining
-_MAX_PANELS = 6000  # panels `expect_joint` may evaluate before it gives up
+_GL_POINTS = 20  # Gauss-Legendre points per sub-panel of `expect_joint`
 
 
 @dataclass(frozen=True)
@@ -105,39 +89,26 @@ def density_reflection_check(t: float, lam: float, grid) -> float:
 class QuadResult(NamedTuple):
     value: float
     error: float
-    panels: int = 0  # panels evaluated; 0 when no integral was needed (t = 0)
-
-
-def _tensor_rule(n: int):
-    """Nodes and weights of the n x n Gauss-Legendre rule on [-1, 1]^2, flattened."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    return xx.ravel(), yy.ravel(), np.outer(w, w).ravel()
+    panels: int = 0  # declared (b, s) panels; 0 when no integral was needed (t = 0)
 
 
 @functools.cache
-def _gl_pair():
-    """The 6- and 12-point rules side by side, so one integrand call serves
-    both; built on first use, so importing maxstop does not load numpy.polynomial."""
-    return tuple(np.concatenate(parts) for parts in zip(_tensor_rule(6), _tensor_rule(12)))
+def _unit_rule(split: int):
+    """Nodes and weights on [0, 1] of the 20-point Gauss-Legendre rule on
+    each of `split` equal parts; built on first use, so importing maxstop
+    does not load numpy.polynomial."""
+    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+    nodes = (np.arange(split)[:, None] + 0.5 * (1.0 + x)) / split
+    return nodes.ravel(), np.tile(w, split) / (2 * split)
 
 
-_N6 = 36  # nodes of the 6-point rule, first in _gl_pair()
-
-
-def _panel_estimates(fn, s0, s1, z0, z1):
-    """(coarse, fine) tensor Gauss-Legendre estimates on one (s, z) panel."""
-    u, v, w = _gl_pair()
-    ss = 0.5 * (s1 - s0) * u + 0.5 * (s1 + s0)
-    zz = 0.5 * (z1 - z0) * v + 0.5 * (z1 + z0)
-    vals = fn(ss, zz) * w
-    area = 0.25 * (s1 - s0) * (z1 - z0)
-    return area * float(vals[:_N6].sum()), area * float(vals[_N6:].sum())
-
-
-def _edges(hi: float, cuts) -> list:
-    """Panel edges on [0, hi]: the ends plus the declared cuts strictly inside."""
-    return [0.0, *sorted({float(c) for c in cuts if 0.0 < c < hi}), hi]
+def _compound(edges, split: int):
+    """`_unit_rule(split)` on every interval between consecutive edges, row
+    by row: edges of shape (rows, k + 1) give nodes and weights of shape
+    (rows, k * 20 * split)."""
+    u, w = _unit_rule(split)
+    lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
+    return (lo + width * u).reshape(len(edges), -1), (width * w).reshape(len(edges), -1)
 
 
 def expect_joint(
@@ -147,74 +118,56 @@ def expect_joint(
     *,
     s_cuts=(),
     z_cuts=(),
+    b_cuts=(),
 ) -> QuadResult:
-    """Adaptive quadrature of E[phi(M_t, B_t)] against the joint density.
+    """E[phi(M_t, B_t)] by a fixed nested Gauss-Legendre rule over (b, s).
 
-    phi(s, b) must be numpy-vectorized.  The integral runs over
-    (s, z) = (M, M - B) on the box [0, s_hi] x [0, z_hi], with
-    s_hi = max(lam t, 0) + c sqrt(t) and z_hi = max(-lam t, 0) + c sqrt(t)
-    (c = _SIGMAS); the support of the density is the whole quadrant and
-    the Jacobian is 1, so the integrand is phi(s, s - z) h(s, s - z).
+    phi(s, b) must be numpy-vectorized.  The outer integral runs over the
+    endpoint b on [lam t - c sqrt(t), lam t + c sqrt(t)] (c = _SIGMAS), the
+    inner one over the maximum s on [max(0, b), max(0, b) + c sqrt(t)];
+    the integrand is phi(s, b) h(s, b).  Given B_t = b the maximum has the
+    law P(M_t >= s | b) = exp(-2s(s - b)/t), smooth in s, so every kink of
+    phi that lies on a line s = const (s_cuts), s - b = const (z_cuts) or
+    b = const (b_cuts) is a panel edge:
+      * outer cuts: 0, the s_cuts, the negated z_cuts (where those lines
+        meet the inner lower limit) and the b_cuts;
+      * inner cuts, per outer node b: the s_cuts and b + the z_cuts,
+        clipped into the inner range; a clipped cut makes a zero-width
+        panel, so every row has the same shape.
 
-    s_cuts and z_cuts declare the lines s = const and z = const where phi
-    has a kink or a jump; they seed the first panel cuts.  Panels are then
-    split in four, worst first, until the summed residual |Q12 - Q6| of the
-    6- and 12-point tensor Gauss-Legendre rules is within _TOL.
-
-    The returned error is that residual plus the truncated tail mass times
-    max |phi| seen.  The residual bounds the 12-point error only when phi
-    is smooth inside every panel: an undeclared kink or jump can make it
-    understate the error.
+    The fine rule puts the 20-point rule on 2 equal parts of every
+    declared panel, the coarse rule on the whole panel, on both axes.  The
+    returned value is the fine rule's; the error is |fine - coarse| plus
+    the truncated mass (at most 4 Phi(-c)) times max(1, max |phi| seen).
+    It bounds the error when phi is smooth inside every declared panel:
+    an undeclared kink or jump can make it understate the error.
+    `panels` counts the declared (b, s) panels, zero-width ones included.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    st = math.sqrt(t)
-    s_hi = max(lam * t, 0.0) + _SIGMAS * st
-    z_hi = max(-lam * t, 0.0) + _SIGMAS * st
-    max_abs_phi = 0.0
-
-    def integrand(ss, zz):
-        nonlocal max_abs_phi
-        bb = ss - zz
-        pv = phi(ss, bb)
-        m = float(np.max(np.abs(pv)))
-        if m > max_abs_phi:
-            max_abs_phi = m
-        return pv * joint_density(ss, bb, t, lam)
-
-    heap = []
-    total, total_err = 0.0, 0.0
-    evaluated = 0  # also the heap's tie-breaker
-
-    def push(s0, s1, z0, z1):
-        nonlocal total, total_err, evaluated
-        coarse, fine = _panel_estimates(integrand, s0, s1, z0, z1)
-        err = abs(fine - coarse)
-        heapq.heappush(heap, (-err, evaluated, (s0, s1, z0, z1, fine, err)))
-        evaluated += 1
-        total += fine
-        total_err += err
-
-    s_edges, z_edges = _edges(s_hi, s_cuts), _edges(z_hi, z_cuts)
-    for s0, s1 in zip(s_edges, s_edges[1:]):
-        for z0, z1 in zip(z_edges, z_edges[1:]):
-            push(s0, s1, z0, z1)
-
-    while total_err > _TOL and len(heap) < _MAX_PANELS:
-        _negerr, _sn, (s0, s1, z0, z1, fine, err) = heapq.heappop(heap)
-        total -= fine
-        total_err -= err
-        sm, zm = 0.5 * (s0 + s1), 0.5 * (z0 + z1)
-        for a, b in ((s0, sm), (sm, s1)):
-            for lo, hi in ((z0, zm), (zm, z1)):
-                push(a, b, lo, hi)
-
-    # truncated mass outside the box: P(M > s_hi) + P(M - B > z_hi) <= 4 Phi(-c)
+    reach = _SIGMAS * math.sqrt(t)
+    b_lo, b_hi = lam * t - reach, lam * t + reach
+    s_fixed = np.array(sorted({float(c) for c in s_cuts}))
+    z_fixed = np.array(sorted({float(c) for c in z_cuts}))
+    b_inner = {0.0, *s_fixed, *-z_fixed, *map(float, b_cuts)}
+    b_edges = np.array([[b_lo, *sorted(c for c in b_inner if b_lo < c < b_hi), b_hi]])
+    max_abs_phi = 1.0
+    estimates = []
+    for split in (1, 2):
+        (b,), (wb,) = _compound(b_edges, split)
+        lo = np.maximum(b, 0.0)[:, None]
+        hi = lo + reach
+        cuts = np.hstack([np.tile(s_fixed, (len(b), 1)), b[:, None] + z_fixed])
+        s, ws = _compound(np.sort(np.hstack([lo, np.clip(cuts, lo, hi), hi]), axis=1), split)
+        bb = np.broadcast_to(b[:, None], s.shape)
+        pv = phi(s, bb)
+        max_abs_phi = max(max_abs_phi, float(np.max(np.abs(pv))))
+        estimates.append(float(wb @ np.sum(ws * pv * joint_density(s, bb, t, lam), axis=1)))
+    coarse, fine = estimates
+    # truncated mass: P(|B - lam t| > c sqrt(t)) + P(M > max(0, B) + c sqrt(t)) <= 4 Phi(-c)
     tail = 4.0 * 0.5 * math.erfc(_SIGMAS / math.sqrt(2.0))
-    bound = total_err + tail * max(max_abs_phi, 1.0)
-    if total_err > _TOL:
-        raise QuadratureError(achieved=bound, requested=_TOL)
-    return QuadResult(value=total, error=bound, panels=evaluated)
+    panels = (b_edges.shape[1] - 1) * (len(s_fixed) + len(z_fixed) + 1)
+    return QuadResult(value=fine, error=abs(fine - coarse) + tail * max_abs_phi, panels=panels)
 
 
 def _vectorized_reward(f: RewardSpec) -> Callable:
@@ -241,16 +194,12 @@ def dtilde_bm(t: float, x: float, lam: float, f) -> QuadResult:
     fv = _vectorized_reward(f)
     if t == 0:
         return QuadResult(float(fv(np.asarray(x))), 0.0)
-    # f's argument is z where s >= x, so its nodes are z-lines there; where
-    # s < x it is z + x - s, whose kinks lie on diagonals no cut can follow
+    # f's argument is s - b where s >= x, so its nodes are z-lines there;
+    # where s < x it is x - b, which bends on the lines b = x - node
     return expect_joint(
-        lambda s, b: fv(np.maximum(x, s) - b), t, lam, s_cuts=(x,), z_cuts=f.nodes
+        lambda s, b: fv(np.maximum(x, s) - b), t, lam,
+        s_cuts=(x,), z_cuts=f.nodes, b_cuts=[x - node for node in f.nodes],
     )
-
-
-def d_bm(t: float, x: float, lam: float, f) -> QuadResult:
-    """E[f((x v M_t) - B_t)] under drift -lam (the reflected companion)."""
-    return dtilde_bm(t, x, -lam, f)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ plain dataclasses, and every number goes out through `_exact`, `_quad` or
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
 instance is serialized in the report), 2 configuration error (a bad flag,
 environment variable, reward or output path), 3 internal failure (a
-quadrature that missed its tolerance, or any other library ValueError).
+library ValueError).
 """
 
 from __future__ import annotations
@@ -623,7 +623,7 @@ def main(argv=None) -> int:
     except (ConfigError, rewards.RewardDomainError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, brownian.QuadratureError) as e:
+    except ValueError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

@@ -579,18 +579,6 @@ class TestBmCommands:
         assert captured.out == ""
         assert "configuration error" in captured.err and ">= 0" in captured.err
 
-    def test_quadrature_failure_is_internal_error(self, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise brownian.QuadratureError(achieved=1e-3, requested=1e-7)
-
-        monkeypatch.setattr(brownian, "check_bm_key_inequality", fail)
-        code = cli.main(["bm-verify", "--seed", "1"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("internal error: quadrature did not converge")
-        assert "Traceback" not in captured.err
-
     def test_bad_rule(self, capsys):
         code, _ = run_cli(
             ["bm-mc", "--lam", "0.0", "--rule", "wat", "--reward", "exp_decay:1.0"], capsys
@@ -666,7 +654,7 @@ class TestSweepCommand:
         ),
         (
             ["bm-verify", "--seed", "1"],
-            "2e78035ec427b38035a23888514f87d9bf1bb690c13ec222eceae0be3c86c6d1",
+            "b04b8f85a92d7581295917e122bad0c4ead0681790c71c70ff539f19f69c2c92",
         ),
         (
             ["verify-discrete"],
