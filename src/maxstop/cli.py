@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -160,13 +161,27 @@ def _solve_fields(rep: dpsolver.SolveReport) -> dict:
 
 
 def _policy_listing(pol: dpsolver.PolicyTable) -> str:
-    """The [k, z, decision] triples of every state in (k, z) order, as
-    json.dumps(indent=2) lays out a list under a top-level key.  k and z are
-    ints and the decisions are plain ASCII tokens, so no escaping arises."""
+    """The [k, z, decision] triples of every state in (k, z) order, laid out
+    as json.dumps(indent=2) lays out a list under a top-level key.  k and z
+    are ints and the decisions are plain ASCII tokens, so no escaping
+    arises.  Each row is one join of its decisions with per-z strings
+    built once."""
+    zs = [f'{z},\n      "' for z in range(pol.n + 1)]
     return "[\n" + ",\n".join(
-        f'    [\n      {k},\n      {z},\n      "{d}"\n    ]'
+        f"    [\n      {k},\n      "
+        + f'"\n    ],\n    [\n      {k},\n      '.join(map(operator.add, zs, row))
+        + '"\n    ]'
         for k, row in enumerate(pol.rows)
-        for z, d in enumerate(row)
+    ) + "\n  ]"
+
+
+def _pair_listing(pairs: tuple) -> str:
+    """A sequence of (int, int) pairs laid out as json.dumps(indent=2) lays
+    out a list of 2-lists under a top-level key; no pairs give '[]'."""
+    if not pairs:
+        return "[]"
+    return "[\n" + ",\n".join(
+        [f"    [\n      {k},\n      {z}\n    ]" for k, z in pairs]
     ) + "\n  ]"
 
 
@@ -175,54 +190,50 @@ def _write(files: list) -> None:
 
     Every path is opened (in append mode, which keeps an existing file's
     content) before any is written.  A path that cannot be opened or
-    written is a configuration error; when an open fails, the files this
-    call created are removed, so no file is left behind.
+    written is a configuration error, and the files this call created are
+    then removed.  A file that existed before the call is not restored: a
+    failed write can leave it truncated or partly written.
     """
     made = []
-    for path, _text in files:
-        existed = os.path.exists(path)
-        try:
+    try:
+        for path, _text in files:
+            existed = os.path.exists(path)
             open(path, "a").close()
-        except OSError as e:
-            for created in made:
-                os.remove(created)
-            raise _unwritable(path, e) from e
-        if not existed:
-            made.append(path)
-    for path, text in files:
-        try:
+            if not existed:
+                made.append(path)
+        for path, text in files:
             with open(path, "w") as fh:
                 fh.write(text)
-        except OSError as e:
-            raise _unwritable(path, e) from e
+    except OSError as e:
+        for created in made:
+            os.remove(created)
+        raise _unwritable(path, e) from e
 
 
 def _unwritable(path: str, e: OSError) -> ConfigError:
     return ConfigError(f"cannot write {path!r}: {e.strerror or e}")
 
 
-def _emit(report: dict, args, failed: bool, policy: dpsolver.PolicyTable | None = None,
-          policy_csv: str | None = None) -> int:
-    """Write the report, and the policy as CSV to `policy_csv` if given; a
-    policy goes in the report as its top-level `policy` listing.
+def _emit(report: dict, args, failed: bool, listings: dict | None = None,
+          files: tuple = ()) -> int:
+    """Write the report, and each further (path, text) of `files`.
 
-    json.dumps(indent=2) runs the pure-Python encoder, so the per-state
-    listing is formatted directly and spliced in where the sorted keys put
-    it: top-level keys are the only ones indented by two spaces.  The files
-    are written before the report goes to stdout, so a path that cannot be
-    written leaves no file and prints no report.
+    `listings` maps top-level keys to preformatted JSON lists (see
+    `_policy_listing` and `_pair_listing`).  json.dumps(indent=2) runs the
+    pure-Python encoder, so a per-state listing goes in as null and its text
+    is spliced in where the sorted keys put it: top-level keys are the only
+    ones indented by two spaces.  The files are written before the report
+    goes to stdout, so a path that cannot be written prints no report and
+    leaves no file that this call created (see `_write`).
     """
     report["tool_version"] = __version__
-    if policy is not None:
-        report["policy"] = None
+    listings = listings or {}
+    report.update(dict.fromkeys(listings))
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if policy is not None:
-        text = text.replace('\n  "policy": null', '\n  "policy": ' + _policy_listing(policy), 1)
+    for key, listing in listings.items():
+        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {listing}', 1)
     output = getattr(args, "output", None)
-    files = [(output, text)] if output else []
-    if policy_csv:
-        files.append((policy_csv, policy.to_csv()))
-    _write(files)
+    _write([(output, text), *files] if output else files)
     if not output:
         sys.stdout.write(text)
     return 1 if failed else 0
@@ -249,9 +260,10 @@ def cmd_solve(args) -> int:
         "command": "solve",
         "config": {"p": str(p), "N": args.N, "reward": args.reward},
         **_solve_fields(rep),
-        "tie_states": [list(s) for s in rep.tie_states],
     }
-    return _emit(report, args, failed=False, policy=rep.policy, policy_csv=args.policy_csv)
+    listings = {"policy": _policy_listing(rep.policy), "tie_states": _pair_listing(rep.tie_states)}
+    files = ((args.policy_csv, rep.policy.to_csv()),) if args.policy_csv else ()
+    return _emit(report, args, failed=False, listings=listings, files=files)
 
 
 def _named_policy(name: str, n: int) -> dpsolver.PolicyTable:

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import shlex
@@ -6,8 +9,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxstop import brownian, cli, coupling, dpsolver
+from maxstop import __version__, brownian, cli, coupling, dpsolver
 
 
 def run_cli(args, capsys):
@@ -111,6 +116,10 @@ class TestSolveCommand:
                 ["solve", "--p", "3/5", "--N", "12", "--reward", "linear:12"],
                 "c98576f3f6ef846d98fd476ff39edac5f27ac43d13929ae6fc7fcb53e4eac428",
             ),
+            (  # 30 tie states off zero drawdown, (7, 6) and (8, 5) among them
+                ["solve", "--p", "2/5", "--N", "12", "--reward", "indicator_top"],
+                "ad4e4bd4e0a0ce62095b74c7f1a7fbd349272a3355a18753bfa362dbab95ef3d",
+            ),
             (  # one state, no ties
                 ["solve", "--p", "2/5", "--N", "0", "--reward", "indicator_top"],
                 "6f9e7505d4e8a234da777ddfee82d3a548aeb9632bf22d7b06057bdcbfcd8724",
@@ -121,7 +130,8 @@ class TestSolveCommand:
                 "6f8507c88b7f3882af04f23bbf4281be72eace80f3fb108e8019a42c1a7edc72",
             ),
         ],
-        ids=["solve-tie", "solve-continue", "solve-N0", "evaluate-stop-at-max"],
+        ids=["solve-tie", "solve-continue", "solve-ties-off-zero", "solve-N0",
+             "evaluate-stop-at-max"],
     )
     def test_small_report_bytes_frozen(self, argv, digest, tmp_path):
         target = tmp_path / "r.json"
@@ -182,6 +192,24 @@ class TestSolveCommand:
                          "--reward", "geometric:1/2", "--policy-csv", str(csv)]) == 2
         assert target.read_text() == "kept"
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["report", "csv"])
+    def test_failed_write_leaves_no_created_file(self, full, tmp_path, capsys):
+        """Both paths open, then one write fails (ENOSPC): the file that the
+        call created for the other is removed."""
+        target, csv = tmp_path / "r.json", tmp_path / "pc.csv"
+        if full == "report":
+            target = Path("/dev/full")
+        else:
+            csv = Path("/dev/full")
+        code = cli.main(["--output", str(target), "solve", "--p", "1/2", "--N", "3",
+                         "--reward", "geometric:1/2", "--policy-csv", str(csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: cannot write '/dev/full'")
+        assert list(tmp_path.iterdir()) == []
+
     def test_directory_as_policy_csv_is_config_error(self, tmp_path, capsys):
         code = cli.main(["solve", "--p", "1/2", "--N", "2", "--reward", "geometric:1/2",
                          "--policy-csv", str(tmp_path)])
@@ -225,6 +253,40 @@ def test_solve_report_matches_stdlib_encoder(p, capsys):
             assert code == 0, (p, n, reward)
             want = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
             assert text == want, (p, n, reward)
+
+
+@st.composite
+def policy_tables(draw):
+    """A PolicyTable with N = 0..20, rows drawn from STOP/CONTINUE/TIE, the
+    last row all STOP."""
+    n = draw(st.integers(0, 20))
+    decision = st.sampled_from([dpsolver.STOP, dpsolver.CONTINUE, dpsolver.TIE])
+    rows = tuple(tuple(draw(st.lists(decision, min_size=k + 1, max_size=k + 1)))
+                 for k in range(n))
+    return dpsolver.PolicyTable(n, rows + ((dpsolver.STOP,) * (n + 1),))
+
+
+@given(
+    pol=policy_tables(),
+    ties=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+                  max_size=40).map(tuple),
+)
+@settings(max_examples=150, deadline=None)
+def test_emit_listings_match_stdlib_encoder(pol, ties):
+    """Spliced listings give the text that the stdlib encoder writes for the
+    same report with the lists inline."""
+    report = {"command": "solve", "config": {"N": pol.n}, "unique": "UNIQUE_TAU0"}
+    inline = {
+        **report,
+        "tool_version": __version__,
+        "policy": [[k, z, d] for k, row in enumerate(pol.rows) for z, d in enumerate(row)],
+        "tie_states": [list(s) for s in ties],
+    }
+    listings = {"policy": cli._policy_listing(pol), "tie_states": cli._pair_listing(ties)}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit(report, argparse.Namespace(), False, listings=listings) == 0
+    assert out.getvalue() == json.dumps(inline, sort_keys=True, indent=2) + "\n"
 
 
 class TestEvaluateCommand:
