@@ -266,7 +266,8 @@ _MAX_SEGMENT = (_SQRT_MAX / (4 * 12.3)) ** 2
 
 
 def _segments(steps: int, rule: BmRule) -> int:
-    """tau0 / tauT draw (M_T, B_T) as one segment, the other rules as `steps`."""
+    """tau0 / tauT draw (M_T, B_T) as one segment, the other rules grid steps
+    of T / `steps` (their longer jumps chain segments of at most that size)."""
     return 1 if rule.kind in _EXACT_KINDS else steps
 
 
@@ -309,6 +310,10 @@ class BmRule:
 
 _EXACT_KINDS = ("tau0", "tauT")  # rules valued on the exact (M_T, B_T) pair
 _CHUNK = 10_000  # rows per stream; fixed: chunk boundaries are part of the stream layout
+# A path rule's stopped rows retire once they are at least 1 / _RETIRE of
+# the rows it still steps; fixed: it sets when the retirement draws come,
+# so it is part of the stream layout.
+_RETIRE = 4
 
 
 def _chunks(seed: int, replications: int):
@@ -321,9 +326,79 @@ def _chunks(seed: int, replications: int):
 
 
 def _max_endpoint(t: float, lam: float, normal: np.ndarray, uniform: np.ndarray) -> tuple:
-    """Exact-in-law (M_t, B_t) from a chunk's first draws."""
+    """Exact-in-law (M_t, B_t) from one normal and one uniform per row."""
     b = lam * t + math.sqrt(t) * normal
     return _conditional_max(b, t, 1.0 - uniform), b  # 1 - uniform in (0, 1]
+
+
+def _jump(gen, t: float, lam: float, count: int) -> tuple:
+    """Exact-in-law (M_t, B_t) of `count` rows from gen's next draws, as the
+    fewest equal chained segments that keep within the one-segment bounds
+    (length <= _MAX_SEGMENT, drift part |lam| t <= _SQRT_MAX / 2); each
+    segment reads one normal and one uniform per row.  Within the inputs
+    that `_max_horizon` and `max_drift` admit that is one segment, unless T
+    or |lam| T comes within a factor of `steps` of those bounds."""
+    pieces = max(1, math.ceil(t / _MAX_SEGMENT), math.ceil(abs(lam) * t / (_SQRT_MAX / 2)))
+    m = b = 0.0
+    for _piece in range(pieces):
+        seg_max, inc = _max_endpoint(t / pieces, lam, gen.standard_normal(count), gen.random(count))
+        m, b = np.maximum(m, b + seg_max), b + inc
+    return m, b
+
+
+def _retired(gen, rest: float, lam: float, m, b, b_tau) -> np.ndarray:
+    """M_T - B_tau of rows whose path is known up to a time t_k < T, with
+    running max m and position b there: the rest of the path's maximum above
+    b has the law of M_rest, drawn in one `_jump`."""
+    rest_max, _end = _jump(gen, rest, lam, len(m))
+    return np.maximum(m, b + rest_max) - b_tau
+
+
+def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
+    """M_T - B_tau of `count` rows under one grid rule, from gen's next draws.
+
+    The rule's rows are stepped on the grid of model.mc.steps steps; step k
+    draws one `_max_endpoint(dt, ...)` per row still stepped, so the running
+    maximum at grid times is exact in law (bridge max refinement), and the
+    rule stops at the first grid time its trigger holds, else at T.  Once
+    the stopped rows are at least 1 / _RETIRE of the rows stepped, at step
+    k < steps, they retire (`_retired`, one draw of the remaining T - t_k)
+    and the others are compacted.  A time_threshold rule stops every row at
+    the first grid time k dt >= param (or T): it jumps there in one
+    `_jump` and retires all rows at once.
+    """
+    steps, lam = model.mc.steps, model.lam
+    dt = model.T / steps
+    if rule.kind == "time_threshold":
+        k = next((k for k in range(1, steps) if k * dt >= rule.param), steps)
+        m, b = _jump(gen, k * dt, lam, count)
+        return m - b if k == steps else _retired(gen, model.T - k * dt, lam, m, b, b)
+
+    out = np.empty(count)
+    rows = np.arange(count)  # the chunk row of each stepped row
+    m, b, b_tau = np.zeros(count), np.zeros(count), np.zeros(count)
+    stopped = np.zeros(count, dtype=bool)
+    eps = _EPS_COEFF * math.sqrt(dt)
+    for k in range(1, steps + 1):
+        seg_max, inc = _max_endpoint(dt, lam, gen.standard_normal(len(rows)), gen.random(len(rows)))
+        m = np.maximum(m, b + seg_max)
+        b = b + inc
+        np.copyto(b_tau, b, where=~stopped)  # B_tau follows B until the row stops
+        if k == steps:
+            break
+        z = m - b
+        stopped |= (z >= rule.param) if rule.param > 0 else (z <= eps)
+        if np.count_nonzero(stopped) * _RETIRE >= len(rows):
+            out[rows[stopped]] = _retired(
+                gen, model.T - k * dt, lam, m[stopped], b[stopped], b_tau[stopped]
+            )
+            keep = ~stopped
+            rows, m, b, b_tau = rows[keep], m[keep], b[keep], b_tau[keep]
+            if not len(rows):
+                return out
+            stopped = np.zeros(len(rows), dtype=bool)
+    out[rows] = m - b_tau
+    return out
 
 
 def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> np.ndarray:
@@ -342,10 +417,13 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     in order.
 
     Each chunk's first draws give every row its exact (M_T, B_T), on which
-    tau0 / tauT are valued without discretization error; the other rules
-    share the bridge-max-refined Euler paths of model.mc.steps steps drawn
-    after them.  No estimate depends on the other rules in the call, and
-    the exact and path estimates read disjoint draws.
+    tau0 / tauT are valued without discretization error.  Each grid rule
+    then re-reads the chunk's stream from the point right after those
+    draws and simulates its own rows (`_path_rule`): bridge-max-refined
+    steps of model.mc.steps, until its stopped rows retire with one exact
+    draw of the rest of the path.  So no estimate depends on the other
+    rules in the call or on their order, and the exact and path estimates
+    read disjoint draws.
     """
     fv = _vectorized_reward(f)
     exact = [idx for idx, rule in enumerate(rules) if rule.kind in _EXACT_KINDS]
@@ -353,8 +431,6 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     steps = model.mc.steps
     if grid_rules and steps < 1:
         raise ValueError("need at least one step per path")
-    dt = model.T / max(steps, 1)
-    eps = _EPS_COEFF * math.sqrt(dt)
     collected = [[] for _rule in rules]
 
     for gen, normal, uniform in _chunks(seed, model.mc.replications):
@@ -362,33 +438,10 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
             m_T, b_T = _max_endpoint(model.T, model.lam, normal, uniform)
             for idx in exact:
                 collected[idx].append(fv(m_T if rules[idx].kind == "tau0" else m_T - b_T))
-        if not grid_rules:
-            continue
-        count = len(normal)
-        b = np.zeros(count)
-        m = np.zeros(count)
-        stopped = {idx: np.zeros(count, dtype=bool) for idx, _r in grid_rules}
-        b_tau = {idx: np.zeros(count) for idx, _r in grid_rules}
-        for k in range(1, steps + 1):
-            inc = model.lam * dt + math.sqrt(dt) * gen.standard_normal(count)
-            seg_max = _conditional_max(inc, dt, 1.0 - gen.random(count))
-            m = np.maximum(m, b + seg_max)
-            b = b + inc
-            z = m - b
-            tk = k * dt
-            for idx, rule in grid_rules:
-                if rule.kind == "drawdown_threshold":
-                    if rule.param > 0:
-                        trigger = z >= rule.param
-                    else:
-                        trigger = z <= eps
-                else:
-                    trigger = tk >= rule.param
-                now = ~stopped[idx] & (trigger | (k == steps))
-                b_tau[idx][now] = b[now]
-                stopped[idx] |= now
-        for idx, _rule in grid_rules:
-            collected[idx].append(fv(m - b_tau[idx]))
+        after_pairs = gen.bit_generator.state
+        for idx, rule in grid_rules:
+            gen.bit_generator.state = after_pairs
+            collected[idx].append(fv(_path_rule(gen, rule, model, len(normal))))
 
     return [
         McEstimate.from_sample(np.concatenate(vals), None if idx in exact else steps)

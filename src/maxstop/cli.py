@@ -188,12 +188,21 @@ def _pair_listing(pairs: tuple) -> str:
 def _write(files: list) -> None:
     """Write each (path, text) of a list of named files.
 
-    Every path is opened (in append mode, which keeps an existing file's
-    content) before any is written.  A path that cannot be opened or
-    written is a configuration error, and the files this call created are
-    then removed.  A file that existed before the call is not restored: a
-    failed write can leave it truncated or partly written.
+    Two paths that name one file (after resolving symlinks) are a
+    configuration error before anything is opened, since the later write
+    would replace the earlier.  Every path is opened (in append mode, which
+    keeps an existing file's content) before any is written.  A path that
+    cannot be opened or written is a configuration error, and the files
+    this call created are then removed.  A file that existed before the
+    call is not restored: a failed write can leave it truncated or partly
+    written.
     """
+    seen = set()
+    for path, _text in files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"two outputs name the same file {path!r}")
+        seen.add(real)
     made = []
     try:
         for path, _text in files:

@@ -11,7 +11,9 @@ replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
 r // BLOCK.  A run with fewer replications draws a prefix of the same rows,
 so results are bit-identical for a given seed regardless of batching.
 `_blocks` is the one place that lays out streams; the Brownian simulator
-reads it too, with its own block size.
+reads it too, with its own block size: a chunk's stream starts with one
+normal and one uniform per row (the exact (M_T, B_T) pairs), and each path
+rule re-reads the stream from the point right after them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ._lazy import np
 from .dpsolver import CONTINUE, PolicyTable
 from .walkdist import WalkParams
 
-GENERATOR = "pcg64-v3"  # bump if the stream layout ever changes
+GENERATOR = "pcg64-v4"  # bump if the stream layout ever changes
 BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
 _CELLS = 2**16  # uniforms drawn at once by `simulate`; bounds a batch's memory
 

@@ -6,13 +6,17 @@ compare two genuinely different routes to the same exact value.  The
 Bellman reference runs the solver's recursion in Fractions on stop values
 from those enumerations, sharing no code with the library.  The rule
 enumerator below is the oracle's own oracle: it values every
-history-dependent stopping rule class on every path (n <= 4).
+history-dependent stopping rule class on every path (n <= 4).  The
+Brownian grid reference is the shared fixed-grid loop that valued the
+drawdown and time rules before stopped rows retired early.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 
+import numpy as np
 import pytest
 
 
@@ -187,6 +191,46 @@ def brute_agrees(p, n, f, value, label):
     if label == "NOT_UNIQUE":
         return len(optimal) >= 2
     return True
+
+
+def brownian_grid_reference(seed, model, fv, rules):
+    """Samples of fv(M_T - B_tau), one array per grid rule, from one shared
+    loop that steps every row to T: chunk c of 10,000 rows reads stream c,
+    skips one normal and one uniform per row, then draws one normal and
+    one uniform per row and step, the step's maximum from its endpoint by
+    inverting P(max >= s | end) = exp(-2 s (s - end) / dt).  A drawdown
+    rule stops at the first grid time with drawdown >= a (a > 0) or
+    <= sqrt(dt) / 2 (a = 0), a time rule at the first k dt >= t0, either
+    at T at the latest.  It shares no code with `brownian`."""
+    steps, lam = model.mc.steps, model.lam
+    dt = model.T / steps
+    eps = 0.5 * math.sqrt(dt)
+    samples = [[] for _rule in rules]
+    for chunk, start in enumerate(range(0, model.mc.replications, 10_000)):
+        count = min(10_000, model.mc.replications - start)
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
+        gen.standard_normal(count), gen.random(count)
+        b, m = np.zeros(count), np.zeros(count)
+        stopped = [np.zeros(count, dtype=bool) for _rule in rules]
+        b_tau = [np.zeros(count) for _rule in rules]
+        for k in range(1, steps + 1):
+            inc = lam * dt + math.sqrt(dt) * gen.standard_normal(count)
+            u = 1.0 - gen.random(count)
+            m = np.maximum(m, b + 0.5 * (inc + np.sqrt(inc**2 - 2.0 * dt * np.log(u))))
+            b = b + inc
+            for rule, done, bt in zip(rules, stopped, b_tau):
+                if rule.kind == "time_threshold":
+                    trigger = k * dt >= rule.param
+                elif rule.param > 0:
+                    trigger = m - b >= rule.param
+                else:
+                    trigger = m - b <= eps
+                now = ~done & (trigger | (k == steps))
+                bt[now] = b[now]
+                done |= now
+        for sample, bt in zip(samples, b_tau):
+            sample.append(fv(m - bt))
+    return [np.concatenate(sample) for sample in samples]
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import brownian_grid_reference
 from scipy import integrate
 from scipy.special import erfcx
 from scipy.stats import norm
@@ -385,9 +386,84 @@ class TestMcRules:
             bm.BmModel(lam=lam, T=1.0)
 
 
+class TestPathRules:
+    """Grid rules step their own rows and retire the stopped ones with one
+    exact draw of the rest of the path."""
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
+    def test_drawdown_rules_match_the_fixed_grid_reference(self, lam):
+        """Against the loop that steps every row to T, on another seed so the
+        two estimates are independent: within 4 combined standard errors."""
+        rules = [bm.BmRule("drawdown_threshold", a) for a in (0.0, 0.5, 1.0)]
+        model = bm.BmModel(lam=lam, T=1.0, mc=bm.McConfig(steps=100, replications=40_000))
+        ests = bm.mc_bm_rule_values(41, model, EXP1, rules)
+        for rule, est, sample in zip(
+            rules, ests, brownian_grid_reference(42, model, EXP1.array, rules)
+        ):
+            ref = McEstimate.from_sample(sample)
+            assert abs(est.estimate - ref.estimate) < 4 * math.hypot(est.stderr, ref.stderr), (
+                rule.label(), est, ref
+            )
+
+    def test_reference_is_the_fixed_grid_loop(self):
+        """The reference reproduces, bit for bit, the `bm-mc` estimate that the
+        fixed-grid loop reported (seed 6, lam -0.5, 100 steps, 5,000
+        replications, drawdown 0.5)."""
+        model = bm.BmModel(lam=-0.5, T=1.0, mc=bm.McConfig(steps=100, replications=5000))
+        rule = bm.BmRule("drawdown_threshold", 0.5)
+        (sample,) = brownian_grid_reference(6, model, EXP1.array, [rule])
+        ref = McEstimate.from_sample(sample)
+        assert (ref.estimate, ref.stderr) == (0.507117479148211, 0.0016939580896006576)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    @pytest.mark.parametrize("lam", [-1.0, 1.0])
+    def test_time_rule_matches_the_law_of_two_maxima(self, s, lam):
+        """Stopped at s, M_T - B_s = max(X, Y) with X = M_s - B_s, which has the
+        law of the max over s under drift -lam (time reversal), and Y the max
+        of the rest of the path above B_s, over T - s under drift lam,
+        independent of X.  E[exp(-max(X, Y))] = 1 - int_0^inf e^-m (1 -
+        P(X <= m) P(Y <= m)) dm, by quad on the closed-form law of M_t."""
+        model = bm.BmModel(lam=lam, T=1.0, mc=bm.McConfig(replications=100_000))
+        est = bm.mc_bm_rule_value(51, model, EXP1, bm.BmRule("time_threshold", s))
+        tail, _err = integrate.quad(
+            lambda m: math.exp(-m)
+            * (1.0 - max_cdf_drifted(m, s, -lam) * max_cdf_drifted(m, 1.0 - s, lam)),
+            0.0, 40.0, epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        assert abs(est.estimate - (1.0 - tail)) < 4 * est.stderr
+
+    def test_estimate_does_not_depend_on_the_rule_order(self):
+        rules = [
+            bm.BmRule("tau0"), bm.BmRule("drawdown_threshold", 0.5),
+            bm.BmRule("time_threshold", 0.4), bm.BmRule("drawdown_threshold", 0.0),
+        ]
+        model = bm.BmModel(lam=0.3, T=1.0, mc=bm.McConfig(steps=50, replications=12_000))
+        forward = bm.mc_bm_rule_values(52, model, EXP1, rules)
+        assert bm.mc_bm_rule_values(52, model, EXP1, rules[::-1]) == forward[::-1]
+
+    @pytest.mark.parametrize("sign", [0.0, 1.0, -1.0])
+    def test_long_jumps_stay_within_the_segment_bounds(self, sign):
+        """At T = `_max_horizon` and |lam| = `max_drift`, one grid step is as
+        long as one segment may be, so a retirement or time jump spans
+        several chained segments: the estimates stay finite, with no
+        overflow warning."""
+        steps = 10
+        drawdown = bm.BmRule("drawdown_threshold", 0.5)
+        T = bm._max_horizon(steps, drawdown)
+        rules = [drawdown, bm.BmRule("time_threshold", 0.45 * T)]  # five steps in, five to go
+        lam = sign * bm.max_drift(T, steps, drawdown)
+        model = bm.BmModel(lam=lam, T=T, mc=bm.McConfig(steps=steps, replications=2000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = bm.mc_bm_rule_values(53, model, LINEAR, rules)
+        for est in ests:
+            assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
+            assert est.stderr > 0
+
+
 class TestChunkLayout:
     """Chunk c of _CHUNK rows reads stream c: every row's exact (M_T, B_T)
-    draws, then the path steps."""
+    draws, then each path rule's own draws, which start from that point."""
 
     REPS = 2 * bm._CHUNK + 5_003
     RULES = [

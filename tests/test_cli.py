@@ -218,6 +218,26 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"configuration error: cannot write {str(tmp_path)!r}")
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_output_and_policy_csv_naming_one_file_is_config_error(
+        self, existing, tmp_path, capsys
+    ):
+        """Both writes would land in one file, the report lost under the CSV:
+        refused before anything is opened, so no file is made or changed."""
+        target = tmp_path / "same.out"
+        if existing:
+            target.write_text("kept")
+        code = cli.main(["--output", str(target), "solve", "--p", "1/2", "--N", "3",
+                         "--reward", "geometric:1/2", "--policy-csv", f"{tmp_path}/./same.out"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: two outputs name the same file")
+        if existing:
+            assert target.read_text() == "kept"
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for run in range(2):
@@ -685,30 +705,30 @@ class TestSweepCommand:
         (
             ["bm-mc", "--seed", "6", "--lam", "-0.5", "--steps", "100",
              "--replications", "5000", "--rule", "drawdown:0.5", "--reward", "exp_decay:1.0"],
-            "349b0a5019c21d429166e4657cf4199500836398b8958a5367857d3d9af926af",
+            "a29e65394e064cd96254f486ab983be93c01cd69305845f076470219e4c3ea82",
         ),
         (  # exact (M, B) sampler, constant sample: steps null, stderr 0
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "3000",
              "--rule", "tau0", "--reward", "piecewise:0=1,5=1"],
-            "338c02f011c45e1f2d03799ff5a0da58d609e374cdbe61d9345c1ea6427618fd",
+            "f119a0e7b612caca41c9240e874aeef057dbe9cd6b424434b7855c527d9992ba",
         ),
         (
             ["simulate", "--seed", "5", "--n", "40", "--ps", "1/4,3/4", "--replications", "200"],
-            "8c109cebcaa9140f2bff584ac35a585b70c3739edd74f142593ed67e685833a7",
+            "4410c1e2794d1083775d14e544ee21c6ea6233cec193eb2d0571e9bdbf691503",
         ),
         (  # one row past the first block: the second block opens stream 1
             ["simulate", "--seed", "5", "--n", "3", "--ps", "1/4,3/4", "--replications", "20003"],
-            "ac236ca40720706de2883428d19b49d271951862cc3003d05ba64108e64bd607",
+            "5df76f048a56643170ac49f0d79fccdd054c5964fd507c76ff2c959054870df7",
         ),
-        (  # three chunks, streams 0..2: each chunk's exact pair draws, then its grid paths
+        (  # three chunks, streams 0..2: each chunk's exact pair draws, then the rule's path draws
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "10", "--replications", "20003",
              "--rule", "drawdown:0", "--reward", "exp_decay:1.0"],
-            "544f80297354539c2223d9b9a29437a0882c45425320dbc106541605bc2176eb",
+            "b722ba9de4c153ba6d327d71125440425d65d23ec308d703b2a043475a9febca",
         ),
         (  # the exact (M, B) sampler across the same three chunks
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "20003",
              "--rule", "tau0", "--reward", "exp_decay:1.0"],
-            "c82032a05d50aae84b44a5d9c4b87b7329fa29eacce4d131432201c5926fc0d8",
+            "cb70e861bb966fcbe47ed166fb4a5d0ef50bb5abed59c847adc688dfdcdfe1f1",
         ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],

@@ -88,10 +88,10 @@ print(json.dumps({"codes": codes, "before": before, "simulate": simulate, "bm_mc
     assert seen["codes"] == [0] * 5
     assert seen["before"] == []
     assert seen["simulate"] == [
-        0, "8c109cebcaa9140f2bff584ac35a585b70c3739edd74f142593ed67e685833a7"
+        0, "4410c1e2794d1083775d14e544ee21c6ea6233cec193eb2d0571e9bdbf691503"
     ]
     assert seen["bm_mc"] == [
-        0, "349b0a5019c21d429166e4657cf4199500836398b8958a5367857d3d9af926af"
+        0, "a29e65394e064cd96254f486ab983be93c01cd69305845f076470219e4c3ea82"
     ]
     assert seen["same"] is True
     assert seen["version"]
