@@ -23,13 +23,10 @@ from .rewards import (  # noqa: F401
 )
 from .walkdist import (  # noqa: F401
     InequalityReport,
-    JointLaw,
     WalkParams,
     check_corollary,
     check_key_inequality,
     d_value,
-    g_value,
-    joint_pmf,
     reflection_check,
     time_reversal_check,
 )

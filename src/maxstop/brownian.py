@@ -423,14 +423,22 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     steps of model.mc.steps, until its stopped rows retire with one exact
     draw of the rest of the path.  So no estimate depends on the other
     rules in the call or on their order, and the exact and path estimates
-    read disjoint draws.
+    read disjoint draws.  A rule whose T exceeds `_max_horizon` or whose
+    |lam| exceeds `max_drift` raises ValueError before any draw.
     """
     fv = _vectorized_reward(f)
     exact = [idx for idx, rule in enumerate(rules) if rule.kind in _EXACT_KINDS]
     grid_rules = [(idx, rule) for idx, rule in enumerate(rules) if rule.kind not in _EXACT_KINDS]
-    steps = model.mc.steps
+    steps, T, lam = model.mc.steps, model.T, model.lam
     if grid_rules and steps < 1:
         raise ValueError("need at least one step per path")
+    for rule in rules:  # the bounds of `_jump` and `_conditional_max`, per rule
+        t_max, limit = _max_horizon(steps, rule), max_drift(T, steps, rule)
+        if T > t_max:
+            raise ValueError(f"T = {T:g} exceeds _max_horizon = {t_max:.6g} for {rule.label()}")
+        if abs(lam) > limit:
+            raise ValueError(f"|lam| = {abs(lam):g} exceeds max_drift = {limit:.6g} "
+                             f"for {rule.label()} at T = {T:g}")
     collected = [[] for _rule in rules]
 
     for gen, normal, uniform in _chunks(seed, model.mc.replications):

@@ -595,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--N", type=_nonnegative_int, required=True)
     sp.add_argument("--reward", required=True)
-    sp.add_argument("--policy", required=True, help="tau0 | tauN | stop-at-max")
+    sp.add_argument("--policy", required=True, help="tau0 | tauN | stop-at-max (stops at "
+                    "time 0, where the drawdown is 0, so it values as tau0)")
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("oracle", help="exhaustive small-horizon ground truth")

@@ -15,8 +15,13 @@ so stop / continue / TIE is an integer comparison.  The sweep is streamed:
 step k reads only G(N-k, .), and N-k rises as k falls, the order in which
 the law kernel yields rows, so O(N) integers stay alive and no per-state
 value is kept.  `evaluate_policy` runs the same sweep with a given rule's
-decisions in place of the comparison.  Fractions are built only for the
-reported values, so rewards must be rational on {0..N}.
+decisions in place of the comparison, pruned to where the rule can still
+run: it starts at the first row with no CONTINUE (every path has stopped
+there, so V = G), builds G(N-k, .) only for rows that hold a STOP or TIE,
+and advances the law of M only as far as the highest such N-k, so tau0
+costs one law pass and one G row, and tauN neither.  It too keeps O(N)
+integers alive: one law, one G row and one row of V.  Fractions are built
+only for the reported values, so rewards must be rational on {0..N}.
 
 Uniqueness labels:
 
@@ -136,27 +141,25 @@ def _reward_numerators(f, n: int) -> tuple:
         raise RewardDomainError(f"reward must be defined on 0..{n}: {e}") from e
 
 
-def _g_rows(w: WalkParams, fnum: list):
-    """Yield G(j, .) = E[f(i v M_j)], i = 0..n-j, for j = 0..n, in O(n^2).
+def _g_row(law: list, fnum: list, j: int, n: int) -> list:
+    """G(j, .) = E[f(i v M_j)], i = 0..n-j, in O(n).
 
-    Row j holds integer numerators over b**j * D, where fnum are the
-    numerators of f(0..n) over D, and comes out as `max_laws` yields the
-    law of M_j.  Uses the prefix/suffix split over that law: contributions
-    with m <= i collapse to P(M_j <= i) * f(i).
+    law is the law of M_j as `max_laws` yields it, integer numerators over
+    b**j, and fnum the numerators of f(0..n) over D; the row holds integer
+    numerators over b**j * D.  Uses the prefix/suffix split over the law:
+    contributions with m <= i collapse to P(M_j <= i) * f(i).
     """
-    n = w.n
-    for j, law in enumerate(max_laws(w)):
-        prods = list(map(operator.mul, law, fnum))
-        tail = sum(prods)
-        cdf = 0
-        row = []
-        for i in range(min(j, n - j) + 1):
-            cdf += law[i]
-            tail -= prods[i]
-            row.append(cdf * fnum[i] + tail)
-        # past i = j the whole law sits at or below i: cdf = b**j, tail = 0
-        row += [cdf * v for v in fnum[j + 1 : n - j + 1]]
-        yield row
+    prods = list(map(operator.mul, law, fnum))
+    tail = sum(prods)
+    cdf = 0
+    row = []
+    for i in range(min(j, n - j) + 1):
+        cdf += law[i]
+        tail -= prods[i]
+        row.append(cdf * fnum[i] + tail)
+    # past i = j the whole law sits at or below i: cdf = b**j, tail = 0
+    row += [cdf * v for v in fnum[j + 1 : n - j + 1]]
+    return row
 
 
 def solve(w: WalkParams, f) -> SolveReport:
@@ -168,7 +171,7 @@ def solve(w: WalkParams, f) -> SolveReport:
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    g_rows = _g_rows(w, fnum)
+    g_rows = (_g_row(law, fnum, j, n) for j, law in enumerate(max_laws(w)))
 
     # V holds the step-k values as numerators over den = b**(n-k) * D;
     # G(0, .) = f is the value at the horizon.  rows collects the decision
@@ -221,24 +224,38 @@ def _classify_uniqueness(n: int, rows, any_stop: bool, tie_states: list) -> str:
 def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     """Exact value of a Markov drawdown rule by backward induction.
 
-    The same streamed sweep as `solve`, with the rule's decision in place
-    of the Bellman max: a STOP (or TIE) state takes G(N-k, z), a CONTINUE
-    state a * V(z-1 v 0) + (b - a) * V(z+1), computed only there.  Row k
-    is over b**(N-k) * D and O(N) integers stay alive.
+    The sweep of `solve` with the rule's decision in place of the Bellman
+    max, run only where the rule can still be running.  It starts at the
+    first row s with no CONTINUE (row N is all STOP): every path has
+    stopped by time s, so V there is G(N-s, .).  Above it a STOP (or TIE)
+    state takes G(N-k, z) and a CONTINUE state a * V(z-1 v 0) +
+    (b - a) * V(z+1).  G(N-k, .) is built only for rows that hold a STOP
+    or TIE, and the law of M is advanced only as far as the highest such
+    N-k: tauN reads f alone, and tau0 one law pass and one G row.  Row k is
+    over b**(N-k) * D, and O(N) integers stay alive: the law of M being
+    advanced, one G row and one row of V.
     """
     if pol.n != w.n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
     n = w.n
     a, b = w.p.numerator, w.p.denominator
     fnum, den = _reward_numerators(f, n)
-    g_rows = _g_rows(w, fnum)
+    rows = pol.rows
+    laws = enumerate(max_laws(w))
 
-    V = next(g_rows)  # G(0, .) = f: every rule stops at the horizon
-    for k in range(n - 1, -1, -1):
-        G = next(g_rows)
-        den *= b
+    def g_row(k):
+        # N - k rises as k falls, the order in which the laws come
+        for j, law in laws:
+            if j == n - k:
+                return _g_row(law, fnum, j, n)
+
+    start = next(k for k, row in enumerate(rows) if CONTINUE not in row)
+    V = fnum if start == n else g_row(start)  # G(0, .) = f
+    for k in range(start - 1, -1, -1):
+        row = rows[k]
+        G = g_row(k) if STOP in row or TIE in row else repeat(None)  # all CONTINUE
         V = [
             a * V[z - 1 if z else 0] + (b - a) * V[z + 1] if d == CONTINUE else g
-            for z, (g, d) in enumerate(zip(G, pol.rows[k]))
+            for z, (g, d) in enumerate(zip(G, row))
         ]
-    return Fraction(V[0], den)
+    return Fraction(V[0], den * b**n)

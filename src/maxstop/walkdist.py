@@ -12,8 +12,8 @@ inequalities, not up to tolerance.  Two forward passes compute laws:
   (i v M_k) - S_k is the drawdown chain started at i (`d_value`).
 - The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
   as integer numerators over b^n, in O(n^3) integer work.  It is
-  reference only: the independent route behind `joint_pmf` and the exact
-  reflection and time-reversal checks that the kernel rests on.
+  reference only: the independent route behind the exact reflection and
+  time-reversal checks that the kernel rests on.
 
 The value functions and checks work on the reward's numerators over one
 common denominator (the reward's bound `numerators` form) and build one
@@ -60,27 +60,6 @@ class WalkParams:
         return WalkParams(self.q, self.n)
 
 
-@dataclass(frozen=True)
-class JointLaw:
-    """Exact joint law of (M_n, S_n): entries map (max k, endpoint l) -> prob."""
-
-    n: int
-    entries: dict
-
-    def max_marginal(self) -> dict:
-        out = {}
-        for (k, _l), pr in self.entries.items():
-            out[k] = out.get(k, 0) + pr
-        return out
-
-    def drawdown_marginal(self) -> dict:
-        """Law of Z_n = M_n - S_n."""
-        out = {}
-        for (k, l), pr in self.entries.items():
-            out[k - l] = out.get(k - l, 0) + pr
-        return out
-
-
 @lru_cache(maxsize=4096)
 def _forward_laws(p, n: int) -> dict:
     """Joint law of (M_n, S_n) as integer numerators over b**n, p = a/b.
@@ -99,12 +78,6 @@ def _forward_laws(p, n: int) -> dict:
             nxt[key] = nxt.get(key, 0) + c * down
         law = nxt
     return law
-
-
-def joint_pmf(w: WalkParams) -> JointLaw:
-    """Exact pmf of (M_n, S_n); total mass is exactly 1."""
-    den = w.p.denominator**w.n
-    return JointLaw(w.n, {key: Fraction(c, den) for key, c in _forward_laws(w.p, w.n).items()})
 
 
 def drawdown_laws(w: WalkParams, start: int = 0):
@@ -191,14 +164,6 @@ def _expect_max(law: list, fnum: list, i: int) -> int:
     """Sum of law[m] * fnum[i v m]: the numerator of E[f(i v X)] when law is
     the numerator law of X and fnum the numerators of f from 0."""
     return sum(law[: i + 1]) * fnum[i] + sum(map(operator.mul, law[i + 1 :], fnum[i + 1 :]))
-
-
-def g_value(w: WalkParams, f, k: int, i: int) -> Fraction:
-    """G(k, i) = E[f(i v M_k)] under the w.p walk."""
-    _check_args(w, k, i)
-    fnum, den = reward_numerators(f, max(i, k))
-    law = _final_row(w.q, k, 0)
-    return Fraction(_expect_max(law, fnum, i), w.p.denominator**k * den)
 
 
 def d_value(w: WalkParams, f, k: int, i: int) -> Fraction:

@@ -8,7 +8,10 @@ from those enumerations, sharing no code with the library.  The rule
 enumerator below is the oracle's own oracle: it values every
 history-dependent stopping rule class on every path (n <= 4).  The
 Brownian grid reference is the shared fixed-grid loop that valued the
-drawdown and time rules before stopped rows retired early.
+drawdown and time rules before stopped rows retired early.  The policy
+sweep reference values a Markov rule by the full backward sweep, over
+every row and every G row, and the joint-law view reads the library's
+reference joint pass in Fractions.
 """
 
 import math
@@ -18,6 +21,9 @@ from itertools import accumulate, product
 
 import numpy as np
 import pytest
+
+from maxstop import walkdist
+from maxstop.rewards import reward_numerators
 
 
 def all_paths(n):
@@ -191,6 +197,52 @@ def brute_agrees(p, n, f, value, label):
     if label == "NOT_UNIQUE":
         return len(optimal) >= 2
     return True
+
+
+def evaluate_reference(w, f, pol):
+    """Value of a Markov drawdown rule by the full backward sweep: every row
+    k = N..0, every G(N-k, .) row built from every law of M, a STOP or TIE
+    state taking G(N-k, z), a CONTINUE state a * V(z-1 v 0) + (b - a) * V(z+1),
+    on integer numerators over b**(N-k) * D.  G is summed directly over the
+    law, sharing no code with the solver's row kernel."""
+    n, a, b = w.n, w.p.numerator, w.p.denominator
+    fnum, den = reward_numerators(f, n)
+    g_rows = (
+        [sum(c * fnum[max(i, m)] for m, c in enumerate(law)) for i in range(n - j + 1)]
+        for j, law in enumerate(walkdist.max_laws(w))
+    )
+    V = next(g_rows)  # G(0, .) = f: every rule stops at the horizon
+    for k in range(n - 1, -1, -1):
+        G = next(g_rows)
+        den *= b
+        V = [
+            a * V[z - 1 if z else 0] + (b - a) * V[z + 1] if d == "CONTINUE" else g
+            for z, (g, d) in enumerate(zip(G, pol.rows[k]))
+        ]
+    return Fraction(V[0], den)
+
+
+def joint_law(p, n):
+    """Law of (M_n, S_n) as {(max, endpoint): Fraction}: the library's joint
+    pass (`walkdist._forward_laws`, integer numerators over b**n) in Fractions."""
+    den = p.denominator**n
+    return {key: Fraction(c, den) for key, c in walkdist._forward_laws(p, n).items()}
+
+
+def max_marginal(joint):
+    """Law of M_n, {m: probability}, from a joint law of (M_n, S_n)."""
+    out = {}
+    for (m, _s), pr in joint.items():
+        out[m] = out.get(m, 0) + pr
+    return out
+
+
+def drawdown_marginal(joint):
+    """Law of Z_n = M_n - S_n, {z: probability}, from a joint law of (M_n, S_n)."""
+    out = {}
+    for (m, s), pr in joint.items():
+        out[m - s] = out.get(m - s, 0) + pr
+    return out
 
 
 def brownian_grid_reference(seed, model, fv, rules):

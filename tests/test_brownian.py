@@ -385,6 +385,31 @@ class TestMcRules:
         with pytest.raises(ValueError, match="drift lam"):
             bm.BmModel(lam=lam, T=1.0)
 
+    @pytest.mark.parametrize("rule", [
+        bm.BmRule("tau0"), bm.BmRule("tauT"),
+        bm.BmRule("drawdown_threshold", 0.5), bm.BmRule("time_threshold", 0.5),
+    ], ids=lambda rule: rule.kind)
+    def test_drift_beyond_max_drift_raises_before_sampling(self, rule, monkeypatch):
+        """Before the check a time rule overflowed in `_jump`, tau0 returned
+        0.0 and a drawdown rule warned about NaN."""
+        monkeypatch.setattr(bm, "_chunks", None)  # any draw would fail
+        model = bm.BmModel(lam=1e300, T=1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"exceeds max_drift .* for {rule.kind}"):
+                bm.mc_bm_rule_values(1, model, EXP1, [rule])
+
+    def test_horizon_beyond_max_horizon_raises_for_that_rule(self, monkeypatch):
+        """One grid step of T = 1e306 at 1000 steps fits one segment, the
+        whole horizon of tau0 does not: the call names tau0."""
+        monkeypatch.setattr(bm, "_chunks", None)
+        model = bm.BmModel(lam=0.0, T=1e306)
+        rules = [bm.BmRule("time_threshold", 0.5), bm.BmRule("tau0")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"exceeds _max_horizon = .* for tau0$"):
+                bm.mc_bm_rule_values(1, model, EXP1, rules)
+
 
 class TestPathRules:
     """Grid rules step their own rows and retire the stopped ones with one

@@ -106,6 +106,24 @@ class TestSolveCommand:
         )
 
     @pytest.mark.parametrize(
+        "policy, digest",
+        [
+            ("tau0", "5f5f7db11aa1d969ad791031416e81ebef461dbfe9b227a46535740d0a898ba8"),
+            ("tauN", "0774b17ca1fc1bba131e8a3361c66a65bc46cc8936f562428d41fb648f51d611"),
+            ("stop-at-max", "4e01921e5d0199ad30266cae44697dce62a00b5fa275074af48d0284b1bfa5a0"),
+        ],
+        ids=["tau0", "tauN", "stop-at-max"],
+    )
+    def test_large_evaluate_bytes_frozen(self, policy, digest, tmp_path):
+        """evaluate at N = 90 with a reward whose common denominator runs to
+        about 1900 bits, as the full backward sweep wrote it."""
+        target = tmp_path / "r.json"
+        argv = ["evaluate", "--p", "4/7", "--N", "90", "--reward", "exp_decay_table:1/2",
+                "--policy", policy]
+        assert cli.main(["--output", str(target)] + argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "argv, digest",
         [
             (  # TIE states at zero drawdown
@@ -273,6 +291,25 @@ def test_solve_report_matches_stdlib_encoder(p, capsys):
             assert code == 0, (p, n, reward)
             want = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
             assert text == want, (p, n, reward)
+
+
+# the p values of `bench/specs.GRID_PS`
+GRID_PS = ("1/4", "1/3", "2/5", "3/7", "1/2", "4/7", "3/5", "2/3", "3/4")
+
+
+@pytest.mark.parametrize("p", GRID_PS)
+def test_stop_at_max_values_as_tau0(p, capsys):
+    """The CLI's stop-at-max stops at the first time with zero drawdown,
+    which is time 0, so it reports tau0's value: every grid reward, N <= 30."""
+    for n in range(31):
+        for reward in grid_family(n):
+            values = []
+            for policy in ("stop-at-max", "tau0"):
+                argv = ["evaluate", "--p", p, "--N", str(n), "--reward", reward, "--policy", policy]
+                code, text = run_cli(argv, capsys)
+                assert code == 0, (p, n, reward)
+                values.append(json.loads(text)["value"])
+            assert values[0] == values[1], (p, n, reward)
 
 
 @st.composite

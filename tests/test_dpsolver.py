@@ -25,11 +25,17 @@ from conftest import (
     brute_expect,
     brute_joint,
     brute_rule_value,
+    evaluate_reference,
     reference_label,
 )
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 WINNER_TAKE_TWO = rewards.table_reward([1, 1, 0])
+
+
+def winner_take_two(n):
+    """Winner-take-two on {0..n}: pays 1 within one of the maximum."""
+    return rewards.table_reward([1, 1] + [0] * n)
 
 rational_p = st.builds(Fraction, st.integers(min_value=1, max_value=9), st.just(10))
 
@@ -159,6 +165,96 @@ class TestEvaluatePolicy:
         text = policy_stop_at_max(2).to_csv()
         assert text.splitlines()[0] == "k,z,decision"
         assert "1,0,STOP" in text and "1,1,CONTINUE" in text
+
+
+class TestPrunedSweep:
+    """`evaluate_policy` starts at the first row with no CONTINUE, builds
+    G(N-k, .) only for rows that hold a STOP or TIE, and advances the law
+    of M no further than the highest such N-k; the full sweep of
+    `conftest.evaluate_reference` is the reference."""
+
+    PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)]
+    CHOICES = (dpsolver.STOP, dpsolver.CONTINUE, dpsolver.TIE)
+
+    @classmethod
+    def random_rule(cls, rng, n):
+        """Rows all CONTINUE, sparse (a few STOP / TIE), mixed, or with no
+        CONTINUE (rare, so the sweep starts at varied rows); one rule in
+        three also stops in every state of row n // 2."""
+        rows = []
+        for k in range(n):
+            kind = rng.choices(("continue", "sparse", "mixed", "stop"), (8, 5, 6, 1))[0]
+            if kind == "continue":
+                row = (dpsolver.CONTINUE,) * (k + 1)
+            elif kind == "sparse":
+                row = tuple(rng.choice(cls.CHOICES) if rng.random() < 0.2 else dpsolver.CONTINUE
+                            for _z in range(k + 1))
+            elif kind == "mixed":
+                row = tuple(rng.choice(cls.CHOICES) for _z in range(k + 1))
+            else:
+                row = tuple(rng.choice((dpsolver.STOP, dpsolver.TIE)) for _z in range(k + 1))
+            rows.append(row)
+        if n and rng.random() < 1 / 3:
+            rows[n // 2] = (dpsolver.STOP,) * (n // 2 + 1)
+        return PolicyTable(n, tuple(rows) + ((dpsolver.STOP,) * (n + 1),))
+
+    @pytest.mark.parametrize("p", PS)
+    def test_random_rules_match_the_full_sweep(self, p):
+        rng = random.Random(f"pruned-{p}")
+        starts = set()
+        for n in (0, 1, 2, 3, 5, 8, 13, 21, 30, 40):
+            w = WalkParams(p, n)
+            table = rewards.table_reward([rng.randint(-9, 9) for _z in range(n + 1)])
+            family = (GEOM_HALF, winner_take_two(n), rewards.exp_decay_table(Fraction(1, 2), n),
+                      table)
+            for _ in range(10):
+                pol = self.random_rule(rng, n)
+                starts.add(next(k for k, row in enumerate(pol.rows)
+                                if dpsolver.CONTINUE not in row))
+                for f in family:
+                    assert evaluate_policy(w, f, pol) == evaluate_reference(w, f, pol), (p, n)
+        assert len(starts) > 10  # the sweep starts at many different rows
+
+    @pytest.mark.parametrize("p", PS)
+    def test_named_rules_match_the_full_sweep(self, p):
+        for n in range(30):
+            w = WalkParams(p, n)
+            f = rewards.table_reward([3, 1, 2, 0, 2] * 6)
+            rules = [policy_tau0(n), policy_tauN(n)] + [
+                policy_stop_at_max(n, s) for s in range(0, n + 1, 4)
+            ]
+            for pol in rules:
+                assert evaluate_policy(w, f, pol) == evaluate_reference(w, f, pol), (p, n)
+
+    @pytest.mark.parametrize(
+        "policy, g_rows, laws",
+        [
+            (policy_tau0(200), [200], 201),
+            (policy_stop_at_max(200), [200], 201),  # stops at time 0
+            (policy_tauN(200), [], 0),
+            (policy_stop_at_max(200, from_step=150), list(range(50, 0, -1)), 51),
+        ],
+        ids=["tau0", "stop-at-max", "tauN", "stop-at-max-from-150"],
+    )
+    def test_builds_only_the_rows_it_reads(self, policy, g_rows, laws, monkeypatch):
+        """G rows (by j = N - k) and laws of M that one evaluate at N = 200 builds."""
+        built, pulled = [], []
+        real_row, real_laws = dpsolver._g_row, dpsolver.max_laws
+
+        def counted_row(law, fnum, j, n):
+            built.append(j)
+            return real_row(law, fnum, j, n)
+
+        def counted_laws(w):
+            for law in real_laws(w):
+                pulled.append(len(law))
+                yield law
+
+        monkeypatch.setattr(dpsolver, "_g_row", counted_row)
+        monkeypatch.setattr(dpsolver, "max_laws", counted_laws)
+        w = WalkParams(Fraction(3, 5), 200)
+        assert evaluate_policy(w, GEOM_HALF, policy) == evaluate_reference(w, GEOM_HALF, policy)
+        assert (sorted(built, reverse=True), len(pulled)) == (g_rows, laws)
 
 
 class TestAgainstEnumeration:

@@ -6,21 +6,18 @@ from hypothesis import strategies as st
 
 from maxstop import dpsolver, rewards, walkdist
 from maxstop.walkdist import (
-    JointLaw,
     WalkParams,
     check_corollary,
     check_key_inequality,
     d_value,
     drawdown_laws,
     final_law,
-    g_value,
-    joint_pmf,
     max_laws,
     reflection_check,
     time_reversal_check,
 )
 
-from conftest import brute_expect, brute_joint
+from conftest import brute_expect, brute_joint, drawdown_marginal, joint_law, max_marginal
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 
@@ -29,30 +26,41 @@ rational_p = st.builds(
 )
 
 
+def g_value(w, f, k, i):
+    """G(k, i) = E[f(i v M_k)] under the w.p walk, from the solver's row
+    kernel on the law of M_k."""
+    fnum, den = rewards.reward_numerators(f, k + i)
+    law = final_law(max_laws(WalkParams(w.p, k)))
+    return Fraction(dpsolver._g_row(law, fnum, k, k + i)[i], w.p.denominator**k * den)
+
+
 class TestJointPmf:
+    """The joint pass behind the reflection and time-reversal checks, read
+    in Fractions (`conftest.joint_law`)."""
+
     def test_zero_steps(self):
-        assert joint_pmf(WalkParams(Fraction(1, 3), 0)).entries == {(0, 0): 1}
+        assert joint_law(Fraction(1, 3), 0) == {(0, 0): 1}
 
     def test_one_step(self):
         p = Fraction(2, 7)
-        law = joint_pmf(WalkParams(p, 1))
-        assert law.entries == {(1, 1): p, (0, -1): 1 - p}
+        assert joint_law(p, 1) == {(1, 1): p, (0, -1): 1 - p}
 
     def test_three_steps_half(self):
-        law = joint_pmf(WalkParams(Fraction(1, 2), 3))
-        assert law.entries == brute_joint(Fraction(1, 2), 3)
-        assert law.entries[(3, 3)] == Fraction(1, 8)
+        law = joint_law(Fraction(1, 2), 3)
+        assert law == brute_joint(Fraction(1, 2), 3)
+        assert law[(3, 3)] == Fraction(1, 8)
 
     @given(p=rational_p, n=st.integers(min_value=0, max_value=8))
     @settings(max_examples=50, deadline=None)
     def test_matches_enumeration_and_mass_one(self, p, n):
-        law = joint_pmf(WalkParams(p, n))
-        assert law.entries == brute_joint(p, n)
+        law = joint_law(p, n)
+        assert law == brute_joint(p, n)
+        assert sum(law.values()) == 1
 
     @given(p=rational_p, n=st.integers(min_value=0, max_value=10))
     @settings(max_examples=50, deadline=None)
     def test_support_structure(self, p, n):
-        for (k, l), pr in joint_pmf(WalkParams(p, n)).entries.items():
+        for (k, l), pr in joint_law(p, n).items():
             assert pr > 0
             assert k >= max(l, 0)
             assert abs(l) <= n
@@ -95,9 +103,9 @@ class TestDrawdownKernel:
             m_laws = _rows_as_laws(max_laws(w), p.denominator)
             z_laws = _rows_as_laws(drawdown_laws(w), p.denominator)
             for n in range(13):
-                law = JointLaw(n, brute_joint(p, n))
-                assert m_laws[n] == law.max_marginal(), (p, n)
-                assert z_laws[n] == law.drawdown_marginal(), (p, n)
+                law = brute_joint(p, n)
+                assert m_laws[n] == max_marginal(law), (p, n)
+                assert z_laws[n] == drawdown_marginal(law), (p, n)
 
     def test_matches_joint_pass(self, p_grid):
         for p in p_grid:
@@ -105,11 +113,10 @@ class TestDrawdownKernel:
             m_laws = _rows_as_laws(max_laws(w), p.denominator)
             z_laws = _rows_as_laws(drawdown_laws(w), p.denominator)
             laws = _joint_laws(p, 40)
-            assert laws[40] == joint_pmf(WalkParams(p, 40)).entries, p
-            for n, entries in enumerate(laws):
-                law = JointLaw(n, entries)
-                assert m_laws[n] == law.max_marginal(), (p, n)
-                assert z_laws[n] == law.drawdown_marginal(), (p, n)
+            assert laws[40] == joint_law(p, 40), p
+            for n, law in enumerate(laws):
+                assert m_laws[n] == max_marginal(law), (p, n)
+                assert z_laws[n] == drawdown_marginal(law), (p, n)
 
 
 class TestReflectionAndReversal:
@@ -122,7 +129,7 @@ class TestReflectionAndReversal:
     def test_symmetric_case_laws_identical(self):
         w = WalkParams(Fraction(1, 2), 4)
         assert reflection_check(w)
-        assert joint_pmf(w).entries == joint_pmf(w.swapped()).entries
+        assert joint_law(w.p, w.n) == joint_law(w.q, w.n)
 
     def test_grid(self, p_grid):
         for p in p_grid:
@@ -234,8 +241,8 @@ class TestValues:
             d_value(WalkParams(Fraction(1, 2), 2), f, 2, 0)
 
     def test_horizon_guard(self):
-        with pytest.raises(ValueError):
-            g_value(WalkParams(Fraction(1, 2), 3), GEOM_HALF, 4, 0)
+        with pytest.raises(ValueError, match="exceeds configured horizon 3"):
+            d_value(WalkParams(Fraction(1, 2), 3), GEOM_HALF, 4, 0)
 
 
 class TestKeyInequality:
