@@ -10,7 +10,8 @@ dynamic program.
 
 from fractions import Fraction
 
-from maxstop import WalkParams, cross_validate, enumerate_optimum, geometric_reward, solve, table_reward
+from maxstop import WalkParams, enumerate_optimum, geometric_reward, solve, table_reward
+from maxstop.oracle import agrees
 
 for n, p, f, label in [
     (3, Fraction(1, 3), geometric_reward(Fraction(1, 2)), "geometric, p<1/2"),
@@ -27,5 +28,5 @@ for n, p, f, label in [
     print(f"  step histories    : {2 * res.n_paths - 1} ({res.n_paths} paths)")
     print(f"  oracle optimum    : {res.value} (DP says {rep.optimal_value})")
     print(f"  optimal classes   : {res.n_optimal_classes}, DP label {rep.unique}")
-    print(f"  cross-validated   : {cross_validate(w, f)}")
+    print(f"  oracle agrees     : {agrees(res, rep)}")
     print()

@@ -1,6 +1,6 @@
 """maxstop: stop a random walk or Brownian motion close to its ultimate maximum.
 
-Exact rational solvers, brute-force verification oracles, coupled Monte
+Exact rational solvers, brute-force verification oracles, seeded Monte
 Carlo, and quadrature checks for the bang-bang optimal prediction problem
 sup_tau E[f(M_T - B_tau)] with nonincreasing convex rewards f.
 """
@@ -26,7 +26,6 @@ from .walkdist import (  # noqa: F401
     WalkParams,
     check_corollary,
     check_key_inequality,
-    d_value,
     reflection_check,
     time_reversal_check,
 )
@@ -49,14 +48,11 @@ from .dpsolver import (  # noqa: F401
 )
 from .oracle import (  # noqa: F401
     OracleResult,
-    cross_validate,
     enumerate_optimum,
 )
 from .coupling import (  # noqa: F401
-    CoupledPaths,
     McEstimate,
     mc_rule_value,
-    simulate,
 )
 from .brownian import (  # noqa: F401
     BmInequalityReport,

@@ -405,35 +405,6 @@ def cmd_verify_discrete(args) -> int:
     return _emit(report, args, failed=bool(failures))
 
 
-def cmd_simulate(args) -> int:
-    seed = _default_seed(args)
-    ps = tuple(parse_probability(t) for t in args.ps.split(","))
-    if len(set(ps)) < len(ps):
-        raise ConfigError(f"--ps lists a probability twice: {args.ps!r}")
-    ordering_violations = 0
-    endpoints = {p: [] for p in ps}
-    for cp in coupling.simulate(seed, args.n, ps, args.replications):
-        ordering_violations += cp.ordering_violations()
-        for p in ps:
-            endpoints[p].append(cp.s[p][:, -1].astype(float))
-
-    report = {
-        "command": "simulate",
-        "config": {
-            "seed": seed,
-            "n": args.n,
-            "ps": [str(p) for p in ps],
-            "replications": args.replications,
-            "generator": coupling.GENERATOR,
-        },
-        "ordering_violations": ordering_violations,
-        "mean_endpoint": {
-            str(p): _mc(coupling.McEstimate.from_sample(np.concatenate(endpoints[p]))) for p in ps
-        },
-    }
-    return _emit(report, args, failed=ordering_violations > 0)
-
-
 def cmd_bm_verify(args) -> int:
     failures = []
     checks = []
@@ -607,13 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-discrete", help="exact theorem checks on the default grid")
     sp.set_defaults(fn=cmd_verify_discrete)
-
-    sp = sub.add_parser("simulate", help="coupled walks from shared uniforms")
-    sp.add_argument("--seed", type=_nonnegative_int, default=None)
-    sp.add_argument("--n", type=_nonnegative_int, required=True)
-    sp.add_argument("--ps", required=True, help="comma-separated rationals, e.g. 1/4,3/4")
-    sp.add_argument("--replications", type=_positive(int, "integer"), default=1000)
-    sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")
     sp.add_argument("--seed", type=_nonnegative_int, default=None)

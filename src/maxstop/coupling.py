@@ -1,19 +1,15 @@
-"""Families of walks driven by shared uniforms, and seeded Monte Carlo.
-
-One stream of uniforms U_1..U_n drives a walk for every requested p via
-X_k = +1 iff U_k <= p, so walks for larger p dominate pathwise and their
-drawdowns are pathwise smaller.  That ordering is a hard invariant of the
-construction, not a statistical one, and is asserted as such.
+"""Seeded Monte Carlo for walk rules, and the one random stream layout.
 
 Reproducibility: streams come from numpy's PCG64 generator, one child
 stream per block of BLOCK replications spawned from the root SeedSequence:
 replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
-r // BLOCK.  A run with fewer replications draws a prefix of the same rows,
-so results are bit-identical for a given seed regardless of batching.
-`_blocks` is the one place that lays out streams; the Brownian simulator
-reads it too, with its own block size: a chunk's stream starts with one
-normal and one uniform per row (the exact (M_T, B_T) pairs), and each path
-rule re-reads the stream from the point right after them.
+r // BLOCK, and its walk steps up where the uniform is <= p.  A run with
+fewer replications draws a prefix of the same rows, so results are
+bit-identical for a given seed regardless of batching.  `_blocks` is the
+one place that lays out streams; the Brownian simulator reads it too, with
+its own block size: a chunk's stream starts with one normal and one
+uniform per row (the exact (M_T, B_T) pairs), and each path rule re-reads
+the stream from the point right after them.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from .walkdist import WalkParams
 
 GENERATOR = "pcg64-v4"  # bump if the stream layout ever changes
 BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
-_CELLS = 2**16  # uniforms drawn at once by `simulate`; bounds a batch's memory
+_CELLS = 2**16  # uniforms drawn at once by `mc_rule_value`; bounds a batch's memory
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -39,56 +35,6 @@ def _blocks(seed: int, replications: int, size: int = BLOCK):
     layout; block b reads stream b."""
     for block, start in enumerate(range(0, replications, size)):
         yield _rng(seed, block), min(size, replications - start)
-
-
-@dataclass(frozen=True)
-class CoupledPaths:
-    """Consecutive replications of the common-uniform construction, one row each."""
-
-    ps: tuple
-    s: dict  # p -> int array (rows, n + 1) of S_0..S_n
-    m: dict  # p -> running max
-    z: dict  # p -> drawdown
-
-    def ordering_violations(self) -> int:
-        """Rows where a larger p fails to give a pointwise larger walk and
-        smaller drawdown; the construction makes this 0."""
-        ordered = sorted(self.ps)
-        bad = False
-        for lo, hi in zip(ordered, ordered[1:]):
-            bad = bad | (self.s[hi] < self.s[lo]).any(axis=1)
-            bad = bad | (self.z[hi] > self.z[lo]).any(axis=1)
-        return int(np.sum(bad))
-
-
-def _walk_arrays(uniforms: np.ndarray, p) -> tuple:
-    steps = np.where(uniforms <= float(p), 1, -1)
-    s = np.concatenate(
-        [np.zeros((*steps.shape[:-1], 1), dtype=np.int64), np.cumsum(steps, axis=-1)], axis=-1
-    )
-    m = np.maximum.accumulate(s, axis=-1)  # S_0 = 0 seeds the running max
-    return s, m, m - s
-
-
-def simulate(seed: int, n: int, ps, replications: int):
-    """Yield CoupledPaths over consecutive slices of the replications,
-    deterministically per seed.
-
-    Each block's (rows, n) uniforms are drawn a slice of rows at a time;
-    row-major draws read the stream as one row at a time would, so the
-    slicing does not move any path.
-    """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    ps = tuple(ps)
-    rows = max(1, _CELLS // max(n, 1))
-    for gen, count in _blocks(seed, replications):
-        for start in range(0, count, rows):
-            u = gen.random((min(rows, count - start), n))
-            s, m, z = {}, {}, {}
-            for p in ps:
-                s[p], m[p], z[p] = _walk_arrays(u, p)
-            yield CoupledPaths(ps, s, m, z)
 
 
 @dataclass(frozen=True)
@@ -112,25 +58,38 @@ class McEstimate:
 
 
 def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: int) -> McEstimate:
-    """Unbiased Monte Carlo estimate of E[f(M_N - S_tau)] under a Markov rule."""
+    """Unbiased Monte Carlo estimate of E[f(M_N - S_tau)] under a Markov rule.
+
+    Each block's (rows, n) uniforms are drawn a slice of rows at a time;
+    row-major draws read the stream as one row at a time would, so the
+    slicing does not move any path.
+    """
     n = w.n
     if pol.n != n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
+    if replications < 1:
+        raise ValueError("need at least one replication")
     stop_mat = np.zeros((n + 1, n + 2), dtype=bool)
     for k, row in enumerate(pol.rows):
         stop_mat[k, : k + 1] = [d != CONTINUE for d in row]
     stop_mat[n, :] = True
 
     f_lut = np.array([float(f(i)) for i in range(n + 1)])
+    p = float(w.p)
+    rows = max(1, _CELLS // max(n, 1))
     chunks = []
-    for cp in simulate(seed, n, (w.p,), replications):
-        s, m, z = cp.s[w.p], cp.m[w.p], cp.z[w.p]
-        reps = s.shape[0]
-        stopped = np.zeros(reps, dtype=bool)
-        s_tau = np.zeros(reps, dtype=np.int64)
-        for k in range(n + 1):
-            now = ~stopped & stop_mat[k, z[:, k]]
-            s_tau[now] = s[now, k]
-            stopped |= now
-        chunks.append(f_lut[m[:, -1] - s_tau])
+    for gen, count in _blocks(seed, replications):
+        for start in range(0, count, rows):
+            reps = min(rows, count - start)
+            s = np.zeros((reps, n + 1), dtype=np.int64)
+            np.cumsum(np.where(gen.random((reps, n)) <= p, 1, -1), axis=1, out=s[:, 1:])
+            m = np.maximum.accumulate(s, axis=1)  # S_0 = 0 seeds the running max
+            z = m - s
+            stopped = np.zeros(reps, dtype=bool)
+            s_tau = np.zeros(reps, dtype=np.int64)
+            for k in range(n + 1):
+                now = ~stopped & stop_mat[k, z[:, k]]
+                s_tau[now] = s[now, k]
+                stopped |= now
+            chunks.append(f_lut[m[:, -1] - s_tau])
     return McEstimate.from_sample(np.concatenate(chunks))

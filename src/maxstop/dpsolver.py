@@ -92,9 +92,6 @@ class PolicyTable:
         """{(k, z): decision} for every state, built on each read."""
         return {(k, z): d for k, row in enumerate(self.rows) for z, d in enumerate(row)}
 
-    def stops(self, k: int, z: int) -> bool:
-        return self.rows[k][z] in (STOP, TIE)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)

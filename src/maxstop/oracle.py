@@ -139,8 +139,3 @@ def agrees(res: OracleResult, rep: dpsolver.SolveReport) -> bool:
     if rep.unique == dpsolver.NOT_UNIQUE:
         return res.n_optimal_classes >= 2
     return True  # UNKNOWN constrains nothing beyond the value
-
-
-def cross_validate(w: WalkParams, f) -> bool:
-    """Exhaustive check that the DP solver's value and uniqueness label are right."""
-    return agrees(enumerate_optimum(w, f), dpsolver.solve(w, f))

@@ -9,15 +9,15 @@ inequalities, not up to tolerance.  Two forward passes compute laws:
   on Python-int numerators over the common denominator b^k, in O(n^2)
   integer work with no gcd.  Every value here comes from it: by time
   reversal, M_k under p has the law of Z_k under q (`max_laws`), and
-  (i v M_k) - S_k is the drawdown chain started at i (`d_value`).
+  (i v M_k) - S_k is the drawdown chain started at i (`_final_row`).
 - The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
   as integer numerators over b^n, in O(n^3) integer work.  It is
   reference only: the independent route behind the exact reflection and
   time-reversal checks that the kernel rests on.
 
-The value functions and checks work on the reward's numerators over one
-common denominator (the reward's bound `numerators` form) and build one
-Fraction per reported value; a reward that is not rational raises
+The inequality checks work on the reward's numerators over one common
+denominator (the reward's bound `numerators` form) and build one Fraction
+per reported value; a reward that is not rational raises
 RewardDomainError, as in the solver.  They read the law at the horizon
 from one bounded cache (`_final_row`), shared across rewards and drawdowns.
 
@@ -119,10 +119,10 @@ def _final_row(p: Fraction, n: int, start: int) -> tuple:
     """The law at the horizon of the drawdown chain of the p-walk started at
     `start`, as `drawdown_laws` yields it, kept as a tuple.
 
-    The value functions and the inequality checks read it: (i v M_n) - S_n
-    is the chain from i, M_n - S_n the chain from 0, and M_n the chain of
-    the q-walk from 0.  `verify-discrete` reads 441 distinct rows 9,720
-    times, so 512 rows hold its whole grid.  A row holds start + n + 1
+    The inequality checks read it: (i v M_n) - S_n is the chain from i,
+    M_n - S_n the chain from 0, and M_n the chain of the q-walk from 0.
+    `verify-discrete` reads 441 distinct rows 9,720 times, so 512 rows
+    hold its whole grid.  A row holds start + n + 1
     integers below b**n (p = a/b): on that grid (n, start <= 8, b = 10) the
     rows take 0.16 MB, and 512 rows at n = start = 100, b = 10 would take
     5.6 MB.  The solver's streamed sweeps do not read it.
@@ -153,32 +153,10 @@ def time_reversal_check(w: WalkParams) -> bool:
     return lhs == rhs
 
 
-def _check_args(w: WalkParams, k: int, i: int):
-    if k > w.n:
-        raise ValueError(f"steps remaining {k} exceeds configured horizon {w.n}")
-    if i < 0:
-        raise ValueError("drawdown must be >= 0")
-
-
 def _expect_max(law: list, fnum: list, i: int) -> int:
     """Sum of law[m] * fnum[i v m]: the numerator of E[f(i v X)] when law is
     the numerator law of X and fnum the numerators of f from 0."""
     return sum(law[: i + 1]) * fnum[i] + sum(map(operator.mul, law[i + 1 :], fnum[i + 1 :]))
-
-
-def d_value(w: WalkParams, f, k: int, i: int) -> Fraction:
-    """E[f((i v M_k) - S_k)] under the w.p walk.
-
-    (i v M_k) - S_k is the drawdown chain started at i, so its law is row k
-    of the kernel from `start=i`.  One operation covers both drift
-    directions: called on the q-walk it feeds the stop-now half of the
-    bang-bang argument, called on the p-walk itself it values running to
-    the horizon from drawdown i.
-    """
-    _check_args(w, k, i)
-    fnum, den = reward_numerators(f, i + k)
-    law = _final_row(w.p, k, i)
-    return Fraction(sum(map(operator.mul, law, fnum)), w.p.denominator**k * den)
 
 
 @dataclass(frozen=True)
@@ -216,7 +194,8 @@ def _check_against(w: WalkParams, f, i: int, rhs_law: list) -> InequalityReport:
     f(0..i+n), so the comparison is between integers.
     """
     n = w.n
-    _check_args(w, n, i)
+    if i < 0:
+        raise ValueError("drawdown must be >= 0")
     fnum, den = reward_numerators(f, i + n)
     den *= w.p.denominator**n
     lhs = sum(map(operator.mul, _final_row(w.p, n, i), fnum))

@@ -424,39 +424,23 @@ class TestOracleCommand:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
-class TestSimulateCommand:
-    def test_ordering_and_csv(self, capsys):
-        code, out = run_cli(
-            ["simulate", "--seed", "5", "--n", "30", "--ps", "1/4,3/4", "--replications", "50"],
-            capsys,
-        )
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["ordering_violations"] == 0
+BM_MC_FEW = ["bm-mc", "--lam", "0", "--rule", "tau0", "--reward", "exp_decay:1.0",
+             "--replications", "10"]
+
+
+class TestSeedEnvironment:
+    """MAXSTOP_SEED supplies the seed of a command run without --seed."""
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_SEED, "77")
-        code, out = run_cli(
-            ["simulate", "--n", "5", "--ps", "1/2", "--replications", "10"], capsys
-        )
+        code, out = run_cli(BM_MC_FEW, capsys)
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 77
-
-    @pytest.mark.parametrize("ps", ["1/2,1/2", "1/2,2/4"])
-    def test_repeated_probability_is_config_error(self, ps, capsys, monkeypatch):
-        """A repeated p would count every replication twice in its mean."""
-        monkeypatch.setattr(cli.coupling, "simulate", None)  # rejected before any draw
-        argv = ["simulate", "--seed", "1", "--n", "4", "--ps", ps, "--replications", "100"]
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("configuration error: --ps lists a probability twice")
 
     @pytest.mark.parametrize("value", ["x", "1.5", "-3"])
     def test_invalid_env_seed_is_config_error(self, value, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_SEED, value)
-        code = cli.main(["simulate", "--n", "5", "--ps", "1/2", "--replications", "10"])
+        code = cli.main(BM_MC_FEW)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -466,10 +450,10 @@ class TestSimulateCommand:
 @pytest.mark.parametrize(
     "argv, flag, want",
     [
-        (["simulate", "--ps", "1/2", "--n", "-1"], "--n", "an integer >= 0"),
-        (["simulate", "--ps", "1/2", "--n", "3", "--replications", "0"], "--replications",
-         "a positive integer"),
-        (["simulate", "--ps", "1/2", "--n", "2.5"], "--n", "an integer >= 0"),
+        (BM_MC_FEW + ["--steps", "2.5"], "--steps", "a positive integer"),
+        (BM_MC_FEW + ["--replications", "1e3"], "--replications", "a positive integer"),
+        (["evaluate", "--p", "1/2", "--reward", "geometric:1/2", "--policy", "tau0",
+          "--N", "2.5"], "--N", "an integer >= 0"),
         (["solve", "--p", "1/2", "--reward", "geometric:1/2", "--N", "-1"], "--N",
          "an integer >= 0"),
         (["evaluate", "--p", "1/2", "--reward", "geometric:1/2", "--policy", "tau0",
@@ -483,7 +467,7 @@ class TestSimulateCommand:
         (["bm-verify", "--seed", "1e3"], "--seed", "an integer >= 0"),
         (["sweep", "--reward", "geometric:1/2", "--p-list", "1/2", "--n-list", "2,"], "--n-list",
          "an integer >= 0"),
-        (["simulate", "--ps", "1/2", "--n", "3", "--seed", "-1"], "--seed", "an integer >= 0"),
+        (BM_MC_FEW + ["--seed", "-1"], "--seed", "an integer >= 0"),
         (["bm-verify", "--seed", "-1"], "--seed", "an integer >= 0"),
         (["bm-mc", "--lam", "0", "--rule", "tau0", "--reward", "exp_decay:1.0", "--seed", "x"],
          "--seed", "an integer >= 0"),
@@ -514,11 +498,10 @@ def test_successive_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
     assert out == target.read_text()
 
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    simulate = ["simulate", "--n", "2", "--ps", "1/2", "--replications", "5"]
-    code, out = run_cli(simulate + ["--seed", "3"], capsys)
+    code, out = run_cli(BM_MC_FEW + ["--seed", "3"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 3
-    code, out = run_cli(simulate, capsys)
+    code, out = run_cli(BM_MC_FEW, capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 0
 
@@ -749,14 +732,6 @@ class TestSweepCommand:
              "--rule", "tau0", "--reward", "piecewise:0=1,5=1"],
             "f119a0e7b612caca41c9240e874aeef057dbe9cd6b424434b7855c527d9992ba",
         ),
-        (
-            ["simulate", "--seed", "5", "--n", "40", "--ps", "1/4,3/4", "--replications", "200"],
-            "4410c1e2794d1083775d14e544ee21c6ea6233cec193eb2d0571e9bdbf691503",
-        ),
-        (  # one row past the first block: the second block opens stream 1
-            ["simulate", "--seed", "5", "--n", "3", "--ps", "1/4,3/4", "--replications", "20003"],
-            "5df76f048a56643170ac49f0d79fccdd054c5964fd507c76ff2c959054870df7",
-        ),
         (  # three chunks, streams 0..2: each chunk's exact pair draws, then the rule's path draws
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "10", "--replications", "20003",
              "--rule", "drawdown:0", "--reward", "exp_decay:1.0"],
@@ -780,14 +755,14 @@ class TestSweepCommand:
             "29062e83578fe435d23741c5b21213818e74fe30989dd3f773827c624325d336",
         ),
     ],
-    ids=["bm-mc", "bm-mc-exact-constant", "simulate", "simulate-two-blocks", "bm-mc-three-chunks",
-         "bm-mc-exact-three-chunks", "sweep", "bm-verify", "verify-discrete"],
+    ids=["bm-mc", "bm-mc-exact-constant", "bm-mc-three-chunks", "bm-mc-exact-three-chunks",
+         "sweep", "bm-verify", "verify-discrete"],
 )
 def test_report_bytes_frozen(argv, digest, tmp_path):
     """Report bytes of the grid and float-valued commands, pinned so that a
     change to how reports are built cannot move them.
 
-    The float reports (bm-mc, simulate, bm-verify) are bit-stable for one
+    The float reports (bm-mc, bm-verify) are bit-stable for one
     numpy build; their digests pin the float arithmetic and the key layout.
     """
     target = tmp_path / "r.json"
@@ -796,9 +771,9 @@ def test_report_bytes_frozen(argv, digest, tmp_path):
 
 
 def test_readme_command_lines_parse():
-    """Every `maxstop ...` line of the README is a valid command line."""
+    """The README's `maxstop ...` lines parse, and show every subcommand."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("maxstop ")]
-    assert len(lines) >= 9
-    for line in lines:
-        cli.build_parser().parse_args(shlex.split(line)[1:])
+    shown = {cli.build_parser().parse_args(shlex.split(ln)[1:]).command for ln in lines}
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert shown == set(sub.choices)

@@ -12,7 +12,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_demo_is_collected():
-    assert len(DEMOS) == 6
+    """The README's Demos section lists exactly the scripts in demos/."""
+    section = (ROOT / "README.md").read_text().split("\n## Demos\n")[1].split("\n## ")[0]
+    listed = {ln.split()[1] for ln in section.splitlines() if ln.startswith("python demos/")}
+    assert DEMOS and listed == {f"demos/{path.name}" for path in DEMOS}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)

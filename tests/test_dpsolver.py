@@ -49,7 +49,7 @@ class TestSolve:
         assert rep.value_tauN == 1 - (1 - p) ** 2
         assert rep.optimal_value > max(rep.value_tau0, rep.value_tauN)
         # the optimum is attained by stopping at every k=1 state
-        assert rep.policy.stops(1, 0) and rep.policy.stops(1, 1)
+        assert set(rep.policy.rows[1]) <= {dpsolver.STOP, dpsolver.TIE}  # a TIE stops
 
     def test_subcritical_stops_immediately(self):
         rep = solve(WalkParams(Fraction(2, 5), 5), GEOM_HALF)
@@ -287,7 +287,9 @@ class TestAgainstEnumeration:
                 dec = {(k, z): rng.choice(choices) for k in range(n) for z in range(k + 1)}
                 dec.update({(n, z): dpsolver.STOP for z in range(n + 1)})
                 pol = PolicyTable.from_decisions(n, dec)
-                want = brute_rule_value(p, n, self.NONCONVEX, pol.stops)
+                want = brute_rule_value(
+                    p, n, self.NONCONVEX, lambda k, z: dec[k, z] != dpsolver.CONTINUE
+                )
                 assert evaluate_policy(WalkParams(p, n), self.NONCONVEX, pol) == want, (p, n, dec)
 
 

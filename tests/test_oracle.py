@@ -6,13 +6,18 @@ import pytest
 from conftest import brute_agrees, brute_oracle, brute_rule_classes, brute_stopping_index
 from maxstop import dpsolver, oracle, rewards
 from maxstop.dpsolver import NOT_UNIQUE, TIE_CLASS, UNIQUE_TAU0, UNIQUE_TAUN, UNKNOWN
-from maxstop.oracle import cross_validate, enumerate_optimum
+from maxstop.oracle import enumerate_optimum
 from maxstop.walkdist import WalkParams
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 WINNER_TAKE_TWO = rewards.table_reward([1, 1, 0])
 HALF = Fraction(1, 2)
 LABELS = (UNIQUE_TAU0, UNIQUE_TAUN, TIE_CLASS, NOT_UNIQUE, UNKNOWN)
+
+
+def oracle_agrees(w, f) -> bool:
+    """Whether the oracle confirms the solver's value and label (as `oracle` reports)."""
+    return oracle.agrees(enumerate_optimum(w, f), dpsolver.solve(w, f))
 
 # tables cover {0..4}; the last two are not convex, the last not monotone
 BRUTE_REWARDS = [
@@ -91,12 +96,12 @@ class TestEnumerate:
         w = WalkParams(p, 12)
         res = enumerate_optimum(w, GEOM_HALF)
         assert res.value == dpsolver.solve(w, GEOM_HALF).optimal_value
-        assert cross_validate(w, GEOM_HALF)
+        assert oracle_agrees(w, GEOM_HALF)
 
 
 class TestCrossValidate:
     def test_subcritical_geometric(self):
-        assert cross_validate(WalkParams(Fraction(1, 3), 3), GEOM_HALF)
+        assert oracle_agrees(WalkParams(Fraction(1, 3), 3), GEOM_HALF)
 
     def test_tie_class_indicator(self):
         w = WalkParams(Fraction(1, 2), 2)
@@ -105,12 +110,12 @@ class TestCrossValidate:
         # stop-at-max class are optimal, so NOT_UNIQUE, and the oracle agrees
         rep = dpsolver.solve(w, f)
         assert rep.unique in (dpsolver.TIE_CLASS, dpsolver.NOT_UNIQUE)
-        assert cross_validate(w, f)
+        assert oracle_agrees(w, f)
 
     def test_tie_class_strictly_convex(self):
         w = WalkParams(Fraction(1, 2), 3)
         assert dpsolver.solve(w, GEOM_HALF).unique == dpsolver.TIE_CLASS
-        assert cross_validate(w, GEOM_HALF)
+        assert oracle_agrees(w, GEOM_HALF)
 
     def test_linear_all_rules_optimal(self):
         w = WalkParams(Fraction(1, 2), 2)
@@ -118,13 +123,13 @@ class TestCrossValidate:
         res = enumerate_optimum(w, f)
         assert res.n_optimal_classes == 5  # every rule class at N=2
         assert dpsolver.solve(w, f).unique == dpsolver.NOT_UNIQUE
-        assert cross_validate(w, f)
+        assert oracle_agrees(w, f)
 
     def test_counterexample(self):
-        assert cross_validate(WalkParams(Fraction(1, 3), 2), WINNER_TAKE_TWO)
+        assert oracle_agrees(WalkParams(Fraction(1, 3), 2), WINNER_TAKE_TWO)
 
     def test_supercritical(self):
-        assert cross_validate(WalkParams(Fraction(3, 4), 3), GEOM_HALF)
+        assert oracle_agrees(WalkParams(Fraction(3, 4), 3), GEOM_HALF)
 
     def test_tie_class_signature_set(self):
         sigs = brute_rule_classes(2, at_max_only=True)
@@ -136,7 +141,7 @@ class TestCrossValidate:
     def test_small_grid_all_cells(self, p_grid):
         for p in p_grid:
             for n in range(1, 4):
-                assert cross_validate(WalkParams(p, n), GEOM_HALF)
+                assert oracle_agrees(WalkParams(p, n), GEOM_HALF)
 
     @pytest.mark.parametrize(
         "p, n, f, wrong",
@@ -151,16 +156,16 @@ class TestCrossValidate:
     )
     def test_wrong_label_is_caught(self, p, n, f, wrong, monkeypatch):
         w = WalkParams(p, n)
-        assert cross_validate(w, f)
+        assert oracle_agrees(w, f)
         solve = dpsolver.solve
         monkeypatch.setattr(dpsolver, "solve", lambda w, f: replace(solve(w, f), unique=wrong))
-        assert not cross_validate(w, f)
+        assert not oracle_agrees(w, f)
 
     @pytest.mark.parametrize("p, n", [(Fraction(2, 5), 4), (HALF, 6), (Fraction(3, 4), 10)])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_value_off_by_one_unit_is_caught(self, p, n, sign, monkeypatch):
         w = WalkParams(p, n)
-        assert cross_validate(w, GEOM_HALF)
+        assert oracle_agrees(w, GEOM_HALF)
         solve = dpsolver.solve
 
         def off(w, f):
@@ -168,7 +173,7 @@ class TestCrossValidate:
             return replace(rep, optimal_value=rep.optimal_value + sign * Fraction(1, p.denominator**n))
 
         monkeypatch.setattr(dpsolver, "solve", off)
-        assert not cross_validate(w, GEOM_HALF)
+        assert not oracle_agrees(w, GEOM_HALF)
 
 
 class TestAgainstBruteEnumeration:
@@ -190,7 +195,7 @@ class TestAgainstBruteEnumeration:
                     rep = dpsolver.solve(w, f)
                     seen.add(rep.unique)
                     verdict = brute_agrees(p, n, f, rep.optimal_value, rep.unique)
-                    assert cross_validate(w, f) == verdict, (name, p, n)
+                    assert oracle_agrees(w, f) == verdict, (name, p, n)
                     # a wrong label gets the brute verdict too
                     for label in LABELS:
                         assert oracle.agrees(res, replace(rep, unique=label)) == brute_agrees(

@@ -9,7 +9,6 @@ from maxstop.walkdist import (
     WalkParams,
     check_corollary,
     check_key_inequality,
-    d_value,
     drawdown_laws,
     final_law,
     max_laws,
@@ -32,6 +31,13 @@ def g_value(w, f, k, i):
     fnum, den = rewards.reward_numerators(f, k + i)
     law = final_law(max_laws(WalkParams(w.p, k)))
     return Fraction(dpsolver._g_row(law, fnum, k, k + i)[i], w.p.denominator**k * den)
+
+
+def drawdown_value(p, k, i, f):
+    """E[f((i v M_k) - S_k)] under the p-walk: the law at k of the drawdown
+    kernel started at i, summed against f in Fractions."""
+    law = final_law(drawdown_laws(WalkParams(p, k), start=i))
+    return sum(Fraction(c, p.denominator**k) * f(z) for z, c in enumerate(law))
 
 
 class TestJointPmf:
@@ -171,16 +177,16 @@ class TestValues:
 
     def test_d_at_zero_steps(self):
         for i in range(5):
-            assert d_value(WalkParams(Fraction(2, 3), 3), GEOM_HALF, 0, i) == GEOM_HALF(i)
+            assert drawdown_value(Fraction(2, 3), 0, i, GEOM_HALF) == GEOM_HALF(i)
 
     def test_d_equals_g_at_zero_drawdown_symmetric(self):
         w = WalkParams(Fraction(1, 2), 6)
         for k in range(7):
-            assert d_value(w, GEOM_HALF, k, 0) == g_value(w, GEOM_HALF, k, 0)
+            assert drawdown_value(w.p, k, 0, GEOM_HALF) == g_value(w, GEOM_HALF, k, 0)
 
     def test_dtilde_frozen_value(self):
         # 4-path enumeration: 49/72 for p=2/3, k=2, i=1
-        assert d_value(WalkParams(Fraction(2, 3), 2), GEOM_HALF, 2, 1) == Fraction(49, 72)
+        assert drawdown_value(Fraction(2, 3), 2, 1, GEOM_HALF) == Fraction(49, 72)
 
     @given(p=rational_p, n=st.integers(min_value=0, max_value=7), i=st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
@@ -189,19 +195,19 @@ class TestValues:
         assert g_value(w, GEOM_HALF, n, i) == brute_expect(
             p, n, lambda m, s: GEOM_HALF(max(i, m))
         )
-        assert d_value(w, GEOM_HALF, n, i) == brute_expect(
+        assert drawdown_value(p, n, i, GEOM_HALF) == brute_expect(
             p, n, lambda m, s: GEOM_HALF(max(i, m) - s)
         )
 
     def test_d_below_the_horizon_matches_enumeration(self, p_grid):
-        """d_value at k < n is the k-step value from drawdown i, for a nonconvex f."""
+        """The kernel from drawdown i at k steps is the k-step value from i, for
+        a nonconvex f."""
         f = rewards.table_reward([3, 1, 2, 0, 2, 1, 1, 0, 3, 0, 1, 2, 0, 1, 0, 2, 1])
         for p in p_grid:
             for k in range(10):
                 for i in range(7):
                     ref = brute_expect(p, k, lambda m, s: f(max(i, m) - s))
-                    for n in range(k + 1, 11):
-                        assert d_value(WalkParams(p, n), f, k, i) == ref, (p, n, k, i)
+                    assert drawdown_value(p, k, i, f) == ref, (p, k, i)
 
     def test_g_monotone_in_drawdown(self):
         w = WalkParams(Fraction(3, 5), 6)
@@ -229,8 +235,7 @@ class TestValues:
 
         for k in range(n + 1):
             assert g_value(w, f, k, i) == expect(max_laws(WalkParams(p, k)), k, lambda m: f(max(i, m)))
-            assert d_value(w, f, k, i) == expect(drawdown_laws(WalkParams(p, k), start=i), k, f)
-        lhs = expect(drawdown_laws(w, start=i), n, f)
+        lhs = drawdown_value(p, n, i, f)
         rhs = expect(drawdown_laws(w), n, lambda z: f(max(i, z)))
         rep = check_key_inequality(w, f, i)
         assert (rep.lhs, rep.rhs, rep.strict) == (lhs, rhs, lhs > rhs)
@@ -238,11 +243,12 @@ class TestValues:
     def test_float_reward_rejected(self):
         f = rewards.table_reward([0.5, 0.25, 0.0])
         with pytest.raises(rewards.RewardDomainError, match=r"f\(0\) = 0\.5 is not rational"):
-            d_value(WalkParams(Fraction(1, 2), 2), f, 2, 0)
+            check_key_inequality(WalkParams(Fraction(1, 2), 2), f, 0)
 
-    def test_horizon_guard(self):
-        with pytest.raises(ValueError, match="exceeds configured horizon 3"):
-            d_value(WalkParams(Fraction(1, 2), 3), GEOM_HALF, 4, 0)
+    @pytest.mark.parametrize("check", [check_key_inequality, check_corollary])
+    def test_negative_drawdown_rejected(self, check):
+        with pytest.raises(ValueError, match="drawdown must be >= 0"):
+            check(WalkParams(Fraction(1, 2), 3), GEOM_HALF, -1)
 
 
 class TestKeyInequality:
