@@ -66,7 +66,6 @@ from .brownian import (  # noqa: F401
     expect_joint,
     g_bm,
     joint_density,
-    mc_bm_rule_value,
     mc_bm_rule_values,
     sample_max_endpoint,
 )

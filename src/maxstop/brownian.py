@@ -455,7 +455,3 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
         McEstimate.from_sample(np.concatenate(vals), None if idx in exact else steps)
         for idx, vals in enumerate(collected)
     ]
-
-
-def mc_bm_rule_value(seed: int, model: BmModel, f, rule: BmRule) -> McEstimate:
-    return mc_bm_rule_values(seed, model, f, [rule])[0]

@@ -504,7 +504,7 @@ def cmd_bm_mc(args) -> int:
         T=args.T,
         mc=brownian.McConfig(steps=args.steps, replications=args.replications),
     )
-    est = brownian.mc_bm_rule_value(seed, model, f, rule)
+    est = brownian.mc_bm_rule_values(seed, model, f, [rule])[0]
     report = {
         "command": "bm-mc",
         "config": {

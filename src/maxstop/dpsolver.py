@@ -15,11 +15,12 @@ so stop / continue / TIE is an integer comparison.  The sweep is streamed:
 step k reads only G(N-k, .), and N-k rises as k falls, the order in which
 the law kernel yields rows, so O(N) integers stay alive and no per-state
 value is kept.  `evaluate_policy` runs the same sweep with a given rule's
-decisions in place of the comparison, pruned to where the rule can still
-run: it starts at the first row with no CONTINUE (every path has stopped
-there, so V = G), builds G(N-k, .) only for rows that hold a STOP or TIE,
-and advances the law of M only as far as the highest such N-k, so tau0
-costs one law pass and one G row, and tauN neither.  It too keeps O(N)
+decisions in place of the comparison, over the rows where the rule can
+both stop and still be running: from the first row with no CONTINUE
+(every path has stopped there, so V = G) up to the first row t that holds
+a STOP or TIE (no path has stopped before it), where the law of Z_t
+closes the value.  tau0 costs one law pass of M and one G row, tauN one
+drawdown law pass and one dot product with f.  It too keeps O(N)
 integers alive: one law, one G row and one row of V.  Fractions are built
 only for the reported values, so rewards must be rational on {0..N}.
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .rewards import RewardDomainError, reward_numerators
+from .rewards import reward_numerators
 from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
 
 STOP = "STOP"
@@ -124,20 +125,6 @@ class SolveReport:
     tie_states: tuple
 
 
-def _reward_numerators(f, n: int) -> tuple:
-    """(numerators, D): f(0..n) as integers over their least common denominator D.
-
-    Raises RewardDomainError naming the first z where f is undefined or not
-    rational.
-    """
-    try:
-        return reward_numerators(f, n)
-    except RewardDomainError:
-        raise
-    except ValueError as e:
-        raise RewardDomainError(f"reward must be defined on 0..{n}: {e}") from e
-
-
 def _g_row(law: list, fnum: list, j: int, n: int) -> list:
     """G(j, .) = E[f(i v M_j)], i = 0..n-j, in O(n).
 
@@ -167,7 +154,7 @@ def solve(w: WalkParams, f) -> SolveReport:
     """
     n = w.n
     a, b = w.p.numerator, w.p.denominator
-    fnum, den = _reward_numerators(f, n)
+    fnum, den = reward_numerators(f, n)
     g_rows = (_g_row(law, fnum, j, n) for j, law in enumerate(max_laws(w)))
 
     # V holds the step-k values as numerators over den = b**(n-k) * D;
@@ -222,37 +209,34 @@ def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     """Exact value of a Markov drawdown rule by backward induction.
 
     The sweep of `solve` with the rule's decision in place of the Bellman
-    max, run only where the rule can still be running.  It starts at the
-    first row s with no CONTINUE (row N is all STOP): every path has
-    stopped by time s, so V there is G(N-s, .).  Above it a STOP (or TIE)
-    state takes G(N-k, z) and a CONTINUE state a * V(z-1 v 0) +
-    (b - a) * V(z+1).  G(N-k, .) is built only for rows that hold a STOP
-    or TIE, and the law of M is advanced only as far as the highest such
-    N-k: tauN reads f alone, and tau0 one law pass and one G row.  Row k is
-    over b**(N-k) * D, and O(N) integers stay alive: the law of M being
+    max, run only over the rows where the rule can both stop and still be
+    running.  It starts at the first row s with no CONTINUE (row N is all
+    STOP): every path has stopped by time s, so V there is G(N-s, .), or f
+    at s = N.  Above it a STOP (or TIE) state takes G(N-k, z) and a
+    CONTINUE state a * V(z-1 v 0) + (b - a) * V(z+1).  It stops at the
+    first row t that holds a STOP or TIE: no path stops before time t, so
+    the value is the law of Z_t dotted with V(t, .).  The law of M is
+    advanced to N-t, the drawdown law to t; tau0 costs one law pass and one
+    G row, tauN one drawdown law pass and one dot product with f.  Row k is
+    over b**(N-k) * D, and O(N) integers stay alive: the law being
     advanced, one G row and one row of V.
     """
     if pol.n != w.n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
     n = w.n
     a, b = w.p.numerator, w.p.denominator
-    fnum, den = _reward_numerators(f, n)
+    fnum, den = reward_numerators(f, n)
     rows = pol.rows
-    laws = enumerate(max_laws(w))
-
-    def g_row(k):
-        # N - k rises as k falls, the order in which the laws come
-        for j, law in laws:
-            if j == n - k:
-                return _g_row(law, fnum, j, n)
-
     start = next(k for k, row in enumerate(rows) if CONTINUE not in row)
-    V = fnum if start == n else g_row(start)  # G(0, .) = f
-    for k in range(start - 1, -1, -1):
-        row = rows[k]
-        G = g_row(k) if STOP in row or TIE in row else repeat(None)  # all CONTINUE
+    top = next(k for k, row in enumerate(rows) if STOP in row or TIE in row)
+    first = max(1, n - start)  # G(0, .) = f needs no law
+    laws = enumerate(max_laws(WalkParams(w.p, n - top)))
+    g_rows = (_g_row(law, fnum, j, n) for j, law in laws if j >= first)
+    V = fnum if start == n else next(g_rows)
+    for k in range(start - 1, top - 1, -1):
         V = [
             a * V[z - 1 if z else 0] + (b - a) * V[z + 1] if d == CONTINUE else g
-            for z, (g, d) in enumerate(zip(G, row))
+            for z, (g, d) in enumerate(zip(next(g_rows), rows[k]))
         ]
-    return Fraction(V[0], den * b**n)
+    zlaw = final_law(drawdown_laws(WalkParams(w.p, top)))
+    return Fraction(sum(map(operator.mul, zlaw, V)), den * b**n)

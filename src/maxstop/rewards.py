@@ -106,8 +106,17 @@ class RewardSpec:
 
 def reward_numerators(f, n: int) -> tuple:
     """(numerators, D) of f(0..n): the bound form of a RewardSpec, and
-    `rational_numerators` over f(z) for any other callable."""
-    return (f.numerators if isinstance(f, RewardSpec) else _numerators_via(f))(n)
+    `rational_numerators` over f(z) for any other callable.
+
+    Raises RewardDomainError naming the first z where f is undefined or not
+    rational.
+    """
+    try:
+        return (f.numerators if isinstance(f, RewardSpec) else _numerators_via(f))(n)
+    except RewardDomainError:
+        raise
+    except ValueError as e:
+        raise RewardDomainError(f"reward must be defined on 0..{n}: {e}") from e
 
 
 def evaluate(f: RewardSpec, x):
@@ -156,7 +165,7 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
     leaves the convexity flags vacuously true), taken on the numerators over
     the values' common denominator, which keeps every sign.  A table reward
     defaults to its own length; a closed-form reward needs the horizon.  A
-    value that is not rational raises RewardDomainError.
+    value that is undefined or not rational raises RewardDomainError.
     """
     if f.domain != DISCRETE:
         raise ValueError(f"classify needs a discrete-domain reward, got domain {f.domain!r}")
@@ -164,7 +173,7 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
         if f.size is None:
             raise ValueError("classify on a closed-form discrete reward needs a horizon")
         horizon = f.size - 1
-    nums, _den = f.numerators(horizon)
+    nums, _den = reward_numerators(f, horizon)
     d1 = [b - a for a, b in zip(nums, nums[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]
     return RewardFlags(

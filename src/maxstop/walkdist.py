@@ -17,9 +17,10 @@ inequalities, not up to tolerance.  Two forward passes compute laws:
 
 The inequality checks work on the reward's numerators over one common
 denominator (the reward's bound `numerators` form) and build one Fraction
-per reported value; a reward that is not rational raises
-RewardDomainError, as in the solver.  They read the law at the horizon
-from one bounded cache (`_final_row`), shared across rewards and drawdowns.
+per reported value; a reward that is undefined or not rational there
+raises RewardDomainError, as in the solver.  They read the law at the
+horizon from one bounded cache (`_final_row`), shared across rewards and
+drawdowns.
 
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
@@ -164,14 +165,12 @@ class InequalityReport:
     """Outcome of one exact inequality check.
 
     Under the hypotheses of the checked statement lhs >= rhs always holds,
-    `strict` records lhs > rhs, and `witness` is the (k,l) = (n,n) corner
-    when the proof's integrand gap psi is strictly positive there.
+    and `strict` records lhs > rhs.
     """
 
     lhs: Fraction
     rhs: Fraction
     strict: bool
-    witness: tuple | None = None
 
     @property
     def holds(self) -> bool:
@@ -180,11 +179,6 @@ class InequalityReport:
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
-
-
-def _psi(f, i: int, k: int, l: int):
-    """Integrand gap of the key-inequality proof, nonnegative for convex f."""
-    return (f(max(i, k) - l) - f(max(i, k))) - (f(max(i, k - l)) - f(max(i, k - l) + l))
 
 
 def _check_against(w: WalkParams, f, i: int, rhs_law: list) -> InequalityReport:
@@ -200,8 +194,7 @@ def _check_against(w: WalkParams, f, i: int, rhs_law: list) -> InequalityReport:
     den *= w.p.denominator**n
     lhs = sum(map(operator.mul, _final_row(w.p, n, i), fnum))
     rhs = _expect_max(rhs_law, fnum, i)
-    witness = (n, n) if n > 0 and _psi(fnum.__getitem__, i, n, n) > 0 else None
-    return InequalityReport(Fraction(lhs, den), Fraction(rhs, den), lhs > rhs, witness)
+    return InequalityReport(Fraction(lhs, den), Fraction(rhs, den), lhs > rhs)
 
 
 def check_key_inequality(w: WalkParams, f, i: int) -> InequalityReport:

@@ -317,20 +317,20 @@ class TestMcRules:
         const = rewards.custom_table_reward([0.0, 1.0], [0.625, 0.625])
         model = bm.BmModel(lam=0.3, T=1.0, mc=bm.McConfig(steps=50, replications=2000))
         for rule in (bm.BmRule("tau0"), bm.BmRule("drawdown_threshold", 0.5)):
-            est = bm.mc_bm_rule_value(1, model, const, rule)
+            (est,) = bm.mc_bm_rule_values(1, model, const, [rule])
             assert est.estimate == 0.625
             assert est.stderr == 0.0
 
     def test_tau0_matches_quadrature(self):
         model = bm.BmModel(lam=-1.0, T=1.0, mc=bm.McConfig(replications=100_000))
-        est = bm.mc_bm_rule_value(7, model, EXP1, bm.BmRule("tau0"))
+        (est,) = bm.mc_bm_rule_values(7, model, EXP1, [bm.BmRule("tau0")])
         exact = bm.g_bm(1.0, 0.0, -1.0, EXP1)
         assert abs(est.estimate - exact.value) < 4 * est.stderr
         assert est.steps is None  # exact sampler, no discretization
 
     def test_tauT_matches_quadrature(self):
         model = bm.BmModel(lam=1.0, T=1.0, mc=bm.McConfig(replications=100_000))
-        est = bm.mc_bm_rule_value(8, model, EXP1, bm.BmRule("tauT"))
+        (est,) = bm.mc_bm_rule_values(8, model, EXP1, [bm.BmRule("tauT")])
         exact = bm.dtilde_bm(1.0, 0.0, 1.0, EXP1)
         assert abs(est.estimate - exact.value) < 4 * est.stderr
 
@@ -349,7 +349,7 @@ class TestMcRules:
         independent Monte Carlo oracle from direct normal sampling."""
         t0_frac = 0.5
         model = bm.BmModel(lam=0.0, T=1.0, mc=bm.McConfig(steps=400, replications=50_000))
-        est = bm.mc_bm_rule_value(13, model, EXP1, bm.BmRule("time_threshold", t0_frac))
+        (est,) = bm.mc_bm_rule_values(13, model, EXP1, [bm.BmRule("time_threshold", t0_frac)])
         rng = np.random.Generator(np.random.PCG64(99))
         n = 200_000
         b1 = rng.standard_normal(n) * math.sqrt(t0_frac)
@@ -449,7 +449,7 @@ class TestPathRules:
         independent of X.  E[exp(-max(X, Y))] = 1 - int_0^inf e^-m (1 -
         P(X <= m) P(Y <= m)) dm, by quad on the closed-form law of M_t."""
         model = bm.BmModel(lam=lam, T=1.0, mc=bm.McConfig(replications=100_000))
-        est = bm.mc_bm_rule_value(51, model, EXP1, bm.BmRule("time_threshold", s))
+        (est,) = bm.mc_bm_rule_values(51, model, EXP1, [bm.BmRule("time_threshold", s)])
         tail, _err = integrate.quad(
             lambda m: math.exp(-m)
             * (1.0 - max_cdf_drifted(m, s, -lam) * max_cdf_drifted(m, 1.0 - s, lam)),
@@ -502,7 +502,7 @@ class TestChunkLayout:
     def test_each_rule_alone_matches_the_joint_call(self):
         together = bm.mc_bm_rule_values(31, self.model(), EXP1, self.RULES)
         for rule, est in zip(self.RULES, together):
-            assert bm.mc_bm_rule_value(31, self.model(), EXP1, rule) == est, rule.label()
+            assert bm.mc_bm_rule_values(31, self.model(), EXP1, [rule]) == [est], rule.label()
 
     def test_exact_rules_read_sample_max_endpoint(self):
         tau0, tauT = bm.mc_bm_rule_values(31, self.model(), EXP1, self.RULES)[:2]
@@ -516,7 +516,7 @@ class TestChunkLayout:
             bm.sample_max_endpoint(1, 1.0, 0.0, 0)
         model = bm.BmModel(lam=0.0, T=1.0, mc=bm.McConfig(replications=0))
         with pytest.raises(ValueError, match="at least one replication"):
-            bm.mc_bm_rule_value(1, model, EXP1, bm.BmRule("tau0"))
+            bm.mc_bm_rule_values(1, model, EXP1, [bm.BmRule("tau0")])
 
     def test_whole_chunks_do_not_depend_on_later_rows(self):
         full = bm.sample_max_endpoint(32, 1.0, 0.0, self.REPS)

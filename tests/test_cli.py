@@ -657,10 +657,10 @@ class TestBmCommands:
             assert captured.err.startswith("configuration error:"), captured.err
 
     def test_non_finite_report_value_is_internal_error(self, capsys, monkeypatch):
-        def nan_estimate(*args, **kwargs):
-            return coupling.McEstimate(float("nan"), 0.0, 10)
+        def nan_estimates(*args, **kwargs):
+            return [coupling.McEstimate(float("nan"), 0.0, 10)]
 
-        monkeypatch.setattr(brownian, "mc_bm_rule_value", nan_estimate)
+        monkeypatch.setattr(brownian, "mc_bm_rule_values", nan_estimates)
         code = cli.main(
             ["bm-mc", "--lam", "0.0", "--replications", "10", "--rule", "tau0",
              "--reward", "exp_decay:1.0"]

@@ -37,6 +37,14 @@ def winner_take_two(n):
     """Winner-take-two on {0..n}: pays 1 within one of the maximum."""
     return rewards.table_reward([1, 1] + [0] * n)
 
+
+def policy_drawdown_threshold(n, z0):
+    """Stop once the drawdown reaches z0, else at the horizon n."""
+    rows = tuple(tuple(dpsolver.STOP if z >= z0 else dpsolver.CONTINUE for z in range(k + 1))
+                 for k in range(n))
+    return PolicyTable(n, rows + ((dpsolver.STOP,) * (n + 1),))
+
+
 rational_p = st.builds(Fraction, st.integers(min_value=1, max_value=9), st.just(10))
 
 
@@ -168,9 +176,9 @@ class TestEvaluatePolicy:
 
 
 class TestPrunedSweep:
-    """`evaluate_policy` starts at the first row with no CONTINUE, builds
-    G(N-k, .) only for rows that hold a STOP or TIE, and advances the law
-    of M no further than the highest such N-k; the full sweep of
+    """`evaluate_policy` sweeps from the first row with no CONTINUE up to the
+    first row that holds a STOP or TIE, reading one G row per swept row, and
+    closes with the drawdown law at that row; the full sweep of
     `conftest.evaluate_reference` is the reference."""
 
     PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)]
@@ -201,19 +209,26 @@ class TestPrunedSweep:
     @pytest.mark.parametrize("p", PS)
     def test_random_rules_match_the_full_sweep(self, p):
         rng = random.Random(f"pruned-{p}")
-        starts = set()
+        starts, tops = set(), set()
         for n in (0, 1, 2, 3, 5, 8, 13, 21, 30, 40):
             w = WalkParams(p, n)
             table = rewards.table_reward([rng.randint(-9, 9) for _z in range(n + 1)])
             family = (GEOM_HALF, winner_take_two(n), rewards.exp_decay_table(Fraction(1, 2), n),
                       table)
+            held = tuple((dpsolver.CONTINUE,) * (k + 1) for k in range(n // 2))
             for _ in range(10):
                 pol = self.random_rule(rng, n)
-                starts.add(next(k for k, row in enumerate(pol.rows)
-                                if dpsolver.CONTINUE not in row))
-                for f in family:
-                    assert evaluate_policy(w, f, pol) == evaluate_reference(w, f, pol), (p, n)
+                # the same rule held back for its first n // 2 steps, so that
+                # the sweep also ends at rows far from 0
+                for rule in (pol, PolicyTable(n, held + pol.rows[n // 2 :])):
+                    starts.add(next(k for k, row in enumerate(rule.rows)
+                                    if dpsolver.CONTINUE not in row))
+                    tops.add(next(k for k, row in enumerate(rule.rows)
+                                  if row.count(dpsolver.CONTINUE) < len(row)))
+                    for f in family:
+                        assert evaluate_policy(w, f, rule) == evaluate_reference(w, f, rule), (p, n)
         assert len(starts) > 10  # the sweep starts at many different rows
+        assert len(tops) > 10  # and ends at many different rows
 
     @pytest.mark.parametrize("p", PS)
     def test_named_rules_match_the_full_sweep(self, p):
@@ -227,34 +242,47 @@ class TestPrunedSweep:
                 assert evaluate_policy(w, f, pol) == evaluate_reference(w, f, pol), (p, n)
 
     @pytest.mark.parametrize(
-        "policy, g_rows, laws",
+        "policy, g_rows, laws, drawdown_rows",
         [
-            (policy_tau0(200), [200], 201),
-            (policy_stop_at_max(200), [200], 201),  # stops at time 0
-            (policy_tauN(200), [], 0),
-            (policy_stop_at_max(200, from_step=150), list(range(50, 0, -1)), 51),
+            (policy_tau0(200), [200], 201, 1),
+            (policy_stop_at_max(200), [200], 201, 1),  # stops at time 0
+            (policy_tauN(200), [], 0, 201),
+            (policy_stop_at_max(200, from_step=150), list(range(50, 0, -1)), 51, 151),
+            (policy_drawdown_threshold(200, 30), list(range(170, 0, -1)), 171, 31),
         ],
-        ids=["tau0", "stop-at-max", "tauN", "stop-at-max-from-150"],
+        ids=["tau0", "stop-at-max", "tauN", "stop-at-max-from-150", "drawdown-30"],
     )
-    def test_builds_only_the_rows_it_reads(self, policy, g_rows, laws, monkeypatch):
-        """G rows (by j = N - k) and laws of M that one evaluate at N = 200 builds."""
-        built, pulled = [], []
-        real_row, real_laws = dpsolver._g_row, dpsolver.max_laws
+    def test_builds_only_the_rows_it_reads(self, policy, g_rows, laws, drawdown_rows,
+                                           monkeypatch):
+        """G rows (by j = N - k), laws of M and drawdown laws that one
+        evaluate at N = 200 builds."""
+        built, pulled, pulled_z = [], [], []
+        real_row = dpsolver._g_row
 
         def counted_row(law, fnum, j, n):
             built.append(j)
             return real_row(law, fnum, j, n)
 
-        def counted_laws(w):
-            for law in real_laws(w):
-                pulled.append(len(law))
-                yield law
+        def counter(real, pulls):
+            def counted(w):
+                for law in real(w):
+                    pulls.append(len(law))
+                    yield law
+            return counted
 
         monkeypatch.setattr(dpsolver, "_g_row", counted_row)
-        monkeypatch.setattr(dpsolver, "max_laws", counted_laws)
+        monkeypatch.setattr(dpsolver, "max_laws", counter(dpsolver.max_laws, pulled))
+        monkeypatch.setattr(dpsolver, "drawdown_laws", counter(dpsolver.drawdown_laws, pulled_z))
         w = WalkParams(Fraction(3, 5), 200)
         assert evaluate_policy(w, GEOM_HALF, policy) == evaluate_reference(w, GEOM_HALF, policy)
         assert (sorted(built, reverse=True), len(pulled)) == (g_rows, laws)
+        assert len(pulled_z) == drawdown_rows
+
+    @pytest.mark.parametrize("p", PS)
+    def test_tauN_is_the_solver_value(self, p):
+        w = WalkParams(p, 150)
+        for f in (GEOM_HALF, winner_take_two(150)):
+            assert evaluate_policy(w, f, policy_tauN(150)) == solve(w, f).value_tauN
 
 
 class TestAgainstEnumeration:

@@ -334,16 +334,19 @@ class TestNumeratorErrors:
     def test_table_index_out_of_range(self):
         f = table_reward([2, 1, 0])
         w = walkdist.WalkParams(Fraction(1, 2), 4)
-        short = "table reward has 3 entries, index 3 out of range"
-        assert _raised(lambda: dpsolver.solve(w, f)) == (
-            rewards.RewardDomainError, f"reward must be defined on 0..4: {short}"
+        expected = (
+            rewards.RewardDomainError,
+            "reward must be defined on 0..4: table reward has 3 entries, index 3 out of range",
         )
-        assert _raised(lambda: walkdist.check_key_inequality(w, f, 0)) == (ValueError, short)
-        assert _raised(lambda: classify(f, horizon=4)) == (ValueError, short)
+        assert _raised(lambda: dpsolver.solve(w, f)) == expected
+        assert _raised(lambda: dpsolver.evaluate_policy(w, f, dpsolver.policy_tauN(4))) == expected
+        assert _raised(lambda: walkdist.check_key_inequality(w, f, 0)) == expected
+        assert _raised(lambda: classify(f, horizon=4)) == expected
 
     def test_short_float_table_reports_the_index_first(self):
         f = table_reward([0.5, 0.25])
         w = walkdist.WalkParams(Fraction(1, 2), 3)
         assert _raised(lambda: walkdist.check_key_inequality(w, f, 0)) == (
-            ValueError, "table reward has 2 entries, index 2 out of range"
+            rewards.RewardDomainError,
+            "reward must be defined on 0..3: table reward has 2 entries, index 2 out of range",
         )
