@@ -17,9 +17,10 @@ reported error is the difference of the rule on the declared panels and
 on their halves, plus the truncated tail mass.
 
 Sampling (M_T, B_T) needs no path discretization: the same conditional
-law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  The same inversion
-applied per grid segment ("bridge max refinement") removes the
-O(sqrt(dt)) bias of the running maximum in discretized path simulation.
+law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  Per grid segment
+("bridge max refinement") it removes the O(sqrt(dt)) bias of the running
+maximum: the path rules step only the drawdown Z = M - B and value every
+stopped row by one final draw of the rest of its path (`_path_rule`).
 """
 
 from __future__ import annotations
@@ -249,9 +250,16 @@ def check_bm_corollary(t: float, x: float, lam: float, f) -> BmInequalityReport:
 # --- sampling ---------------------------------------------------------------
 
 
-def _conditional_max(endpoint: np.ndarray, duration: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of the segment max given the segment endpoint delta."""
-    return 0.5 * (endpoint + np.sqrt(endpoint**2 - 2.0 * duration * np.log(u)))
+def _conditional_max(endpoint: np.ndarray, duration, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of the segment max given the segment endpoint delta,
+    (delta + sqrt(delta^2 - 2 duration ln u)) / 2, built in one buffer."""
+    s = np.log(u)
+    s *= -2.0 * duration
+    s += np.square(endpoint)
+    np.sqrt(s, out=s)
+    s += endpoint
+    s *= 0.5
+    return s
 
 
 # `_conditional_max` squares a segment's endpoint lam * t + sqrt(t) * Z and
@@ -310,10 +318,6 @@ class BmRule:
 
 _EXACT_KINDS = ("tau0", "tauT")  # rules valued on the exact (M_T, B_T) pair
 _CHUNK = 10_000  # rows per stream; fixed: chunk boundaries are part of the stream layout
-# A path rule's stopped rows retire once they are at least 1 / _RETIRE of
-# the rows it still steps; fixed: it sets when the retirement draws come,
-# so it is part of the stream layout.
-_RETIRE = 4
 
 
 def _chunks(seed: int, replications: int):
@@ -325,79 +329,73 @@ def _chunks(seed: int, replications: int):
         yield gen, gen.standard_normal(count), gen.random(count)
 
 
-def _max_endpoint(t: float, lam: float, normal: np.ndarray, uniform: np.ndarray) -> tuple:
+def _max_endpoint(t, lam: float, normal: np.ndarray, uniform: np.ndarray) -> tuple:
     """Exact-in-law (M_t, B_t) from one normal and one uniform per row."""
-    b = lam * t + math.sqrt(t) * normal
+    b = lam * t + np.sqrt(t) * normal
     return _conditional_max(b, t, 1.0 - uniform), b  # 1 - uniform in (0, 1]
 
 
-def _jump(gen, t: float, lam: float, count: int) -> tuple:
-    """Exact-in-law (M_t, B_t) of `count` rows from gen's next draws, as the
-    fewest equal chained segments that keep within the one-segment bounds
-    (length <= _MAX_SEGMENT, drift part |lam| t <= _SQRT_MAX / 2); each
-    segment reads one normal and one uniform per row.  Within the inputs
-    that `_max_horizon` and `max_drift` admit that is one segment, unless T
-    or |lam| T comes within a factor of `steps` of those bounds."""
-    pieces = max(1, math.ceil(t / _MAX_SEGMENT), math.ceil(abs(lam) * t / (_SQRT_MAX / 2)))
+def _jump(gen, t: np.ndarray, lam: float) -> tuple:
+    """Exact-in-law (M_t, B_t), one row per duration in t, from gen's next
+    draws: the fewest equal chained segments that keep the longest t within
+    the one-segment bounds (length <= _MAX_SEGMENT, |lam| t <= _SQRT_MAX / 2),
+    each reading one normal and one uniform per row.  Within `_max_horizon`
+    and `max_drift` that is one segment, unless T or |lam| T comes within a
+    factor of `steps` of those bounds."""
+    n, longest = len(t), float(t.max(initial=0.0))
+    pieces = max(1, math.ceil(longest / _MAX_SEGMENT),
+                 math.ceil(abs(lam) * longest / (_SQRT_MAX / 2)))
     m = b = 0.0
     for _piece in range(pieces):
-        seg_max, inc = _max_endpoint(t / pieces, lam, gen.standard_normal(count), gen.random(count))
+        seg_max, inc = _max_endpoint(t / pieces, lam, gen.standard_normal(n), gen.random(n))
         m, b = np.maximum(m, b + seg_max), b + inc
     return m, b
-
-
-def _retired(gen, rest: float, lam: float, m, b, b_tau) -> np.ndarray:
-    """M_T - B_tau of rows whose path is known up to a time t_k < T, with
-    running max m and position b there: the rest of the path's maximum above
-    b has the law of M_rest, drawn in one `_jump`."""
-    rest_max, _end = _jump(gen, rest, lam, len(m))
-    return np.maximum(m, b + rest_max) - b_tau
 
 
 def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
     """M_T - B_tau of `count` rows under one grid rule, from gen's next draws.
 
-    The rule's rows are stepped on the grid of model.mc.steps steps; step k
-    draws one `_max_endpoint(dt, ...)` per row still stepped, so the running
-    maximum at grid times is exact in law (bridge max refinement), and the
-    rule stops at the first grid time its trigger holds, else at T.  Once
-    the stopped rows are at least 1 / _RETIRE of the rows stepped, at step
-    k < steps, they retire (`_retired`, one draw of the remaining T - t_k)
-    and the others are compacted.  A time_threshold rule stops every row at
-    the first grid time k dt >= param (or T): it jumps there in one
-    `_jump` and retires all rows at once.
+    A drawdown rule steps only Z = M - B of its running rows, on the grid
+    of model.mc.steps steps: step k draws the increment X and, from one
+    uniform, the step's bridge maximum S given X, and Z becomes
+    max(Z, S) - X, exact in law at grid times.  A row stops at the first
+    k < steps at which its trigger holds and is stepped no more; the
+    others end at T with Z_T.  After the last step one `_jump` draws, for
+    all stopped rows in row order, the maximum M' of the rest of the path
+    over each row's T - k dt, and M_T - B_tau = max(Z_tau, M').  A
+    time_threshold rule stops every row at the first grid time
+    k dt >= param (or T): one `_jump` there and one for the rest.
     """
-    steps, lam = model.mc.steps, model.lam
-    dt = model.T / steps
+    steps, lam, T = model.mc.steps, model.lam, model.T
+    dt = T / steps
     if rule.kind == "time_threshold":
         k = next((k for k in range(1, steps) if k * dt >= rule.param), steps)
-        m, b = _jump(gen, k * dt, lam, count)
-        return m - b if k == steps else _retired(gen, model.T - k * dt, lam, m, b, b)
+        m, b = _jump(gen, np.full(count, k * dt), lam)
+        if k < steps:
+            m = np.maximum(m, b + _jump(gen, np.full(count, T - k * dt), lam)[0])
+        return m - b
 
-    out = np.empty(count)
-    rows = np.arange(count)  # the chunk row of each stepped row
-    m, b, b_tau = np.zeros(count), np.zeros(count), np.zeros(count)
-    stopped = np.zeros(count, dtype=bool)
-    eps = _EPS_COEFF * math.sqrt(dt)
+    rows = np.arange(count)  # the chunk row of each running row
+    z = np.zeros(count)
+    stops = []  # (chunk rows, their Z_tau, T - tau) of each step with stops
+    sqrt_dt, eps = math.sqrt(dt), _EPS_COEFF * math.sqrt(dt)
     for k in range(1, steps + 1):
-        seg_max, inc = _max_endpoint(dt, lam, gen.standard_normal(len(rows)), gen.random(len(rows)))
-        m = np.maximum(m, b + seg_max)
-        b = b + inc
-        np.copyto(b_tau, b, where=~stopped)  # B_tau follows B until the row stops
+        x = gen.normal(lam * dt, sqrt_dt, len(z))
+        z = np.maximum(z, _conditional_max(x, dt, 1.0 - gen.random(len(z))))
+        z -= x
         if k == steps:
             break
-        z = m - b
-        stopped |= (z >= rule.param) if rule.param > 0 else (z <= eps)
-        if np.count_nonzero(stopped) * _RETIRE >= len(rows):
-            out[rows[stopped]] = _retired(
-                gen, model.T - k * dt, lam, m[stopped], b[stopped], b_tau[stopped]
-            )
-            keep = ~stopped
-            rows, m, b, b_tau = rows[keep], m[keep], b[keep], b_tau[keep]
-            if not len(rows):
-                return out
-            stopped = np.zeros(len(rows), dtype=bool)
-    out[rows] = m - b_tau
+        hit = (z >= rule.param) if rule.param > 0 else (z <= eps)
+        stop = np.flatnonzero(hit)
+        if len(stop):
+            stops.append((rows[stop], z[stop], T - k * dt))
+            rows, z = rows[~hit], z[~hit]
+    out, rest = np.empty(count), np.zeros(count)  # rest: T - tau, 0 for rows that reach T
+    out[rows] = z
+    for stopped_rows, z_tau, t in stops:
+        out[stopped_rows], rest[stopped_rows] = z_tau, t
+    stopped = np.flatnonzero(rest)
+    out[stopped] = np.maximum(out[stopped], _jump(gen, rest[stopped], lam)[0])
     return out
 
 
@@ -420,11 +418,11 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     tau0 / tauT are valued without discretization error.  Each grid rule
     then re-reads the chunk's stream from the point right after those
     draws and simulates its own rows (`_path_rule`): bridge-max-refined
-    steps of model.mc.steps, until its stopped rows retire with one exact
-    draw of the rest of the path.  So no estimate depends on the other
-    rules in the call or on their order, and the exact and path estimates
-    read disjoint draws.  A rule whose T exceeds `_max_horizon` or whose
-    |lam| exceeds `max_drift` raises ValueError before any draw.
+    steps of model.mc.steps, then one exact draw of the rest of the path
+    for all stopped rows.  So no estimate depends on the other rules in
+    the call or on their order, and the exact and path estimates read
+    disjoint draws.  A rule whose T exceeds `_max_horizon` or whose |lam|
+    exceeds `max_drift` raises ValueError before any draw.
     """
     fv = _vectorized_reward(f)
     exact = [idx for idx, rule in enumerate(rules) if rule.kind in _EXACT_KINDS]

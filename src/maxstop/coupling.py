@@ -21,7 +21,7 @@ from ._lazy import np
 from .dpsolver import CONTINUE, PolicyTable
 from .walkdist import WalkParams
 
-GENERATOR = "pcg64-v4"  # bump if the stream layout ever changes
+GENERATOR = "pcg64-v5"  # bump if the stream layout ever changes
 BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
 _CELLS = 2**16  # uniforms drawn at once by `mc_rule_value`; bounds a batch's memory
 

@@ -8,10 +8,10 @@ from those enumerations, sharing no code with the library.  The rule
 enumerator below is the oracle's own oracle: it values every
 history-dependent stopping rule class on every path (n <= 4).  The
 Brownian grid reference is the shared fixed-grid loop that valued the
-drawdown and time rules before stopped rows retired early.  The policy
-sweep reference values a Markov rule by the full backward sweep, over
-every row and every G row, and the joint-law view reads the library's
-reference joint pass in Fractions.
+drawdown and time rules before stopped rows left the step loop early.
+The policy sweep reference values a Markov rule by the full backward
+sweep, over every row and every G row, and the joint-law view reads the
+library's reference joint pass in Fractions.
 """
 
 import math

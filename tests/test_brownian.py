@@ -306,6 +306,21 @@ class TestExactSampler:
             ecdf = float(np.mean(mb[:, 0] <= m))
             assert abs(ecdf - cdf_quad.value) < band + 1e-4
 
+    def test_jump_with_one_duration_per_row(self):
+        """One `_jump` over rows of two durations: each group's ecdf of M_t
+        lies within the DKW band of the closed-form law at its own t."""
+        reps = 50_000
+        lam = 0.6
+        t = np.tile([0.25, 1.0], reps)
+        m, _b = bm._jump(np.random.Generator(np.random.PCG64(5)), t, lam)
+        band = math.sqrt(math.log(2 / 1e-4) / (2 * reps))  # ~0.00995
+        for duration in (0.25, 1.0):
+            group = m[t == duration]
+            assert len(group) == reps
+            for level in (0.25, 0.5, 1.0, 2.0):
+                ecdf = float(np.mean(group <= level))
+                assert abs(ecdf - max_cdf_drifted(level, duration, lam)) < band
+
     def test_determinism(self):
         a = bm.sample_max_endpoint(seed=9, t=1.0, lam=0.2, replications=1000)
         b = bm.sample_max_endpoint(seed=9, t=1.0, lam=0.2, replications=1000)
@@ -412,8 +427,8 @@ class TestMcRules:
 
 
 class TestPathRules:
-    """Grid rules step their own rows and retire the stopped ones with one
-    exact draw of the rest of the path."""
+    """Grid rules step the drawdown of their own running rows; every stopped
+    row is valued by one final exact draw of the rest of its path."""
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
     def test_drawdown_rules_match_the_fixed_grid_reference(self, lam):
@@ -467,11 +482,24 @@ class TestPathRules:
         assert bm.mc_bm_rule_values(52, model, EXP1, rules[::-1]) == forward[::-1]
 
     @pytest.mark.parametrize("sign", [0.0, 1.0, -1.0])
-    def test_long_jumps_stay_within_the_segment_bounds(self, sign):
+    def test_long_jumps_stay_within_the_segment_bounds(self, sign, monkeypatch):
         """At T = `_max_horizon` and |lam| = `max_drift`, one grid step is as
-        long as one segment may be, so a retirement or time jump spans
-        several chained segments: the estimates stay finite, with no
-        overflow warning."""
+        long as one segment may be, so the final draw of the stopped rows
+        and a time jump span several chained segments: the estimates stay
+        finite, with no overflow warning."""
+        segments = []  # per `_jump` call, the `_max_endpoint` segments it chains
+        jump, endpoint = bm._jump, bm._max_endpoint
+
+        def counted_jump(*args):
+            segments.append(0)
+            return jump(*args)
+
+        def counted_endpoint(*args):
+            segments[-1] += 1
+            return endpoint(*args)
+
+        monkeypatch.setattr(bm, "_jump", counted_jump)
+        monkeypatch.setattr(bm, "_max_endpoint", counted_endpoint)
         steps = 10
         drawdown = bm.BmRule("drawdown_threshold", 0.5)
         T = bm._max_horizon(steps, drawdown)
@@ -481,6 +509,9 @@ class TestPathRules:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ests = bm.mc_bm_rule_values(53, model, LINEAR, rules)
+        # the drawdown rule's one final draw, then the time rule's two jumps
+        assert len(segments) == 3
+        assert segments[0] > 1
         for est in ests:
             assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
             assert est.stderr > 0
@@ -503,6 +534,42 @@ class TestChunkLayout:
         together = bm.mc_bm_rule_values(31, self.model(), EXP1, self.RULES)
         for rule, est in zip(self.RULES, together):
             assert bm.mc_bm_rule_values(31, self.model(), EXP1, [rule]) == [est], rule.label()
+
+    @pytest.mark.parametrize("a", [0.3, 0.0])
+    def test_drawdown_layout_replayed_in_plain_numpy(self, a):
+        """The stream layout of a drawdown rule, replayed bit for bit without
+        `brownian`: stream 0 reads one normal and one uniform per row for the
+        exact pairs; then, per step, one normal N(lam dt, dt) and one uniform
+        for each row still running, in row order; a row stops at the first
+        step k < steps with drawdown >= a (a > 0) or <= sqrt(dt) / 2 (a = 0);
+        then the stopped rows, in row order, read one normal and one uniform
+        each for the maximum of the rest of their path over T - k dt."""
+        seed, lam, steps, reps, T = 33, 0.4, 6, 50, 1.0
+        dt = T / steps
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+        gen.standard_normal(reps), gen.random(reps)
+        z, rest = np.zeros(reps), np.zeros(reps)
+        running = np.ones(reps, dtype=bool)
+        for k in range(1, steps + 1):
+            idx = np.flatnonzero(running)
+            x = gen.normal(lam * dt, math.sqrt(dt), len(idx))
+            u = 1.0 - gen.random(len(idx))
+            z[idx] = np.maximum(z[idx], 0.5 * (x + np.sqrt(x**2 - 2.0 * dt * np.log(u)))) - x
+            if k < steps:
+                hit = idx[(z[idx] >= a) if a > 0 else (z[idx] <= 0.5 * math.sqrt(dt))]
+                rest[hit] = T - k * dt
+                running[hit] = False
+        done = np.flatnonzero(~running)
+        assert 0 < len(done) < reps
+        t = rest[done]
+        x = lam * t + np.sqrt(t) * gen.standard_normal(len(done))
+        u = 1.0 - gen.random(len(done))
+        z[done] = np.maximum(z[done], 0.5 * (x + np.sqrt(x**2 - 2.0 * t * np.log(u))))
+        model = bm.BmModel(lam=lam, T=T, mc=bm.McConfig(steps=steps, replications=reps))
+        rule = bm.BmRule("drawdown_threshold", a)
+        assert bm.mc_bm_rule_values(seed, model, EXP1, [rule]) == [
+            McEstimate.from_sample(EXP1.array(z), steps)
+        ]
 
     def test_exact_rules_read_sample_max_endpoint(self):
         tau0, tauT = bm.mc_bm_rule_values(31, self.model(), EXP1, self.RULES)[:2]

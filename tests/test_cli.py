@@ -725,22 +725,22 @@ class TestSweepCommand:
         (
             ["bm-mc", "--seed", "6", "--lam", "-0.5", "--steps", "100",
              "--replications", "5000", "--rule", "drawdown:0.5", "--reward", "exp_decay:1.0"],
-            "a29e65394e064cd96254f486ab983be93c01cd69305845f076470219e4c3ea82",
+            "8cfd1b7cd76f120fd6e3015add4ff9366a286e432ac8466791479cae66c0fee9",
         ),
         (  # exact (M, B) sampler, constant sample: steps null, stderr 0
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "3000",
              "--rule", "tau0", "--reward", "piecewise:0=1,5=1"],
-            "f119a0e7b612caca41c9240e874aeef057dbe9cd6b424434b7855c527d9992ba",
+            "29225192d762886422f6418ae575bd0b366b85f6f227f6b51069a3fce47bc4c6",
         ),
         (  # three chunks, streams 0..2: each chunk's exact pair draws, then the rule's path draws
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "10", "--replications", "20003",
              "--rule", "drawdown:0", "--reward", "exp_decay:1.0"],
-            "b722ba9de4c153ba6d327d71125440425d65d23ec308d703b2a043475a9febca",
+            "19005ee44c8662f9af2dc225a77b1befa078be682211839be057e294cd60483b",
         ),
         (  # the exact (M, B) sampler across the same three chunks
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "20003",
              "--rule", "tau0", "--reward", "exp_decay:1.0"],
-            "cb70e861bb966fcbe47ed166fb4a5d0ef50bb5abed59c847adc688dfdcdfe1f1",
+            "d7e5c85b04234ace318d84110368b7c6738eb4d5aceb300baff90f1c252700d3",
         ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],

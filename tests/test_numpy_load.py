@@ -88,7 +88,7 @@ print(json.dumps({"codes": codes, "before": before, "after": after, "bm_mc": bm_
     assert seen["before"] == []
     assert seen["after"]
     assert seen["bm_mc"] == [
-        0, "a29e65394e064cd96254f486ab983be93c01cd69305845f076470219e4c3ea82"
+        0, "8cfd1b7cd76f120fd6e3015add4ff9366a286e432ac8466791479cae66c0fee9"
     ]
     assert seen["same"] is True
     assert seen["version"]
