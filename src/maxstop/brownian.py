@@ -143,9 +143,12 @@ def expect_joint(
     It bounds the error when phi is smooth inside every declared panel:
     an undeclared kink or jump can make it understate the error.
     `panels` counts the declared (b, s) panels, zero-width ones included.
+    At t = 0, M_0 = B_0 = 0: the value is phi(0, 0), exact, with no panel.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if t == 0:
+        return QuadResult(float(phi(0.0, 0.0)), 0.0)
     reach = _SIGMAS * math.sqrt(t)
     b_lo, b_hi = lam * t - reach, lam * t + reach
     s_fixed = np.array(sorted({float(c) for c in s_cuts}))
@@ -183,8 +186,6 @@ def g_bm(t: float, x: float, lam: float, f) -> QuadResult:
     if x < 0:
         raise ValueError("x must be >= 0")
     fv = _vectorized_reward(f)
-    if t == 0:
-        return QuadResult(float(fv(np.asarray(x))), 0.0)
     return expect_joint(lambda s, b: fv(np.maximum(x, s)), t, lam, s_cuts=(x, *f.nodes))
 
 
@@ -193,8 +194,6 @@ def dtilde_bm(t: float, x: float, lam: float, f) -> QuadResult:
     if x < 0:
         raise ValueError("x must be >= 0")
     fv = _vectorized_reward(f)
-    if t == 0:
-        return QuadResult(float(fv(np.asarray(x))), 0.0)
     # f's argument is s - b where s >= x, so its nodes are z-lines there;
     # where s < x it is x - b, which bends on the lines b = x - node
     return expect_joint(
@@ -225,13 +224,8 @@ class BmInequalityReport:
 def check_bm_key_inequality(t: float, x: float, lam: float, f) -> BmInequalityReport:
     """E[f((x v M) - B)] >= E[f(x v (M - B))]; holds for nonincreasing convex
     f when lam >= 0, any lam accepted for raw reporting."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    fv = _vectorized_reward(f)
-    if t == 0:
-        v = float(fv(np.asarray(x)))
-        return BmInequalityReport(lhs=v, rhs=v, quad_error_bound=0.0)
     lhs = dtilde_bm(t, x, lam, f)
+    fv = _vectorized_reward(f)
     rhs = expect_joint(lambda s, b: fv(np.maximum(x, s - b)), t, lam, z_cuts=(x, *f.nodes))
     return BmInequalityReport(
         lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
@@ -289,6 +283,27 @@ def max_drift(T: float, steps: int, rule: BmRule) -> float:
     return _SQRT_MAX / (2.0 * (T / _segments(steps, rule)))
 
 
+def check_limits(model: BmModel, rules) -> None:
+    """Raise ValueError, naming the rule and the bound, unless the samplers
+    represent every rule under model: a grid rule needs at least one step,
+    T at most `_max_horizon`, a segment T / segments above 0, and |lam| at
+    most `max_drift`."""
+    steps, T, lam = model.mc.steps, model.T, model.lam
+    for rule in rules:
+        segments, at = _segments(steps, rule), f"for {rule.label()} at {steps} steps"
+        if segments < 1:
+            raise ValueError(f"need at least one step per path {at}")
+        t_max = _max_horizon(steps, rule)
+        if T > t_max:
+            raise ValueError(f"T = {T:g} exceeds the largest horizon {t_max:.6g} {at}")
+        if T / segments == 0:
+            raise ValueError(f"T = {T:g} gives a grid step of 0 {at}")
+        limit = max_drift(T, steps, rule)
+        if abs(lam) > limit:
+            raise ValueError(f"|lam| = {abs(lam):g} exceeds the largest drift {limit:.6g} "
+                             f"{at} and T = {T:g}")
+
+
 @dataclass(frozen=True)
 class BmRule:
     """Stopping rules evaluated by simulation.
@@ -317,15 +332,15 @@ class BmRule:
 
 
 _EXACT_KINDS = ("tau0", "tauT")  # rules valued on the exact (M_T, B_T) pair
-_CHUNK = 10_000  # rows per stream; fixed: chunk boundaries are part of the stream layout
 
 
 def _chunks(seed: int, replications: int):
-    """(generator, normals, uniforms) per chunk: chunk c of _CHUNK rows reads
-    stream c, whose first draws are one normal and one uniform per row."""
+    """(generator, normals, uniforms) per chunk: chunk c of coupling.BLOCK
+    rows reads stream c, whose first draws are one normal and one uniform
+    per row."""
     if replications < 1:
         raise ValueError("need at least one replication")
-    for gen, count in _blocks(seed, replications, _CHUNK):
+    for gen, count in _blocks(seed, replications):
         yield gen, gen.standard_normal(count), gen.random(count)
 
 
@@ -421,22 +436,13 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     steps of model.mc.steps, then one exact draw of the rest of the path
     for all stopped rows.  So no estimate depends on the other rules in
     the call or on their order, and the exact and path estimates read
-    disjoint draws.  A rule whose T exceeds `_max_horizon` or whose |lam|
-    exceeds `max_drift` raises ValueError before any draw.
+    disjoint draws.  A model that a rule's sampler cannot represent raises
+    ValueError before any draw (`check_limits`).
     """
     fv = _vectorized_reward(f)
+    check_limits(model, rules)
     exact = [idx for idx, rule in enumerate(rules) if rule.kind in _EXACT_KINDS]
     grid_rules = [(idx, rule) for idx, rule in enumerate(rules) if rule.kind not in _EXACT_KINDS]
-    steps, T, lam = model.mc.steps, model.T, model.lam
-    if grid_rules and steps < 1:
-        raise ValueError("need at least one step per path")
-    for rule in rules:  # the bounds of `_jump` and `_conditional_max`, per rule
-        t_max, limit = _max_horizon(steps, rule), max_drift(T, steps, rule)
-        if T > t_max:
-            raise ValueError(f"T = {T:g} exceeds _max_horizon = {t_max:.6g} for {rule.label()}")
-        if abs(lam) > limit:
-            raise ValueError(f"|lam| = {abs(lam):g} exceeds max_drift = {limit:.6g} "
-                             f"for {rule.label()} at T = {T:g}")
     collected = [[] for _rule in rules]
 
     for gen, normal, uniform in _chunks(seed, model.mc.replications):
@@ -450,6 +456,6 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
             collected[idx].append(fv(_path_rule(gen, rule, model, len(normal))))
 
     return [
-        McEstimate.from_sample(np.concatenate(vals), None if idx in exact else steps)
+        McEstimate.from_sample(np.concatenate(vals), None if idx in exact else model.mc.steps)
         for idx, vals in enumerate(collected)
     ]

@@ -12,8 +12,7 @@ plain dataclasses, and every number goes out through `_exact`, `_quad` or
 
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
 instance is serialized in the report), 2 configuration error (a bad flag,
-environment variable, reward or output path), 3 internal failure (a
-library ValueError).
+reward or output path), 3 internal failure (any other exception).
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ DEFAULT_N_GRID = tuple(range(1, 11))
 DEFAULT_INEQ_N = 8
 DEFAULT_INEQ_I = 8
 DEFAULT_REFLECTION_N = 12
-
-ENV_SEED = "MAXSTOP_SEED"
 
 
 class ConfigError(Exception):
@@ -248,16 +245,6 @@ def _emit(report: dict, args, failed: bool, listings: dict | None = None,
     return 1 if failed else 0
 
 
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get(ENV_SEED, "0")
-    try:
-        return _nonnegative_int(text)
-    except argparse.ArgumentTypeError as e:
-        raise ConfigError(f"environment variable {ENV_SEED}: {e}") from e
-
-
 # --- commands ----------------------------------------------------------------
 
 
@@ -419,7 +406,7 @@ def cmd_bm_verify(args) -> int:
             if not ok:
                 failures.append({"check": "normalization", "t": t, "lam": lam})
 
-    rng = np.random.Generator(np.random.PCG64(_default_seed(args)))
+    rng = coupling._rng(args.seed)
     for lam in (0.3, 1.0, -0.7):
         b = rng.uniform(-3, 3, size=10_000)
         s = np.maximum(b, 0) + rng.uniform(0, 3, size=10_000)
@@ -464,7 +451,7 @@ def cmd_bm_verify(args) -> int:
 
     report = {
         "command": "bm-verify",
-        "config": {"seed": _default_seed(args), "grid_version": GRID_VERSION},
+        "config": {"seed": args.seed, "grid_version": GRID_VERSION},
         "checks": checks,
         "failures": failures,
     }
@@ -488,27 +475,22 @@ def _parse_bm_rule(text: str) -> brownian.BmRule:
 
 
 def cmd_bm_mc(args) -> int:
-    seed = _default_seed(args)
     rule = _parse_bm_rule(args.rule)
-    t_max = brownian._max_horizon(args.steps, rule)
-    if args.T > t_max:
-        raise ConfigError(f"--T must lie in (0, {t_max:.6g}] for rule {args.rule!r} "
-                          f"at --steps {args.steps}, got {args.T:g}")
-    limit = brownian.max_drift(args.T, args.steps, rule)
-    if abs(args.lam) > limit:
-        raise ConfigError(f"--lam must lie in [-{limit:.6g}, {limit:.6g}] for rule {args.rule!r} "
-                          f"at --T {args.T:g} and --steps {args.steps}, got {args.lam:g}")
-    f = parse_reward(args.reward)
     model = brownian.BmModel(
         lam=args.lam,
         T=args.T,
         mc=brownian.McConfig(steps=args.steps, replications=args.replications),
     )
-    est = brownian.mc_bm_rule_values(seed, model, f, [rule])[0]
+    try:
+        brownian.check_limits(model, [rule])
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    f = parse_reward(args.reward)
+    est = brownian.mc_bm_rule_values(args.seed, model, f, [rule])[0]
     report = {
         "command": "bm-mc",
         "config": {
-            "seed": seed,
+            "seed": args.seed,
             "lam": args.lam,
             "T": args.T,
             "steps": args.steps,
@@ -580,15 +562,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify_discrete)
 
     sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")
-    sp.add_argument("--seed", type=_nonnegative_int, default=None)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.set_defaults(fn=cmd_bm_verify)
 
     sp = sub.add_parser("bm-mc", help="Monte Carlo value of a Brownian stopping rule")
-    sp.add_argument("--seed", type=_nonnegative_int, default=None)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--lam", type=_finite, required=True)
     sp.add_argument("--T", type=_positive(float, "number"), default=1.0)
-    sp.add_argument("--steps", type=_positive(int, "integer"), default=1000)
-    sp.add_argument("--replications", type=_positive(int, "integer"), default=100_000)
+    sp.add_argument("--steps", type=_positive(int, "integer"), default=brownian.McConfig.steps)
+    sp.add_argument("--replications", type=_positive(int, "integer"),
+                    default=brownian.McConfig.replications)
     sp.add_argument("--rule", required=True, help="tau0 | tauT | drawdown:a | time:t0")
     sp.add_argument("--reward", required=True)
     sp.set_defaults(fn=cmd_bm_mc)
@@ -609,7 +592,7 @@ def main(argv=None) -> int:
     except (ConfigError, rewards.RewardDomainError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except Exception as e:  # exit 1 means only a failed theorem check
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

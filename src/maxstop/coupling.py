@@ -6,10 +6,11 @@ replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
 r // BLOCK, and its walk steps up where the uniform is <= p.  A run with
 fewer replications draws a prefix of the same rows, so results are
 bit-identical for a given seed regardless of batching.  `_blocks` is the
-one place that lays out streams; the Brownian simulator reads it too, with
-its own block size: a chunk's stream starts with one normal and one
-uniform per row (the exact (M_T, B_T) pairs), and each path rule re-reads
-the stream from the point right after them.
+one place that lays out streams, and `_rng` the one place that builds a
+generator; the Brownian simulator reads the same blocks: a block's stream
+starts with one normal and one uniform per row (the exact (M_T, B_T)
+pairs), and each path rule re-reads the stream from the point right after
+them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from ._lazy import np
 from .dpsolver import CONTINUE, PolicyTable
 from .walkdist import WalkParams
 
-GENERATOR = "pcg64-v5"  # bump if the stream layout ever changes
-BLOCK = 20_000  # replications per stream; fixed: part of the stream layout
+GENERATOR = "pcg64-v6"  # bump if the stream layout ever changes
+BLOCK = 10_000  # replications per stream; fixed: part of the stream layout
 _CELLS = 2**16  # uniforms drawn at once by `mc_rule_value`; bounds a batch's memory
 
 
@@ -30,11 +31,11 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def _blocks(seed: int, replications: int, size: int = BLOCK):
-    """(generator, row count) for each block of `size` rows of the stream
+def _blocks(seed: int, replications: int):
+    """(generator, row count) for each block of BLOCK rows of the stream
     layout; block b reads stream b."""
-    for block, start in enumerate(range(0, replications, size)):
-        yield _rng(seed, block), min(size, replications - start)
+    for block, start in enumerate(range(0, replications, BLOCK)):
+        yield _rng(seed, block), min(BLOCK, replications - start)
 
 
 @dataclass(frozen=True)

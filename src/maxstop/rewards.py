@@ -321,7 +321,10 @@ def exp_decay_table(sigma, horizon: int) -> RewardSpec:
     horizon <= 28 at sigma = 1 and <= 56 at sigma = 1/2, and not convex
     from horizon 29 and 57 on.
     """
-    sigma = float(sigma)
+    try:
+        sigma = float(sigma)
+    except OverflowError:  # an exact sigma beyond float range
+        sigma = math.inf
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"exp_decay_table needs a finite sigma > 0, got {sigma}")
     return table_reward(_rational_exp(sigma, k) for k in range(horizon + 1))

@@ -10,7 +10,7 @@ from scipy.special import erfcx
 from scipy.stats import norm
 
 from maxstop import brownian as bm
-from maxstop import rewards
+from maxstop import coupling, rewards
 from maxstop.coupling import McEstimate
 
 EXP1 = rewards.exp_decay_reward(1.0)
@@ -173,6 +173,14 @@ class TestJointDensity:
 
 
 class TestQuadratureValues:
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
+    def test_expect_joint_at_t_zero_is_phi_at_the_origin(self, lam):
+        """M_0 = B_0 = 0, so the expectation is phi(0, 0), exact."""
+        res = bm.expect_joint(lambda s, b: np.exp(s - 2.0 * b) + 3.0, 0.0, lam)
+        assert (res.value, res.error, res.panels) == (4.0, 0.0, 0)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            bm.expect_joint(lambda s, b: s, -1e-300, lam)
+
     def test_t_zero_returns_reward(self):
         for op in (bm.g_bm, bm.dtilde_bm):
             assert op(0.0, 0.7, 1.0, EXP1).value == pytest.approx(math.exp(-0.7))
@@ -411,7 +419,7 @@ class TestMcRules:
         model = bm.BmModel(lam=1e300, T=1e10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"exceeds max_drift .* for {rule.kind}"):
+            with pytest.raises(ValueError, match=rf"exceeds the largest drift .* for {rule.kind}"):
                 bm.mc_bm_rule_values(1, model, EXP1, [rule])
 
     def test_horizon_beyond_max_horizon_raises_for_that_rule(self, monkeypatch):
@@ -422,7 +430,8 @@ class TestMcRules:
         rules = [bm.BmRule("time_threshold", 0.5), bm.BmRule("tau0")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"exceeds _max_horizon = .* for tau0$"):
+            with pytest.raises(ValueError,
+                               match=r"exceeds the largest horizon .* for tau0 at 1000 steps$"):
                 bm.mc_bm_rule_values(1, model, EXP1, rules)
 
 
@@ -518,10 +527,11 @@ class TestPathRules:
 
 
 class TestChunkLayout:
-    """Chunk c of _CHUNK rows reads stream c: every row's exact (M_T, B_T)
-    draws, then each path rule's own draws, which start from that point."""
+    """Chunk c of coupling.BLOCK rows reads stream c: every row's exact
+    (M_T, B_T) draws, then each path rule's own draws, which start from
+    that point."""
 
-    REPS = 2 * bm._CHUNK + 5_003
+    REPS = 2 * coupling.BLOCK + 5_003
     RULES = [
         bm.BmRule("tau0"), bm.BmRule("tauT"),
         bm.BmRule("drawdown_threshold", 0.5), bm.BmRule("time_threshold", 0.4),
@@ -587,7 +597,7 @@ class TestChunkLayout:
 
     def test_whole_chunks_do_not_depend_on_later_rows(self):
         full = bm.sample_max_endpoint(32, 1.0, 0.0, self.REPS)
-        for k in (bm._CHUNK, 2 * bm._CHUNK):
+        for k in (coupling.BLOCK, 2 * coupling.BLOCK):
             assert (bm.sample_max_endpoint(32, 1.0, 0.0, k) == full[:k]).all()
         # chunk 1 opens a new stream rather than repeating chunk 0's rows
-        assert (full[bm._CHUNK : bm._CHUNK + 3] != full[:3]).any()
+        assert (full[coupling.BLOCK : coupling.BLOCK + 3] != full[:3]).any()

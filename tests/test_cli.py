@@ -8,6 +8,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,31 @@ class TestSolveCommand:
         assert code == 3
         assert captured.out == ""
         assert captured.err == "internal error: boom\n"
+
+    def test_any_library_exception_is_internal_error(self, capsys, monkeypatch):
+        """Exit 1 is kept for a failed theorem check: an exception other than
+        ValueError exits 3 too."""
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(dpsolver, "solve", fail)
+        code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", "geometric:1/2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: float division by zero\n"
+
+    def test_exp_decay_table_beyond_float_range_is_config_error(self, capsys):
+        """float(sigma) overflowed and escaped as a traceback with exit 1."""
+        reward = "exp_decay_table:1e400"
+        code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", reward])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"configuration error: cannot parse reward {reward!r}: "
+            "exp_decay_table needs a finite sigma > 0"
+        )
 
     def test_large_report_bytes_frozen(self, tmp_path):
         """Report bytes at N = 90, as the Fraction-based joint-law solver wrote them."""
@@ -428,25 +454,6 @@ BM_MC_FEW = ["bm-mc", "--lam", "0", "--rule", "tau0", "--reward", "exp_decay:1.0
              "--replications", "10"]
 
 
-class TestSeedEnvironment:
-    """MAXSTOP_SEED supplies the seed of a command run without --seed."""
-
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_SEED, "77")
-        code, out = run_cli(BM_MC_FEW, capsys)
-        assert code == 0
-        assert json.loads(out)["config"]["seed"] == 77
-
-    @pytest.mark.parametrize("value", ["x", "1.5", "-3"])
-    def test_invalid_env_seed_is_config_error(self, value, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_SEED, value)
-        code = cli.main(BM_MC_FEW)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"configuration error: environment variable {cli.ENV_SEED}")
-
-
 @pytest.mark.parametrize(
     "argv, flag, want",
     [
@@ -497,7 +504,6 @@ def test_successive_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == target.read_text()
 
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     code, out = run_cli(BM_MC_FEW + ["--seed", "3"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 3
@@ -507,6 +513,27 @@ def test_successive_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
 
 
 class TestBmCommands:
+    def test_bm_verify_draws_reflection_points_from_the_stream_layout(self, capsys, monkeypatch):
+        """`bm-verify --seed 7` checks the reflection identity at the points
+        that stream 0 of seed 7 gives, 10,000 per drift."""
+        grids = []
+        check = brownian.density_reflection_check
+
+        def spy(t, lam, grid):
+            grids.append(grid)
+            return check(t, lam, grid)
+
+        monkeypatch.setattr(brownian, "density_reflection_check", spy)
+        code, out = run_cli(["bm-verify", "--seed", "7"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 7
+        rng = coupling._rng(7)
+        assert len(grids) == 3
+        for s, b in grids:
+            want_b = rng.uniform(-3, 3, size=10_000)
+            want_s = np.maximum(want_b, 0) + rng.uniform(0, 3, size=10_000)
+            assert (b == want_b).all() and (s == want_s).all()
+
     def test_bm_mc_tau0(self, capsys):
         code, out = run_cli(
             ["bm-mc", "--seed", "3", "--lam", "-1.0", "--T", "1.0",
@@ -566,7 +593,9 @@ class TestBmCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("configuration error: --lam must lie in [-6.7039e+153,")
+        assert captured.err.startswith(
+            "configuration error: |lam| = 1e+200 exceeds the largest drift 6.7039e+153 for tau0"
+        )
 
     def test_bm_mc_drift_limit_is_per_segment(self, capsys):
         """The bound scales with the segment the rule's sampler draws: T for
@@ -578,7 +607,7 @@ class TestBmCommands:
                     "--rule", rule, "--reward", "linear_continuous:1"]
 
         assert cli.main(argv(-2 * bound, "tau0")) == 2
-        assert "--lam must lie in" in capsys.readouterr().err
+        assert "exceeds the largest drift" in capsys.readouterr().err
         for lam, rule in [(-2 * bound, "drawdown:0.5"), (-bound, "tau0")]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -588,16 +617,22 @@ class TestBmCommands:
 
     def test_bm_mc_rejects_unrepresentable_T(self, capsys):
         """At T = 1e308 the sampler's sqrt(T) * Z squared and T * log(u)
-        overflowed, and the linear reward exited 3 on an infinite value."""
-        argv = ["bm-mc", "--lam", "0", "--T", "1e308", "--rule", "tau0",
-                "--reward", "linear_continuous:1", "--replications", "100"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("configuration error: --T must lie in (0, 7.42652e+304]")
+        overflowed, and the linear reward exited 3 on an infinite value.
+        At T = 5e-324 a path rule's grid step T / steps underflowed to 0 and
+        the drift bound divided by it."""
+        for T, rule, want in [
+            ("1e308", "tau0", "T = 1e+308 exceeds the largest horizon 7.42652e+304 for tau0"),
+            ("5e-324", "drawdown:0", "T = 4.94066e-324 gives a grid step of 0"),
+        ]:
+            argv = ["bm-mc", "--lam", "0", "--T", T, "--rule", rule,
+                    "--reward", "linear_continuous:1", "--replications", "100"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(f"configuration error: {want}")
 
     @pytest.mark.parametrize(
         "rule, steps", [("tau0", 1000), ("drawdown:0", 10), ("drawdown:0", 1000)]
@@ -725,22 +760,22 @@ class TestSweepCommand:
         (
             ["bm-mc", "--seed", "6", "--lam", "-0.5", "--steps", "100",
              "--replications", "5000", "--rule", "drawdown:0.5", "--reward", "exp_decay:1.0"],
-            "8cfd1b7cd76f120fd6e3015add4ff9366a286e432ac8466791479cae66c0fee9",
+            "4c87eaf1d4b29c15941191cd82a075afdbfad4509377c554b6c4ca981c3b75e5",
         ),
         (  # exact (M, B) sampler, constant sample: steps null, stderr 0
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "3000",
              "--rule", "tau0", "--reward", "piecewise:0=1,5=1"],
-            "29225192d762886422f6418ae575bd0b366b85f6f227f6b51069a3fce47bc4c6",
+            "d903f9f75e23f7199accfa8e00bd9c442ba037c66cf6ba8684d4f105d2ca6f82",
         ),
         (  # three chunks, streams 0..2: each chunk's exact pair draws, then the rule's path draws
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "10", "--replications", "20003",
              "--rule", "drawdown:0", "--reward", "exp_decay:1.0"],
-            "19005ee44c8662f9af2dc225a77b1befa078be682211839be057e294cd60483b",
+            "12b922cc7b42ba4f1187327aca72bd82172ebaf9de6e84320db9fd2c8bd39166",
         ),
         (  # the exact (M, B) sampler across the same three chunks
             ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "20003",
              "--rule", "tau0", "--reward", "exp_decay:1.0"],
-            "d7e5c85b04234ace318d84110368b7c6738eb4d5aceb300baff90f1c252700d3",
+            "cf004cbb981cf01bd7de94e8bd35017a5b3f15d2cdbe79c8dd2ac0311bdd7a4b",
         ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],
@@ -748,7 +783,7 @@ class TestSweepCommand:
         ),
         (
             ["bm-verify", "--seed", "1"],
-            "b04b8f85a92d7581295917e122bad0c4ead0681790c71c70ff539f19f69c2c92",
+            "cb335843ced4d26fef5b6c2ca145e7e325b80542ac701f0351279b7ca2b4a3e4",
         ),
         (
             ["verify-discrete"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxstop import coupling, dpsolver, rewards
+from maxstop import brownian, coupling, dpsolver, rewards
 from maxstop.coupling import mc_rule_value
 from maxstop.walkdist import WalkParams
 
@@ -86,6 +86,23 @@ class TestStreamLayout:
         # block 1 opens a new stream rather than repeating block 0's rows
         assert (full[coupling.BLOCK:] != full[:3]).any()
 
+    def test_walks_and_brownian_pairs_open_stream_1_at_row_block(self):
+        """One layout for every Monte Carlo: row BLOCK reads the first draws
+        of stream 1, n uniforms for a walk, one normal and one uniform for a
+        Brownian (M_T, B_T) pair."""
+        seed, n = 23, 12
+        walk = _sample(seed, WalkParams(Fraction(1, 2), n), GEOM_HALF, dpsolver.policy_tauN(n),
+                       coupling.BLOCK + 1)
+        steps = np.where(coupling._rng(seed, 1).random(n) <= 0.5, 1, -1)
+        s = np.concatenate([[0], np.cumsum(steps)])
+        assert walk[coupling.BLOCK] == 2.0 ** -(s.max() - s[-1])
+
+        pair = brownian.sample_max_endpoint(seed, 1.0, 0.3, coupling.BLOCK + 1)[coupling.BLOCK]
+        gen = coupling._rng(seed, 1)
+        b = 0.3 + gen.standard_normal()
+        m = 0.5 * (b + math.sqrt(b * b - 2.0 * math.log(1.0 - gen.random())))
+        assert tuple(pair) == (m, b)
+
     def test_row_slices_read_the_same_stream(self, monkeypatch):
         n = 10
         args = (17, WalkParams(Fraction(2, 5), n), GEOM_HALF, dpsolver.policy_tauN(n),
@@ -99,6 +116,6 @@ class TestStreamLayout:
         n = 10
         est = mc_rule_value(17, WalkParams(Fraction(2, 5), n), GEOM_HALF,
                             dpsolver.policy_tauN(n), coupling.BLOCK + 3)
-        assert est.estimate.hex() == "0x1.0ba82df880155p-2"
-        assert est.stderr.hex() == "0x1.22a6107c74a72p-9"
+        assert est.estimate.hex() == "0x1.0d8d9a3199115p-2"
+        assert est.stderr.hex() == "0x1.9d21dcd9c7579p-9"
         assert est.replications == coupling.BLOCK + 3

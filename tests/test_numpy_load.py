@@ -88,7 +88,7 @@ print(json.dumps({"codes": codes, "before": before, "after": after, "bm_mc": bm_
     assert seen["before"] == []
     assert seen["after"]
     assert seen["bm_mc"] == [
-        0, "8cfd1b7cd76f120fd6e3015add4ff9366a286e432ac8466791479cae66c0fee9"
+        0, "4c87eaf1d4b29c15941191cd82a075afdbfad4509377c554b6c4ca981c3b75e5"
     ]
     assert seen["same"] is True
     assert seen["version"]

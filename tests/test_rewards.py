@@ -226,9 +226,10 @@ class TestClassify:
             assert not flags.convex
 
     @pytest.mark.parametrize("sigma", [0, -1, Fraction(-1, 2), Fraction(1, 10**400), math.inf,
-                                       math.nan])
+                                       math.nan, Fraction(10**400)])
     def test_exp_decay_table_needs_positive_finite_sigma(self, sigma):
-        # 10**-400 rounds to 0.0; -1 at a long horizon would overflow exp
+        # 10**-400 rounds to 0.0; -1 at a long horizon would overflow exp;
+        # float(10**400) raises OverflowError
         with pytest.raises(ValueError, match="finite sigma > 0"):
             exp_decay_table(sigma, 800)
 
