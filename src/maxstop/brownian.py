@@ -285,14 +285,16 @@ def max_drift(T: float, steps: int, rule: BmRule) -> float:
 
 def check_limits(model: BmModel, rules) -> None:
     """Raise ValueError, naming the rule and the bound, unless the samplers
-    represent every rule under model: a grid rule needs at least one step,
-    T at most `_max_horizon`, a segment T / segments above 0, and |lam| at
-    most `max_drift`."""
+    represent every rule under model: a grid rule needs from one step to
+    float max of them, T at most `_max_horizon`, a segment T / segments
+    above 0, and |lam| at most `max_drift`."""
     steps, T, lam = model.mc.steps, model.T, model.lam
     for rule in rules:
         segments, at = _segments(steps, rule), f"for {rule.label()} at {steps} steps"
         if segments < 1:
             raise ValueError(f"need at least one step per path {at}")
+        if segments > sys.float_info.max:
+            raise ValueError(f"the step count exceeds the float range {at}")
         t_max = _max_horizon(steps, rule)
         if T > t_max:
             raise ValueError(f"T = {T:g} exceeds the largest horizon {t_max:.6g} {at}")

@@ -12,7 +12,10 @@ plain dataclasses, and every number goes out through `_exact`, `_quad` or
 
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
 instance is serialized in the report), 2 configuration error (a bad flag,
-reward or output path), 3 internal failure (any other exception).
+reward or output path, or input that a library check such as
+`oracle.check_horizon` or `brownian.check_limits` refuses before the
+work starts), 3 internal failure (any other exception, a ValueError
+raised during the work included).
 """
 
 from __future__ import annotations
@@ -41,46 +44,36 @@ class ConfigError(Exception):
     pass
 
 
-def _positive(kind, noun: str):
-    """argparse type: a finite number of the given kind that must be > 0."""
+def _number(kind, ok, what: str):
+    """argparse type: a number v = kind(text) with ok(v), else the error
+    'must be <what>', which argparse prefixes with the flag."""
 
     def parse(text: str):
         try:
             v = kind(text)
         except ValueError:
             v = None
-        if v is None or not 0 < v < math.inf:
-            raise argparse.ArgumentTypeError(f"must be a positive {noun}, got {text!r}")
+        if v is None or not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return v
 
     return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        v = float(text)
-    except ValueError:
-        v = math.nan
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return v
-
-
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        v = int(text)
-    except ValueError:
-        v = None
-    if v is None or v < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return v
+_nonnegative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _int_list(text: str) -> list:
     """argparse type: comma-separated integers >= 0."""
     return [_nonnegative_int(v) for v in text.split(",")]
+
+
+def _config_check(check, *args) -> None:
+    """Run a library check of the input; its ValueError is a configuration error."""
+    try:
+        check(*args)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def parse_probability(text: str) -> Fraction:
@@ -245,18 +238,52 @@ def _emit(report: dict, args, failed: bool, listings: dict | None = None,
     return 1 if failed else 0
 
 
+class _Checks:
+    """The `checks` and `failures` lists of a verify report.
+
+    `record` adds a check, and unless it passed its failure (by default the
+    check's name alone).  A grid's failed points go to `failures` through
+    `fail` (or through `record`, to list them in `checks` too); `grid` then
+    adds the grid's own check, failed if any failure came after the
+    previous grid's check.
+    """
+
+    def __init__(self):
+        self.checks, self.failures, self._grid_start = [], [], 0
+
+    def record(self, check: str, ok: bool, failure: dict | None = None, **fields) -> None:
+        self.checks.append({"check": check, "passed": ok, **fields})
+        if not ok:
+            self.failures.append(failure or {"check": check})
+
+    def fail(self, check: str, **detail) -> None:
+        self.failures.append({"check": check, **detail})
+
+    def grid(self, check: str) -> None:
+        self.record(check, len(self.failures) == self._grid_start)
+        self._grid_start = len(self.failures)
+
+    def emit(self, args, command: str, config: dict) -> int:
+        report = {"command": command, "config": config, "checks": self.checks,
+                  "failures": self.failures}
+        return _emit(report, args, failed=bool(self.failures))
+
+
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def _walk_args(args) -> tuple:
+    """(WalkParams, reward, config) of the --p, --N and --reward flags."""
     p = parse_probability(args.p)
     f = parse_reward(args.reward, horizon=args.N)
-    rep = dpsolver.solve(walkdist.WalkParams(p, args.N), f)
-    report = {
-        "command": "solve",
-        "config": {"p": str(p), "N": args.N, "reward": args.reward},
-        **_solve_fields(rep),
-    }
+    config = {"p": str(p), "N": args.N, "reward": args.reward}
+    return walkdist.WalkParams(p, args.N), f, config
+
+
+def cmd_solve(args) -> int:
+    w, f, config = _walk_args(args)
+    rep = dpsolver.solve(w, f)
+    report = {"command": "solve", "config": config, **_solve_fields(rep)}
     listings = {"policy": _policy_listing(rep.policy), "tie_states": _pair_listing(rep.tie_states)}
     files = ((args.policy_csv, rep.policy.to_csv()),) if args.policy_csv else ()
     return _emit(report, args, failed=False, listings=listings, files=files)
@@ -273,31 +300,25 @@ def _named_policy(name: str, n: int) -> dpsolver.PolicyTable:
 
 
 def cmd_evaluate(args) -> int:
-    p = parse_probability(args.p)
-    f = parse_reward(args.reward, horizon=args.N)
-    pol = _named_policy(args.policy, args.N)
-    value = dpsolver.evaluate_policy(walkdist.WalkParams(p, args.N), f, pol)
+    w, f, config = _walk_args(args)
+    value = dpsolver.evaluate_policy(w, f, _named_policy(args.policy, args.N))
     report = {
         "command": "evaluate",
-        "config": {"p": str(p), "N": args.N, "reward": args.reward, "policy": args.policy},
+        "config": {**config, "policy": args.policy},
         "value": _exact(value),
     }
     return _emit(report, args, failed=False)
 
 
 def cmd_oracle(args) -> int:
-    p = parse_probability(args.p)
-    f = parse_reward(args.reward, horizon=args.N)
-    w = walkdist.WalkParams(p, args.N)
-    try:
-        res = oracle.enumerate_optimum(w, f)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    w, f, config = _walk_args(args)
+    _config_check(oracle.check_horizon, args.N)
+    res = oracle.enumerate_optimum(w, f)
     rep = dpsolver.solve(w, f)
     dp_match = res.value == rep.optimal_value
     report = {
         "command": "oracle",
-        "config": {"p": str(p), "N": args.N, "reward": args.reward},
+        "config": config,
         "optimum": _exact(res.value),
         "n_rules_total": res.n_rules_total,
         "n_optimal_classes": res.n_optimal_classes,
@@ -319,30 +340,24 @@ def _discrete_reward_family(n: int) -> list:
 
 
 def cmd_verify_discrete(args) -> int:
-    checks = []
-    failures = []
-
-    def record(name: str, ok: bool, detail: dict | None = None):
-        checks.append({"check": name, "passed": ok})
-        if not ok:
-            failures.append({"check": name, **(detail or {})})
-
+    rec = _Checks()
     for p in DEFAULT_P_GRID:
         for n in range(0, DEFAULT_REFLECTION_N + 1):
             w = walkdist.WalkParams(p, n)
-            if not walkdist.reflection_check(w):
-                record(f"reflection p={p} n={n}", False, {"p": str(p), "n": n})
-            if not walkdist.time_reversal_check(w):
-                record(f"time_reversal p={p} n={n}", False, {"p": str(p), "n": n})
-    record("reflection+time_reversal grid", not failures)
+            for name, check in (("reflection", walkdist.reflection_check),
+                                ("time_reversal", walkdist.time_reversal_check)):
+                if not check(w):
+                    label = f"{name} p={p} n={n}"
+                    rec.record(label, False, {"check": label, "p": str(p), "n": n})
+    rec.grid("reflection+time_reversal grid")
 
-    ineq_ok = True
+    half = Fraction(1, 2)
     ineq_horizon = DEFAULT_INEQ_N + DEFAULT_INEQ_I
     ineq_family = [
         (name, f, rewards.classify(f, horizon=2 * ineq_horizon + 1))
         for name, f in _discrete_reward_family(ineq_horizon)
     ]
-    for p in [pp for pp in DEFAULT_P_GRID if pp >= Fraction(1, 2)]:
+    for p in [pp for pp in DEFAULT_P_GRID if pp >= half]:
         for n in range(0, DEFAULT_INEQ_N + 1):
             w = walkdist.WalkParams(p, n)
             for name, f, flags in ineq_family:
@@ -350,112 +365,66 @@ def cmd_verify_discrete(args) -> int:
                     key = walkdist.check_key_inequality(w, f, i)
                     cor = walkdist.check_corollary(w, f, i)
                     ok = key.holds and cor.holds
-                    if n > 0 and i > 0:
-                        if p > Fraction(1, 2) and flags.strictly_decreasing:
-                            ok = ok and key.strict and cor.strict
-                        if flags.strictly_convex:
-                            ok = ok and key.strict
-                    if i == 0:
+                    if i == 0 or p == half and flags.linear:
                         ok = ok and key.equal
+                    if n > 0 and p > half and flags.strictly_decreasing:
+                        ok = ok and cor.strict and (i == 0 or key.strict)
+                    if n > 0 and i > 0 and flags.strictly_convex:
+                        ok = ok and key.strict
                     if not ok:
-                        ineq_ok = False
-                        failures.append(
-                            {"check": "key_inequality_grid", "p": str(p), "n": n, "i": i, "f": name}
-                        )
-    record("key_inequality+corollary grid", ineq_ok)
+                        rec.fail("key_inequality_grid", p=str(p), n=n, i=i, f=name)
+    rec.grid("key_inequality+corollary grid")
 
-    thm_ok = True
     families = {n: _discrete_reward_family(n) for n in DEFAULT_N_GRID}
     for p in DEFAULT_P_GRID:
         for n in DEFAULT_N_GRID:
             w = walkdist.WalkParams(p, n)
             for name, f in families[n]:
                 rep = dpsolver.solve(w, f)
-                ok = True
-                if p <= Fraction(1, 2):
-                    ok = ok and rep.optimal_value == rep.value_tau0
-                if p >= Fraction(1, 2):
-                    ok = ok and rep.optimal_value == rep.value_tauN
-                if not ok:
-                    thm_ok = False
-                    failures.append(
-                        {"check": "bang_bang", "p": str(p), "N": n, "f": name}
-                    )
-    record("bang_bang grid", thm_ok)
-
-    report = {
-        "command": "verify-discrete",
-        "config": {"grid_version": GRID_VERSION},
-        "checks": checks,
-        "failures": failures,
-    }
-    return _emit(report, args, failed=bool(failures))
+                if (p <= half and rep.optimal_value != rep.value_tau0
+                        or p >= half and rep.optimal_value != rep.value_tauN):
+                    rec.fail("bang_bang", p=str(p), N=n, f=name)
+    rec.grid("bang_bang grid")
+    return rec.emit(args, "verify-discrete", {"grid_version": GRID_VERSION})
 
 
 def cmd_bm_verify(args) -> int:
-    failures = []
-    checks = []
-
+    rec = _Checks()
     for t in (1.0, 2.0):
         for lam in (-1.0, 0.0, 1.0):
             norm = brownian.expect_joint(lambda s, b: np.ones_like(s), t, lam)
-            ok = abs(norm.value - 1.0) < 1e-6
-            checks.append(
-                {"check": f"normalization t={t} lam={lam}", "passed": ok, "value": _quad(norm)}
-            )
-            if not ok:
-                failures.append({"check": "normalization", "t": t, "lam": lam})
+            rec.record(f"normalization t={t} lam={lam}", abs(norm.value - 1.0) < 1e-6,
+                       {"check": "normalization", "t": t, "lam": lam}, value=_quad(norm))
 
     rng = coupling._rng(args.seed)
     for lam in (0.3, 1.0, -0.7):
         b = rng.uniform(-3, 3, size=10_000)
         s = np.maximum(b, 0) + rng.uniform(0, 3, size=10_000)
         disc = brownian.density_reflection_check(1.0, lam, (s, b))
-        ok = disc < 1e-12
-        checks.append({"check": f"reflection lam={lam}", "passed": ok, "max_rel_disc": disc})
-        if not ok:
-            failures.append({"check": "density_reflection", "lam": lam, "max_rel_disc": disc})
+        rec.record(f"reflection lam={lam}", disc < 1e-12,
+                   {"check": "density_reflection", "lam": lam, "max_rel_disc": disc},
+                   max_rel_disc=disc)
 
     for lam in (0.3, 1.0):
         bg = np.linspace(0.05, 3.0, 40)
         sg = bg[:, None] + np.linspace(0.0, 3.0, 40)[None, :]
         hp = brownian.joint_density(sg, np.broadcast_to(bg[:, None], sg.shape), 1.0, lam)
         hm = brownian.joint_density(sg, np.broadcast_to(bg[:, None], sg.shape), 1.0, -lam)
-        ok = bool(np.all(hp >= hm))
-        checks.append({"check": f"density_ordering lam={lam}", "passed": ok})
-        if not ok:
-            failures.append({"check": "density_ordering", "lam": lam})
+        rec.record(f"density_ordering lam={lam}", bool(np.all(hp >= hm)),
+                   {"check": "density_ordering", "lam": lam})
 
     f = rewards.exp_decay_reward(1.0)
     for t in (0.5, 1.0):
         for x in (0.0, 0.5, 1.0):
             for lam in (0.0, 0.5, 1.0):
                 rep = brownian.check_bm_key_inequality(t, x, lam, f)
-                ok = rep.verdict != "violated"
-                if x > 0 and lam > 0:
-                    ok = rep.verdict == "strict"
-                checks.append(
-                    {
-                        "check": f"bm_key_inequality t={t} x={x} lam={lam}",
-                        "passed": ok,
-                        "report": {
-                            "lhs": rep.lhs,
-                            "rhs": rep.rhs,
-                            "quad_error_bound": rep.quad_error_bound,
-                            "verdict": rep.verdict,
-                        },
-                    }
-                )
-                if not ok:
-                    failures.append({"check": "bm_key_inequality", "t": t, "x": x, "lam": lam})
-
-    report = {
-        "command": "bm-verify",
-        "config": {"seed": args.seed, "grid_version": GRID_VERSION},
-        "checks": checks,
-        "failures": failures,
-    }
-    return _emit(report, args, failed=bool(failures))
+                ok = rep.verdict == "strict" if x > 0 and lam > 0 else rep.verdict != "violated"
+                report = {"lhs": rep.lhs, "rhs": rep.rhs,
+                          "quad_error_bound": rep.quad_error_bound, "verdict": rep.verdict}
+                rec.record(f"bm_key_inequality t={t} x={x} lam={lam}", ok,
+                           {"check": "bm_key_inequality", "t": t, "x": x, "lam": lam},
+                           report=report)
+    return rec.emit(args, "bm-verify", {"seed": args.seed, "grid_version": GRID_VERSION})
 
 
 def _parse_bm_rule(text: str) -> brownian.BmRule:
@@ -481,10 +450,7 @@ def cmd_bm_mc(args) -> int:
         T=args.T,
         mc=brownian.McConfig(steps=args.steps, replications=args.replications),
     )
-    try:
-        brownian.check_limits(model, [rule])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    _config_check(brownian.check_limits, model, [rule])
     f = parse_reward(args.reward)
     est = brownian.mc_bm_rule_values(args.seed, model, f, [rule])[0]
     report = {
@@ -536,42 +502,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--output", help="write the JSON report here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--p", required=True, help="up probability as a rational a/b")
+    walk.add_argument("--N", type=_nonnegative_int, required=True)
+    walk.add_argument("--reward", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_nonnegative_int, default=0)
 
-    sp = sub.add_parser("solve", help="exact backward-induction solve")
-    sp.add_argument("--p", required=True, help="up probability as a rational a/b")
-    sp.add_argument("--N", type=_nonnegative_int, required=True)
-    sp.add_argument("--reward", required=True)
+    sp = sub.add_parser("solve", parents=[walk], help="exact backward-induction solve")
     sp.add_argument("--policy-csv", help="also write the optimal policy as CSV")
     sp.set_defaults(fn=cmd_solve)
 
-    sp = sub.add_parser("evaluate", help="exact value of a named Markov policy")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--N", type=_nonnegative_int, required=True)
-    sp.add_argument("--reward", required=True)
+    sp = sub.add_parser("evaluate", parents=[walk], help="exact value of a named Markov policy")
     sp.add_argument("--policy", required=True, help="tau0 | tauN | stop-at-max (stops at "
                     "time 0, where the drawdown is 0, so it values as tau0)")
     sp.set_defaults(fn=cmd_evaluate)
 
-    sp = sub.add_parser("oracle", help="exhaustive small-horizon ground truth")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--N", type=_nonnegative_int, required=True)
-    sp.add_argument("--reward", required=True)
+    sp = sub.add_parser("oracle", parents=[walk], help="exhaustive small-horizon ground truth")
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("verify-discrete", help="exact theorem checks on the default grid")
     sp.set_defaults(fn=cmd_verify_discrete)
 
-    sp = sub.add_parser("bm-verify", help="Brownian density and inequality checks")
-    sp.add_argument("--seed", type=_nonnegative_int, default=0)
+    sp = sub.add_parser("bm-verify", parents=[seeded],
+                        help="Brownian density and inequality checks")
     sp.set_defaults(fn=cmd_bm_verify)
 
-    sp = sub.add_parser("bm-mc", help="Monte Carlo value of a Brownian stopping rule")
-    sp.add_argument("--seed", type=_nonnegative_int, default=0)
-    sp.add_argument("--lam", type=_finite, required=True)
-    sp.add_argument("--T", type=_positive(float, "number"), default=1.0)
-    sp.add_argument("--steps", type=_positive(int, "integer"), default=brownian.McConfig.steps)
-    sp.add_argument("--replications", type=_positive(int, "integer"),
-                    default=brownian.McConfig.replications)
+    positive = _number(int, lambda v: v > 0, "a positive integer")
+    sp = sub.add_parser("bm-mc", parents=[seeded],
+                        help="Monte Carlo value of a Brownian stopping rule")
+    sp.add_argument("--lam", type=_number(float, math.isfinite, "a finite number"), required=True)
+    sp.add_argument("--T", type=_number(float, lambda v: 0 < v < math.inf, "a positive number"),
+                    default=1.0)
+    sp.add_argument("--steps", type=positive, default=brownian.McConfig.steps)
+    sp.add_argument("--replications", type=positive, default=brownian.McConfig.replications)
     sp.add_argument("--rule", required=True, help="tau0 | tauT | drawdown:a | time:t0")
     sp.add_argument("--reward", required=True)
     sp.set_defaults(fn=cmd_bm_mc)

@@ -69,18 +69,26 @@ def _suffix_max_laws(p: Fraction, n: int) -> list:
     return laws
 
 
-def enumerate_optimum(w: WalkParams, f) -> OracleResult:
-    """Exact maximum of E[f(M_N - S_tau)] over all adapted stopping rules."""
-    n = w.n
+def check_horizon(n: int) -> None:
+    """Raise ValueError unless the oracle takes a horizon of n steps."""
     if n > MAX_HORIZON:
         raise ValueError(
             f"the prefix-tree oracle is capped at N <= {MAX_HORIZON} "
             f"(2^(N+1) - 1 step histories); got N = {n}"
         )
+
+
+def enumerate_optimum(w: WalkParams, f) -> OracleResult:
+    """Exact maximum of E[f(M_N - S_tau)] over all adapted stopping rules."""
+    n = w.n
+    check_horizon(n)
     p, q = w.p, 1 - w.p
     # from z = N down, so a table reward too short for the horizon is
     # reported at its first use on the all-up path
-    fv = [f(z) for z in range(n, -1, -1)][::-1]
+    try:
+        fv = [f(z) for z in range(n, -1, -1)][::-1]
+    except ValueError as e:
+        raise RewardDomainError(str(e)) from e
     for z, v in enumerate(fv):
         if not isinstance(v, (int, Fraction)):
             raise RewardDomainError(f"the oracle needs a rational reward, got f({z}) = {v!r}")

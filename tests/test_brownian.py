@@ -434,6 +434,15 @@ class TestMcRules:
                                match=r"exceeds the largest horizon .* for tau0 at 1000 steps$"):
                 bm.mc_bm_rule_values(1, model, EXP1, rules)
 
+    def test_step_count_beyond_float_range_raises_for_grid_rules(self):
+        """`_max_horizon` and the grid step converted the step count to a
+        float and raised OverflowError; tau0 draws one segment and passes."""
+        model = bm.BmModel(lam=0.0, T=1.0, mc=bm.McConfig(steps=10**400))
+        bm.check_limits(model, [bm.BmRule("tau0")])
+        with pytest.raises(ValueError, match="the step count exceeds the float range "
+                                             r"for drawdown_threshold\(0\) at 10{400} steps$"):
+            bm.check_limits(model, [bm.BmRule("tau0"), bm.BmRule("drawdown_threshold", 0.0)])
+
 
 class TestPathRules:
     """Grid rules step the drawdown of their own running rows; every stopped

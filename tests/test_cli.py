@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import shlex
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxstop import __version__, brownian, cli, coupling, dpsolver
+from maxstop import __version__, brownian, cli, coupling, dpsolver, oracle, walkdist
 
 
 def run_cli(args, capsys):
@@ -90,12 +92,14 @@ class TestSolveCommand:
         def fail(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(dpsolver, "solve", fail)
-        code = cli.main(["solve", "--p", "1/2", "--N", "3", "--reward", "geometric:1/2"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == "internal error: boom\n"
+        for command, module, name in [("solve", dpsolver, "solve"),
+                                      ("oracle", oracle, "enumerate_optimum")]:
+            monkeypatch.setattr(module, name, fail)
+            code = cli.main([command, "--p", "1/2", "--N", "3", "--reward", "geometric:1/2"])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err == "internal error: boom\n"
 
     def test_any_library_exception_is_internal_error(self, capsys, monkeypatch):
         """Exit 1 is kept for a failed theorem check: an exception other than
@@ -411,6 +415,15 @@ class TestOracleCommand:
         assert captured.err.startswith("configuration error:")
         assert "N <= 13" in captured.err
 
+    def test_reward_too_short_is_config_error(self, capsys):
+        code = cli.main(["oracle", "--p", "1/3", "--N", "4", "--reward", "table:1,1,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: table reward has 3 entries, index 4 out of range\n"
+        )
+
     def test_largest_horizon_runs(self, capsys):
         code, out = run_cli(
             ["oracle", "--p", "2/5", "--N", "13", "--reward", "geometric:1/2"], capsys
@@ -619,12 +632,17 @@ class TestBmCommands:
         """At T = 1e308 the sampler's sqrt(T) * Z squared and T * log(u)
         overflowed, and the linear reward exited 3 on an infinite value.
         At T = 5e-324 a path rule's grid step T / steps underflowed to 0 and
-        the drift bound divided by it."""
-        for T, rule, want in [
-            ("1e308", "tau0", "T = 1e+308 exceeds the largest horizon 7.42652e+304 for tau0"),
-            ("5e-324", "drawdown:0", "T = 4.94066e-324 gives a grid step of 0"),
+        the drift bound divided by it.  A step count beyond float range
+        exited 3 on an OverflowError."""
+        huge = "1" + "0" * 400
+        for T, rule, want, steps in [
+            ("1e308", "tau0", "T = 1e+308 exceeds the largest horizon 7.42652e+304 for tau0",
+             "1000"),
+            ("5e-324", "drawdown:0", "T = 4.94066e-324 gives a grid step of 0", "1000"),
+            ("1", "drawdown:0", "the step count exceeds the float range for "
+             f"drawdown_threshold(0) at {huge} steps", huge),
         ]:
-            argv = ["bm-mc", "--lam", "0", "--T", T, "--rule", rule,
+            argv = ["bm-mc", "--lam", "0", "--T", T, "--rule", rule, "--steps", steps,
                     "--reward", "linear_continuous:1", "--replications", "100"]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -812,3 +830,173 @@ def test_readme_command_lines_parse():
     shown = {cli.build_parser().parse_args(shlex.split(ln)[1:]).command for ln in lines}
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert shown == set(sub.choices)
+
+
+# --- failure reports: one check of each block made to fail at one point ------
+
+
+def _fail_at(monkeypatch, module, name, at, result):
+    """Make module.name return result(value) where at(*positional args) holds."""
+    orig = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        value = orig(*args, **kwargs)
+        return result(value) if at(*args) else value
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _at_walk(p, n, reward=None, i=None):
+    """Selects the call on WalkParams(p, n), and on the reward family entry
+    named `reward` and drawdown i when given."""
+    want = walkdist.WalkParams(Fraction(p), n)
+
+    def at(w, f=None, j=None):
+        kind, _, arg = (reward or "").partition(":")
+        named = reward is None or f.kind == kind and (not arg or f(1) == Fraction(arg))
+        return w == want and named and (i is None or j == i)
+
+    return at
+
+
+def _unequal(rep):
+    """A report that holds strictly, so not with equality."""
+    return walkdist.InequalityReport(rep.lhs + 1, rep.lhs, True)
+
+
+def _passed(*grids):
+    """The grid-level entries of `checks`, passed unless named."""
+    return [
+        {"check": name, "passed": name not in grids}
+        for name in ("reflection+time_reversal grid", "key_inequality+corollary grid",
+                     "bang_bang grid")
+    ]
+
+
+VERIFY_DISCRETE_FAILURES = {
+    "reflection": (
+        ("reflection_check", _at_walk("1/2", 3), lambda ok: False),
+        [{"check": "reflection p=1/2 n=3", "passed": False},
+         *_passed("reflection+time_reversal grid")],
+        [{"check": "reflection p=1/2 n=3", "p": "1/2", "n": 3},
+         {"check": "reflection+time_reversal grid"}],
+    ),
+    "time_reversal": (
+        ("time_reversal_check", _at_walk("7/10", 12), lambda ok: False),
+        [{"check": "time_reversal p=7/10 n=12", "passed": False},
+         *_passed("reflection+time_reversal grid")],
+        [{"check": "time_reversal p=7/10 n=12", "p": "7/10", "n": 12},
+         {"check": "reflection+time_reversal grid"}],
+    ),
+    "corollary": (
+        ("check_corollary", _at_walk("3/5", 2, "geometric:1/2", 1),
+         lambda rep: walkdist.InequalityReport(rep.rhs - 1, rep.rhs, False)),
+        _passed("key_inequality+corollary grid"),
+        [{"check": "key_inequality_grid", "p": "3/5", "n": 2, "i": 1, "f": "geometric:1/2"},
+         {"check": "key_inequality+corollary grid"}],
+    ),
+    "key_equal_linear_half": (
+        ("check_key_inequality", _at_walk("1/2", 2, "linear", 3), _unequal),
+        _passed("key_inequality+corollary grid"),
+        [{"check": "key_inequality_grid", "p": "1/2", "n": 2, "i": 3, "f": "linear"},
+         {"check": "key_inequality+corollary grid"}],
+    ),
+    "corollary_strict_at_0": (
+        ("check_corollary", _at_walk("3/5", 2, "geometric:1/2", 0),
+         lambda rep: walkdist.InequalityReport(rep.lhs, rep.lhs, False)),
+        _passed("key_inequality+corollary grid"),
+        [{"check": "key_inequality_grid", "p": "3/5", "n": 2, "i": 0, "f": "geometric:1/2"},
+         {"check": "key_inequality+corollary grid"}],
+    ),
+    "key_equal_at_0": (
+        ("check_key_inequality", _at_walk("9/10", 8, "linear", 0), _unequal),
+        _passed("key_inequality+corollary grid"),
+        [{"check": "key_inequality_grid", "p": "9/10", "n": 8, "i": 0, "f": "linear"},
+         {"check": "key_inequality+corollary grid"}],
+    ),
+    "bang_bang": (
+        ("solve", _at_walk("1/5", 2, "indicator_top"),
+         lambda rep: dataclasses.replace(rep, optimal_value=rep.optimal_value + 1)),
+        _passed("bang_bang grid"),
+        [{"check": "bang_bang", "p": "1/5", "N": 2, "f": "indicator_top"},
+         {"check": "bang_bang grid"}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_DISCRETE_FAILURES))
+def test_verify_discrete_failure_report(case, capsys, monkeypatch):
+    """A check that fails at one point gives exit 1, a failed check per
+    point in the reflection block and a failed grid entry, and in
+    `failures` the point, then a summary entry naming the grid."""
+    (name, at, result), checks, failures = VERIFY_DISCRETE_FAILURES[case]
+    module = dpsolver if name == "solve" else walkdist
+    _fail_at(monkeypatch, module, name, at, result)
+    code, out = run_cli(["verify-discrete"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["checks"] == checks
+    assert rep["failures"] == failures
+
+
+@pytest.fixture(scope="module")
+def bm_verify_checks():
+    """The `checks` of a passing `bm-verify` at the default seed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["bm-verify"]) == 0
+    return json.loads(out.getvalue())["checks"]
+
+
+BM_VERIFY_FAILURES = {
+    "normalization": (
+        ("expect_joint", lambda phi, t, lam: (t, lam) == (2.0, 1.0),
+         lambda q: brownian.QuadResult(1.5, 0.0)),
+        {"check": "normalization t=2.0 lam=1.0", "passed": False,
+         "value": {"mode": "quadrature", "value": 1.5, "error_bound": 0.0}},
+        [{"check": "normalization", "t": 2.0, "lam": 1.0}],
+    ),
+    "density_reflection": (
+        ("density_reflection_check", lambda t, lam, grid: lam == 1.0, lambda d: 0.5),
+        {"check": "reflection lam=1.0", "passed": False, "max_rel_disc": 0.5},
+        [{"check": "density_reflection", "lam": 1.0, "max_rel_disc": 0.5}],
+    ),
+    "density_ordering": (  # the ordering check's grid is the only 2-D one at lam = 0.3
+        ("joint_density", lambda s, b, t, lam: lam == 0.3 and np.ndim(s) == 2,
+         lambda h: 0.0 * h),
+        {"check": "density_ordering lam=0.3", "passed": False},
+        [{"check": "density_ordering", "lam": 0.3}],
+    ),
+    "bm_key_violated": (
+        ("check_bm_key_inequality", lambda t, x, lam, f: (t, x, lam) == (0.5, 0.0, 1.0),
+         lambda rep: brownian.BmInequalityReport(0.0, 1.0, 0.25)),
+        {"check": "bm_key_inequality t=0.5 x=0.0 lam=1.0", "passed": False,
+         "report": {"lhs": 0.0, "rhs": 1.0, "quad_error_bound": 0.25, "verdict": "violated"}},
+        [{"check": "bm_key_inequality", "t": 0.5, "x": 0.0, "lam": 1.0}],
+    ),
+    "bm_key_not_strict": (
+        ("check_bm_key_inequality", lambda t, x, lam, f: (t, x, lam) == (1.0, 0.5, 0.5),
+         lambda rep: brownian.BmInequalityReport(1.0, 1.0, 0.25)),
+        {"check": "bm_key_inequality t=1.0 x=0.5 lam=0.5", "passed": False,
+         "report": {"lhs": 1.0, "rhs": 1.0, "quad_error_bound": 0.25,
+                    "verdict": "equal_within_tolerance"}},
+        [{"check": "bm_key_inequality", "t": 1.0, "x": 0.5, "lam": 0.5}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BM_VERIFY_FAILURES))
+def test_bm_verify_failure_report(case, bm_verify_checks, capsys, monkeypatch):
+    """A check that fails at one point gives exit 1, that one entry of
+    `checks` failed and the rest as in a passing run, and one entry in
+    `failures`."""
+    (name, at, result), entry, failures = BM_VERIFY_FAILURES[case]
+    _fail_at(monkeypatch, brownian, name, at, result)
+    code, out = run_cli(["bm-verify"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    names = [c["check"] for c in bm_verify_checks]
+    want = list(bm_verify_checks)
+    want[names.index(entry["check"])] = entry
+    assert rep["checks"] == want
+    assert rep["failures"] == failures

@@ -62,6 +62,14 @@ class TestEnumerate:
     def test_refuses_large_horizon(self):
         with pytest.raises(ValueError, match="N <= 13"):
             enumerate_optimum(WalkParams(Fraction(1, 2), 14), GEOM_HALF)
+        oracle.check_horizon(13)
+        with pytest.raises(ValueError, match="N <= 13"):
+            oracle.check_horizon(14)
+
+    def test_reward_too_short_is_a_domain_error(self):
+        with pytest.raises(rewards.RewardDomainError,
+                           match="table reward has 3 entries, index 4 out of range"):
+            enumerate_optimum(WalkParams(HALF, 4), rewards.table_reward([1, 1, 0]))
 
     def test_refuses_float_reward(self):
         """A float f(z) would leave exact arithmetic without notice."""
