@@ -795,6 +795,16 @@ class TestSweepCommand:
              "--rule", "tau0", "--reward", "exp_decay:1.0"],
             "cf004cbb981cf01bd7de94e8bd35017a5b3f15d2cdbe79c8dd2ac0311bdd7a4b",
         ),
+        (  # the time rule: one jump to its stopping time and one for the rest, per chunk
+            ["bm-mc", "--seed", "6", "--lam", "0.5", "--steps", "100", "--replications", "20003",
+             "--rule", "time:0.5", "--reward", "exp_decay:1.0"],
+            "b7c4d636f9f445c49588cc1f27153c3172746766fb1628a570b12ceeac199848",
+        ),
+        (  # tauT on the exact (M, B) pairs across three chunks
+            ["bm-mc", "--seed", "6", "--lam", "0.5", "--replications", "20003",
+             "--rule", "tauT", "--reward", "exp_decay:1.0"],
+            "db83e08ed056756b3211b7fab267ed2e48b9bc3357aa95d38b7aa3115518a501",
+        ),
         (
             ["sweep", "--reward", "geometric:1/2", "--p-list", "1/4,3/4", "--n-list", "2,4"],
             "6d34c480ec28889cde334f906ab156f4e3d55214929e9c7ceac7af5965e9802e",
@@ -809,7 +819,8 @@ class TestSweepCommand:
         ),
     ],
     ids=["bm-mc", "bm-mc-exact-constant", "bm-mc-three-chunks", "bm-mc-exact-three-chunks",
-         "sweep", "bm-verify", "verify-discrete"],
+         "bm-mc-time-three-chunks", "bm-mc-tauT-three-chunks", "sweep", "bm-verify",
+         "verify-discrete"],
 )
 def test_report_bytes_frozen(argv, digest, tmp_path):
     """Report bytes of the grid and float-valued commands, pinned so that a
