@@ -21,6 +21,8 @@ law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  Per grid segment
 ("bridge max refinement") it removes the O(sqrt(dt)) bias of the running
 maximum: the path rules step only the drawdown Z = M - B and value every
 stopped row by one final draw of the rest of its path (`_path_rule`).
+Every draw spans at most T, so one range bounds every rule's sampler:
+`check_limits` accepts 0 < T <= 7.4e304 and |lam| <= 6.7e153 / T.
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ class BmModel:
     lam: float
     T: float
     mc: McConfig = field(default_factory=McConfig)
-
-    def __post_init__(self):
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"drift lam must be finite, got {self.lam}")
 
 
 def joint_density(s, b, t: float, lam: float):
@@ -256,54 +252,41 @@ def _conditional_max(endpoint: np.ndarray, duration, u: np.ndarray) -> np.ndarra
     return s
 
 
-# `_conditional_max` squares a segment's endpoint lam * t + sqrt(t) * Z and
-# adds -2 t log(u), so both must stay finite.  u = 1 - random() >= 2**-53
-# bounds -log(u) by 53 log 2, and numpy's ziggurat normal sampler returns
-# |Z| < 12.3 (its tail draw r + x, r = 3.654, accepts only x**2 < 2 * 53 log 2).
-# The drift part gets half of sqrt(float max) and the Gaussian part a
-# quarter, which caps the segment length t; the log(u) term then takes
-# less than a twentieth of float max.
+# `_conditional_max` squares an endpoint lam * t + sqrt(t) * Z and adds
+# -2 t log(u), so both must stay finite.  u = 1 - random() >= 2**-53 bounds
+# -log(u) by 53 log 2, and numpy's ziggurat normal sampler returns |Z| < 12.3
+# (its tail draw r + x, r = 3.654, accepts only x**2 < 2 * 53 log 2).  Every
+# draw spans at most T, so `check_limits` gives the drift part at most half
+# of sqrt(float max) and the Gaussian part a quarter, which caps T; the
+# log(u) term then takes less than a twentieth of float max.
 _SQRT_MAX = math.sqrt(sys.float_info.max)
 _MAX_SEGMENT = (_SQRT_MAX / (4 * 12.3)) ** 2
 
 
-def _segments(steps: int, rule: BmRule) -> int:
-    """tau0 / tauT draw (M_T, B_T) as one segment, the other rules grid steps
-    of T / `steps` (their longer jumps chain segments of at most that size)."""
-    return 1 if rule.kind in _EXACT_KINDS else steps
-
-
-def _max_horizon(steps: int, rule: BmRule) -> float:
-    """Largest T the samplers represent for this rule."""
-    return _MAX_SEGMENT * _segments(steps, rule)
-
-
-def max_drift(T: float, steps: int, rule: BmRule) -> float:
-    """Largest |lam| the samplers represent for this rule at T <= `_max_horizon`."""
-    return _SQRT_MAX / (2.0 * (T / _segments(steps, rule)))
-
-
 def check_limits(model: BmModel, rules) -> None:
-    """Raise ValueError, naming the rule and the bound, unless the samplers
-    represent every rule under model: a grid rule needs from one step to
-    float max of them, T at most `_max_horizon`, a segment T / segments
-    above 0, and |lam| at most `max_drift`."""
+    """Raise ValueError, naming the bound, unless the samplers represent
+    every rule under model: 0 < T <= `_MAX_SEGMENT` (about 7.4e304) and
+    |lam| <= sqrt(float max) / (2 T) (about 6.7e153 / T) for every rule,
+    NaN and inf refused; a grid rule also needs from one step to float max
+    of them and a grid step T / steps above 0."""
     steps, T, lam = model.mc.steps, model.T, model.lam
+    if not 0 < T <= _MAX_SEGMENT:
+        raise ValueError(f"horizon T = {T:g} is outside (0, {_MAX_SEGMENT:.6g}], "
+                         "the range the samplers represent")
+    limit = min(_SQRT_MAX / (2.0 * T), sys.float_info.max)  # so lam = inf fails at tiny T too
+    if not abs(lam) <= limit:
+        raise ValueError(f"drift |lam| = {abs(lam):g} is outside [0, {limit:.6g}], "
+                         f"the range the samplers represent at T = {T:g}")
     for rule in rules:
-        segments, at = _segments(steps, rule), f"for {rule.label()} at {steps} steps"
-        if segments < 1:
+        if rule.kind in _EXACT_KINDS:
+            continue
+        at = f"for {rule.label()} at {steps} steps"
+        if steps < 1:
             raise ValueError(f"need at least one step per path {at}")
-        if segments > sys.float_info.max:
+        if steps > sys.float_info.max:
             raise ValueError(f"the step count exceeds the float range {at}")
-        t_max = _max_horizon(steps, rule)
-        if T > t_max:
-            raise ValueError(f"T = {T:g} exceeds the largest horizon {t_max:.6g} {at}")
-        if T / segments == 0:
+        if T / steps == 0:
             raise ValueError(f"T = {T:g} gives a grid step of 0 {at}")
-        limit = max_drift(T, steps, rule)
-        if abs(lam) > limit:
-            raise ValueError(f"|lam| = {abs(lam):g} exceeds the largest drift {limit:.6g} "
-                             f"{at} and T = {T:g}")
 
 
 @dataclass(frozen=True)
@@ -354,19 +337,10 @@ def _max_endpoint(t, lam: float, normal: np.ndarray, uniform: np.ndarray) -> tup
 
 def _jump(gen, t: np.ndarray, lam: float) -> tuple:
     """Exact-in-law (M_t, B_t), one row per duration in t, from gen's next
-    draws: the fewest equal chained segments that keep the longest t within
-    the one-segment bounds (length <= _MAX_SEGMENT, |lam| t <= _SQRT_MAX / 2),
-    each reading one normal and one uniform per row.  Within `_max_horizon`
-    and `max_drift` that is one segment, unless T or |lam| T comes within a
-    factor of `steps` of those bounds."""
-    n, longest = len(t), float(t.max(initial=0.0))
-    pieces = max(1, math.ceil(longest / _MAX_SEGMENT),
-                 math.ceil(abs(lam) * longest / (_SQRT_MAX / 2)))
-    m = b = 0.0
-    for _piece in range(pieces):
-        seg_max, inc = _max_endpoint(t / pieces, lam, gen.standard_normal(n), gen.random(n))
-        m, b = np.maximum(m, b + seg_max), b + inc
-    return m, b
+    draws: one normal and one uniform per row.  Every t is at most T, which
+    `check_limits` keeps within the bounds of one draw."""
+    m, b = _max_endpoint(t, lam, gen.standard_normal(len(t)), gen.random(len(t)))
+    return np.maximum(0.0, m), b
 
 
 def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
@@ -381,7 +355,8 @@ def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
     all stopped rows in row order, the maximum M' of the rest of the path
     over each row's T - k dt, and M_T - B_tau = max(Z_tau, M').  A
     time_threshold rule stops every row at the first grid time
-    k dt >= param (or T): one `_jump` there and one for the rest.
+    k dt >= param (or T): one `_jump` there and one for the rest.  No draw
+    spans more than T, so the model needs only `check_limits`.
     """
     steps, lam, T = model.mc.steps, model.lam, model.T
     dt = T / steps
@@ -418,9 +393,9 @@ def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
 
 def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> np.ndarray:
     """Exact-in-law samples of (M_t, B_t), shape (replications, 2): the pairs
-    on which `mc_bm_rule_values` values tau0 and tauT."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    on which `mc_bm_rule_values` values tau0 and tauT, for t and lam that
+    `check_limits` accepts."""
+    check_limits(BmModel(lam, t), ())
     return np.concatenate([
         np.column_stack(_max_endpoint(t, lam, normal, uniform))
         for _gen, normal, uniform in _chunks(seed, replications)
@@ -438,8 +413,8 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     steps of model.mc.steps, then one exact draw of the rest of the path
     for all stopped rows.  So no estimate depends on the other rules in
     the call or on their order, and the exact and path estimates read
-    disjoint draws.  A model that a rule's sampler cannot represent raises
-    ValueError before any draw (`check_limits`).
+    disjoint draws.  A model outside the range that `check_limits` accepts
+    raises ValueError before any draw.
     """
     fv = _vectorized_reward(f)
     check_limits(model, rules)
@@ -448,7 +423,7 @@ def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     collected = [[] for _rule in rules]
 
     for gen, normal, uniform in _chunks(seed, model.mc.replications):
-        if exact:  # a path rule's T may be too long for one segment: leave the draws raw
+        if exact:
             m_T, b_T = _max_endpoint(model.T, model.lam, normal, uniform)
             for idx in exact:
                 collected[idx].append(fv(m_T if rules[idx].kind == "tau0" else m_T - b_T))

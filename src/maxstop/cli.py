@@ -114,7 +114,8 @@ def parse_reward(text: str, horizon: int | None = None) -> rewards.RewardSpec:
             return rewards.exp_decay_reward(float(arg))
         if kind == "exp_decay_table":
             if horizon is None:
-                raise ConfigError("exp_decay_table needs a horizon (--N)")
+                raise ConfigError("exp_decay_table is a discrete reward, a table on {0..N}; "
+                                  "use exp_decay:sigma for Brownian motion")
             return rewards.exp_decay_table(Fraction(arg), horizon)
         if kind == "power":
             return rewards.power_penalty_reward(float(arg))

@@ -134,7 +134,9 @@ def agrees(res: OracleResult, rep: dpsolver.SolveReport) -> bool:
     classes must have the claimed structure: a single class stopping at
     once for UNIQUE_TAU0, continuing strictly at every node for
     UNIQUE_TAUN, exactly the stop-at-max-or-horizon rules for TIE_CLASS,
-    and at least two classes for NOT_UNIQUE.
+    at least two classes for NOT_UNIQUE, and for UNKNOWN (a strict optimum
+    that is not bang-bang) a single class that is neither tau = 0 nor
+    tau = N.
     """
     if res.value != rep.optimal_value:
         return False
@@ -146,4 +148,5 @@ def agrees(res: OracleResult, rep: dpsolver.SolveReport) -> bool:
         return res.tie_pattern
     if rep.unique == dpsolver.NOT_UNIQUE:
         return res.n_optimal_classes >= 2
-    return True  # UNKNOWN constrains nothing beyond the value
+    return (res.n_optimal_classes == 1 and not res.stop_strict_at_root
+            and not res.continue_strict_everywhere)

@@ -184,7 +184,8 @@ def brute_agrees(p, n, f, value, label):
     """Whether a claimed optimum and uniqueness label hold, judged on the set
     of optimal classes: exactly tau = 0 for UNIQUE_TAU0, exactly tau = n for
     UNIQUE_TAUN, exactly the stop-at-max-or-n classes for TIE_CLASS, at least
-    two classes for NOT_UNIQUE, and the value alone for UNKNOWN."""
+    two classes for NOT_UNIQUE, and for UNKNOWN one class that is neither
+    tau = 0 nor tau = n."""
     best, optimal = brute_oracle(p, n, f)
     if value != best:
         return False
@@ -196,7 +197,7 @@ def brute_agrees(p, n, f, value, label):
         return optimal == brute_rule_classes(n, at_max_only=True)
     if label == "NOT_UNIQUE":
         return len(optimal) >= 2
-    return True
+    return len(optimal) == 1 and optimal.isdisjoint({(0,) * 2**n, (n,) * 2**n})
 
 
 def evaluate_reference(w, f, pol):

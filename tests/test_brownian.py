@@ -395,18 +395,30 @@ class TestMcRules:
             bm.BmRule("drawdown_threshold")
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            bm.BmModel(lam=0.0, T=0.0)
+        with pytest.raises(ValueError, match=r"horizon T = 0 is outside \(0, 7.42652e\+304\]"):
+            bm.check_limits(bm.BmModel(lam=0.0, T=0.0), [bm.BmRule("tau0")])
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_model_rejects_non_finite_horizon(self, T):
         with pytest.raises(ValueError, match="horizon T"):
-            bm.BmModel(lam=0.0, T=T)
+            bm.check_limits(bm.BmModel(lam=0.0, T=T), [bm.BmRule("tau0")])
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-    def test_model_rejects_non_finite_drift(self, lam):
-        with pytest.raises(ValueError, match="drift lam"):
-            bm.BmModel(lam=lam, T=1.0)
+    def test_model_rejects_non_finite_drift(self, lam, monkeypatch):
+        """A non-finite drift is refused before any draw, with no warning."""
+        monkeypatch.setattr(bm, "_chunks", None)  # any draw would fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"drift \|lam\| = (nan|inf) is outside"):
+                bm.mc_bm_rule_values(1, bm.BmModel(lam=lam, T=1.0), EXP1, [bm.BmRule("tau0")])
+
+    def test_infinite_drift_is_refused_at_the_smallest_horizon(self):
+        """At T = 5e-324 sqrt(float max) / (2 T) is inf; the bound is capped,
+        so lam = inf still fails while every finite lam passes."""
+        T = 5e-324
+        bm.check_limits(bm.BmModel(lam=1e308, T=T), [bm.BmRule("tau0")])
+        with pytest.raises(ValueError, match=r"is outside \[0, 1.79769e\+308\]"):
+            bm.check_limits(bm.BmModel(lam=math.inf, T=T), [bm.BmRule("tau0")])
 
     @pytest.mark.parametrize("rule", [
         bm.BmRule("tau0"), bm.BmRule("tauT"),
@@ -414,25 +426,44 @@ class TestMcRules:
     ], ids=lambda rule: rule.kind)
     def test_drift_beyond_max_drift_raises_before_sampling(self, rule, monkeypatch):
         """Before the check a time rule overflowed in `_jump`, tau0 returned
-        0.0 and a drawdown rule warned about NaN."""
+        0.0 and a drawdown rule warned about NaN.  Every rule has the one
+        bound sqrt(float max) / (2 T)."""
         monkeypatch.setattr(bm, "_chunks", None)  # any draw would fail
         model = bm.BmModel(lam=1e300, T=1e10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"exceeds the largest drift .* for {rule.kind}"):
+            with pytest.raises(ValueError, match=r"drift \|lam\| = 1e\+300 is outside "
+                                                 r"\[0, 6.7039e\+143\], .* at T = 1e\+10$"):
                 bm.mc_bm_rule_values(1, model, EXP1, [rule])
 
     def test_horizon_beyond_max_horizon_raises_for_that_rule(self, monkeypatch):
-        """One grid step of T = 1e306 at 1000 steps fits one segment, the
-        whole horizon of tau0 does not: the call names tau0."""
+        """T = 1e306 lies beyond the one horizon bound, for a grid rule as for
+        tau0: the message names the bound."""
         monkeypatch.setattr(bm, "_chunks", None)
         model = bm.BmModel(lam=0.0, T=1e306)
-        rules = [bm.BmRule("time_threshold", 0.5), bm.BmRule("tau0")]
+        for rules in ([bm.BmRule("time_threshold", 0.5)], [bm.BmRule("tau0")]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^horizon T = 1e\+306 is outside "
+                                                     r"\(0, 7.42652e\+304\]"):
+                    bm.mc_bm_rule_values(1, model, EXP1, rules)
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("T", [1.0, bm._MAX_SEGMENT], ids=["T1", "Tmax"])
+    def test_corners_of_the_range_give_finite_estimates(self, T, sign):
+        """At T = 1 and T = `_MAX_SEGMENT`, with lam at minus the bound, 0 and
+        the bound, every rule kind gives a finite estimate and standard
+        error under the reward linear in the drawdown, with no warning."""
+        model = bm.BmModel(lam=sign * bm._SQRT_MAX / (2.0 * T), T=T,
+                           mc=bm.McConfig(steps=10, replications=2000))
+        rules = [bm.BmRule("tau0"), bm.BmRule("tauT"), bm.BmRule("drawdown_threshold", 0.0),
+                 bm.BmRule("drawdown_threshold", 0.5 * math.sqrt(T)),
+                 bm.BmRule("time_threshold", 0.45 * T)]  # five steps in, five to go
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError,
-                               match=r"exceeds the largest horizon .* for tau0 at 1000 steps$"):
-                bm.mc_bm_rule_values(1, model, EXP1, rules)
+            ests = bm.mc_bm_rule_values(53, model, LINEAR, rules)
+        for rule, est in zip(rules, ests):
+            assert math.isfinite(est.estimate) and math.isfinite(est.stderr), rule.label()
 
     def test_step_count_beyond_float_range_raises_for_grid_rules(self):
         """`_max_horizon` and the grid step converted the step count to a
@@ -498,41 +529,6 @@ class TestPathRules:
         model = bm.BmModel(lam=0.3, T=1.0, mc=bm.McConfig(steps=50, replications=12_000))
         forward = bm.mc_bm_rule_values(52, model, EXP1, rules)
         assert bm.mc_bm_rule_values(52, model, EXP1, rules[::-1]) == forward[::-1]
-
-    @pytest.mark.parametrize("sign", [0.0, 1.0, -1.0])
-    def test_long_jumps_stay_within_the_segment_bounds(self, sign, monkeypatch):
-        """At T = `_max_horizon` and |lam| = `max_drift`, one grid step is as
-        long as one segment may be, so the final draw of the stopped rows
-        and a time jump span several chained segments: the estimates stay
-        finite, with no overflow warning."""
-        segments = []  # per `_jump` call, the `_max_endpoint` segments it chains
-        jump, endpoint = bm._jump, bm._max_endpoint
-
-        def counted_jump(*args):
-            segments.append(0)
-            return jump(*args)
-
-        def counted_endpoint(*args):
-            segments[-1] += 1
-            return endpoint(*args)
-
-        monkeypatch.setattr(bm, "_jump", counted_jump)
-        monkeypatch.setattr(bm, "_max_endpoint", counted_endpoint)
-        steps = 10
-        drawdown = bm.BmRule("drawdown_threshold", 0.5)
-        T = bm._max_horizon(steps, drawdown)
-        rules = [drawdown, bm.BmRule("time_threshold", 0.45 * T)]  # five steps in, five to go
-        lam = sign * bm.max_drift(T, steps, drawdown)
-        model = bm.BmModel(lam=lam, T=T, mc=bm.McConfig(steps=steps, replications=2000))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ests = bm.mc_bm_rule_values(53, model, LINEAR, rules)
-        # the drawdown rule's one final draw, then the time rule's two jumps
-        assert len(segments) == 3
-        assert segments[0] > 1
-        for est in ests:
-            assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
-            assert est.stderr > 0
 
 
 class TestChunkLayout:

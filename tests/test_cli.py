@@ -607,37 +607,21 @@ class TestBmCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(
-            "configuration error: |lam| = 1e+200 exceeds the largest drift 6.7039e+153 for tau0"
+            "configuration error: drift |lam| = 1e+200 is outside [0, 6.7039e+153], "
+            "the range the samplers represent at T = 1\n"
         )
-
-    def test_bm_mc_drift_limit_is_per_segment(self, capsys):
-        """The bound scales with the segment the rule's sampler draws: T for
-        tau0, T / steps for the path rules; within it the estimate is finite."""
-        bound = brownian.max_drift(1.0, 10, brownian.BmRule("tau0"))
-
-        def argv(lam, rule):
-            return ["bm-mc", f"--lam={lam!r}", "--steps", "10", "--replications", "50",
-                    "--rule", rule, "--reward", "linear_continuous:1"]
-
-        assert cli.main(argv(-2 * bound, "tau0")) == 2
-        assert "exceeds the largest drift" in capsys.readouterr().err
-        for lam, rule in [(-2 * bound, "drawdown:0.5"), (-bound, "tau0")]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out = run_cli(argv(lam, rule), capsys)
-            assert code == 0
-            assert math.isfinite(json.loads(out)["estimate"]["value"])
 
     def test_bm_mc_rejects_unrepresentable_T(self, capsys):
         """At T = 1e308 the sampler's sqrt(T) * Z squared and T * log(u)
-        overflowed, and the linear reward exited 3 on an infinite value.
+        overflowed, and the linear reward exited 3 on an infinite value.  A
+        path rule has the same horizon bound as tau0.
         At T = 5e-324 a path rule's grid step T / steps underflowed to 0 and
         the drift bound divided by it.  A step count beyond float range
         exited 3 on an OverflowError."""
         huge = "1" + "0" * 400
         for T, rule, want, steps in [
-            ("1e308", "tau0", "T = 1e+308 exceeds the largest horizon 7.42652e+304 for tau0",
-             "1000"),
+            ("1e308", "tau0", "horizon T = 1e+308 is outside (0, 7.42652e+304]", "1000"),
+            ("1e305", "drawdown:0", "horizon T = 1e+305 is outside (0, 7.42652e+304]", "1000"),
             ("5e-324", "drawdown:0", "T = 4.94066e-324 gives a grid step of 0", "1000"),
             ("1", "drawdown:0", "the step count exceeds the float range for "
              f"drawdown_threshold(0) at {huge} steps", huge),
@@ -656,13 +640,12 @@ class TestBmCommands:
         "rule, steps", [("tau0", 1000), ("drawdown:0", 10), ("drawdown:0", 1000)]
     )
     def test_bm_mc_large_T_within_bound_runs(self, rule, steps, capsys):
-        """Up to the bound, which scales with the number of segments drawn,
-        the estimate and its standard error over the default 100,000
-        replications stay finite and no overflow warning is raised.  A path
-        rule's chunks take the exact (M_T, B_T) draws too, untransformed, so
-        its longer T cannot overflow them."""
-        t_max = brownian._max_horizon(steps, cli._parse_bm_rule(rule))
-        for T, code_want in [(1e300, 0), (t_max, 0), (2 * t_max, 2)]:
+        """Up to the one horizon bound, the same for every rule, the estimate
+        and its standard error over the default 100,000 replications stay
+        finite and no overflow warning is raised; just past it the run is a
+        configuration error."""
+        t_max = brownian._MAX_SEGMENT
+        for T, code_want in [(1e300, 0), (t_max, 0), (math.nextafter(t_max, math.inf), 2)]:
             argv = ["bm-mc", "--lam", "0", f"--T={T!r}", "--steps", str(steps), "--rule", rule,
                     "--reward", "linear_continuous:1"]
             with warnings.catch_warnings():
@@ -686,6 +669,18 @@ class TestBmCommands:
             assert captured.err == (
                 f"configuration error: reward kind {kind!r} has no continuous evaluation\n"
             )
+
+    def test_discrete_table_reward_points_to_its_continuous_form(self, capsys):
+        """bm-mc has no --N, so the message names the continuous reward."""
+        code = cli.main(["bm-mc", "--lam", "0", "--rule", "tau0", "--reward",
+                         "exp_decay_table:1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: exp_decay_table is a discrete reward, a table on {0..N}; "
+            "use exp_decay:sigma for Brownian motion\n"
+        )
 
     def test_non_finite_reward_parameter_is_config_error(self, capsys):
         for reward in ("piecewise:0=nan,1=0", "piecewise:nan=1,1=0", "exp_decay:inf"):

@@ -160,6 +160,9 @@ class TestCrossValidate:
             (Fraction(3, 4), 3, GEOM_HALF, TIE_CLASS),  # truly UNIQUE_TAUN
             (HALF, 2, rewards.table_reward([2, 1, 0]), TIE_CLASS),  # truly NOT_UNIQUE
             (Fraction(2, 5), 4, GEOM_HALF, NOT_UNIQUE),  # truly UNIQUE_TAU0
+            (Fraction(2, 5), 4, GEOM_HALF, UNKNOWN),  # truly UNIQUE_TAU0
+            (Fraction(3, 4), 3, GEOM_HALF, UNKNOWN),  # truly UNIQUE_TAUN
+            (HALF, 3, GEOM_HALF, UNKNOWN),  # truly TIE_CLASS
         ],
     )
     def test_wrong_label_is_caught(self, p, n, f, wrong, monkeypatch):
@@ -168,6 +171,22 @@ class TestCrossValidate:
         solve = dpsolver.solve
         monkeypatch.setattr(dpsolver, "solve", lambda w, f: replace(solve(w, f), unique=wrong))
         assert not oracle_agrees(w, f)
+
+    @pytest.mark.parametrize("r", [Fraction(3, 2), Fraction(2)], ids=str)
+    @pytest.mark.parametrize("p", [Fraction(19, 40), Fraction(23, 40), Fraction(9, 20),
+                                   Fraction(11, 20)], ids=str)
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_unknown_label_is_one_strict_class(self, r, p, n):
+        """f(z) = -r^z is decreasing and strictly concave, outside the
+        bang-bang theorem: the solver labels it UNKNOWN, and the oracle finds
+        a single optimal class that is neither tau = 0 nor tau = N."""
+        f = rewards.table_reward([-(r**z) for z in range(n + 1)])
+        w = WalkParams(p, n)
+        assert dpsolver.solve(w, f).unique == UNKNOWN
+        res = enumerate_optimum(w, f)
+        assert res.n_optimal_classes == 1
+        assert not res.stop_strict_at_root and not res.continue_strict_everywhere
+        assert oracle_agrees(w, f)
 
     @pytest.mark.parametrize("p, n", [(Fraction(2, 5), 4), (HALF, 6), (Fraction(3, 4), 10)])
     @pytest.mark.parametrize("sign", [1, -1])
