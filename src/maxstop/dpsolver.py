@@ -19,8 +19,11 @@ decisions in place of the comparison, over the rows where the rule can
 both stop and still be running: from the first row with no CONTINUE
 (every path has stopped there, so V = G) up to the first row t that holds
 a STOP or TIE (no path has stopped before it), where the law of Z_t
-closes the value.  tau0 costs one law pass of M and one G row, tauN one
-drawdown law pass and one dot product with f.  It too keeps O(N)
+closes the value.  The law at the first row read and the closing law are
+closed forms (`walkdist.max_law`, O(N) integer steps each), and the law
+kernel carries the law of M over the swept rows only: tau0 costs one
+closed-form law and one G row, tauN one closed-form law and one dot
+product with f, as does `solve`'s value_tauN.  It too keeps O(N)
 integers alive: one law, one G row and one row of V.  Fractions are built
 only for the reported values, so rewards must be rational on {0..N}.
 
@@ -44,7 +47,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .rewards import reward_numerators
-from .walkdist import WalkParams, drawdown_laws, final_law, max_laws
+from .walkdist import WalkParams, max_law, max_laws
 
 STOP = "STOP"
 CONTINUE = "CONTINUE"
@@ -176,7 +179,7 @@ def solve(w: WalkParams, f) -> SolveReport:
     tie_states = [
         (k, z) for k, row in enumerate(rows) if TIE in row for z, d in enumerate(row) if d == TIE
     ]
-    zlaw = final_law(drawdown_laws(w))
+    zlaw = max_law(w.q, n)  # the law of M_n - S_n under p
     return SolveReport(
         optimal_value=Fraction(V[0], den),
         policy=PolicyTable(n, tuple(rows)),
@@ -215,11 +218,13 @@ def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     at s = N.  Above it a STOP (or TIE) state takes G(N-k, z) and a
     CONTINUE state a * V(z-1 v 0) + (b - a) * V(z+1).  It stops at the
     first row t that holds a STOP or TIE: no path stops before time t, so
-    the value is the law of Z_t dotted with V(t, .).  The law of M is
-    advanced to N-t, the drawdown law to t; tau0 costs one law pass and one
-    G row, tauN one drawdown law pass and one dot product with f.  Row k is
-    over b**(N-k) * D, and O(N) integers stay alive: the law being
-    advanced, one G row and one row of V.
+    the value is the law of Z_t dotted with V(t, .).  The law of M starts
+    at the first row read, j = N-s, as a closed form (`max_law`) and the
+    kernel carries it to N-t; the law of Z_t is a closed form too.  So
+    tau0 and stop-at-max (which stops at time 0) cost one closed-form law
+    and one G row, and tauN one closed-form law and one dot product with f.
+    Row k is over b**(N-k) * D, and O(N) integers stay alive: the law
+    being advanced, one G row and one row of V.
     """
     if pol.n != w.n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
@@ -230,13 +235,13 @@ def evaluate_policy(w: WalkParams, f, pol: PolicyTable):
     start = next(k for k, row in enumerate(rows) if CONTINUE not in row)
     top = next(k for k, row in enumerate(rows) if STOP in row or TIE in row)
     first = max(1, n - start)  # G(0, .) = f needs no law
-    laws = enumerate(max_laws(WalkParams(w.p, n - top)))
-    g_rows = (_g_row(law, fnum, j, n) for j, law in laws if j >= first)
+    laws = max_laws(WalkParams(w.p, n - top), first)
+    g_rows = (_g_row(law, fnum, j, n) for j, law in enumerate(laws, first))
     V = fnum if start == n else next(g_rows)
     for k in range(start - 1, top - 1, -1):
         V = [
             a * V[z - 1 if z else 0] + (b - a) * V[z + 1] if d == CONTINUE else g
             for z, (g, d) in enumerate(zip(next(g_rows), rows[k]))
         ]
-    zlaw = final_law(drawdown_laws(WalkParams(w.p, top)))
+    zlaw = max_law(w.q, top)  # the law of Z_top under p
     return Fraction(sum(map(operator.mul, zlaw, V)), den * b**n)

@@ -3,17 +3,21 @@
 p is an exact rational a/b, and every law here is exact, so distributional
 identities (reflection, time reversal) and the key inequalities behind the
 bang-bang theorems are checked as exact equalities and strict
-inequalities, not up to tolerance.  Two forward passes compute laws:
+inequalities, not up to tolerance.  Every law is on Python-int numerators
+over the common denominator b^k, with no gcd:
 
-- The drawdown-chain kernel `drawdown_laws` pushes the law of Z_k forward
-  on Python-int numerators over the common denominator b^k, in O(n^2)
-  integer work with no gcd.  Every value here comes from it: by time
-  reversal, M_k under p has the law of Z_k under q (`max_laws`), and
-  (i v M_k) - S_k is the drawdown chain started at i (`_final_row`).
+- The closed form `max_law` reads the law of M_n at one horizon from the
+  reflection principle, in O(n) integer steps.  Every law at one horizon
+  from 0 comes from it: M_n under q has the law of Z_n = M_n - S_n under
+  p (time reversal), so it also closes tauN and the chain from 0.
+- The drawdown-chain kernel `drawdown_laws` pushes the law of Z_k forward,
+  in O(n^2) integer work, for the callers that need every row: `max_laws`
+  carries the law of M_k on from a closed-form row as the kernel of the
+  q-walk, and (i v M_k) - S_k is the chain started at i (`_final_row`).
 - The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
   as integer numerators over b^n, in O(n^3) integer work.  It is
   reference only: the independent route behind the exact reflection and
-  time-reversal checks that the kernel rests on.
+  time-reversal checks that the kernel and the closed form rest on.
 
 The inequality checks work on the reward's numerators over one common
 denominator (the reward's bound `numerators` form) and build one Fraction
@@ -56,10 +60,6 @@ class WalkParams:
     def q(self):
         return 1 - self.p
 
-    def swapped(self) -> "WalkParams":
-        """The q-walk with the same horizon."""
-        return WalkParams(self.q, self.n)
-
 
 @lru_cache(maxsize=4096)
 def _forward_laws(p, n: int) -> dict:
@@ -81,16 +81,19 @@ def _forward_laws(p, n: int) -> dict:
     return law
 
 
-def drawdown_laws(w: WalkParams, start: int = 0):
-    """Yield the law of the drawdown chain for k = 0..n as integer numerators.
+def drawdown_laws(w: WalkParams, row=(1,)):
+    """Yield n + 1 laws of the drawdown chain of the w.p walk as integer
+    numerators: `row`, then the law after each of the n steps.
 
-    With p = a/b, row k lists the numerators of P(Z_k = z), z = 0..start+k,
-    over b**k, for the chain started at Z_0 = start; from 0 it is the law
-    of M_k - S_k.  A down-step of the walk (weight b - a) moves Z up one,
-    an up-step (weight a) moves it down one, staying at 0 from 0.
+    With p = a/b, each step multiplies the common denominator by b: from
+    the default row (1,), the chain at 0, row k lists the numerators of
+    P(Z_k = z), z = 0..k, over b**k, the law of M_k - S_k; the row
+    [0] * i + [1] starts the chain at i.  A down-step of the walk (weight
+    b - a) moves Z up one, an up-step (weight a) moves it down one, staying
+    at 0 from 0.
     """
     up, down = w.p.denominator - w.p.numerator, w.p.numerator
-    row = [0] * start + [1]
+    row = list(row)
     yield row
     for _ in range(w.n):
         pad = row + [0, 0]
@@ -100,12 +103,49 @@ def drawdown_laws(w: WalkParams, start: int = 0):
         yield row
 
 
-def max_laws(w: WalkParams):
-    """Yield the law of M_k for k = 0..n as integer numerators over b**k.
+def max_law(p: Fraction, n: int) -> list:
+    """The law of M_n under the p-walk as integer numerators over b**n,
+    p = a/b: the last row of `max_laws(WalkParams(p, n))`, in O(n) integer
+    steps.
 
-    By time reversal, M_k under p has the law of Z_k under q.
+    By the reflection principle, a path that reaches m >= 1 and ends at
+    j < m, reflected after it first hits m, becomes a path ending at
+    2m - j, and is (q/p)**(m - j) times as likely as its image, so
+    P(M_n >= m) = P(S_n >= m) + sum over j > m of (q/p)**(j - m) P(S_n = j).
+    With c = b - a, term j times b**n is the integer
+    C(n, (n + j)/2) * a**((n - j)/2 + m) * c**((n + j)/2 - m), and the
+    weighted tail W(m) = sum over j > m follows downward from
+    W(m - 1) = (W(m) + b**n P(S_n = m)) / a * c, whose division is exact.
+
+    The closed form holds only for the +-1 walk; a walk with other step
+    laws would read the kernel's last row.  The independent references,
+    `_forward_laws` and `oracle._suffix_max_laws`, never call it.
     """
-    return drawdown_laws(w.swapped())
+    a, c = p.numerator, p.denominator - p.numerator
+    point = [0] * (n + 1)  # point[j] = b**n P(S_n = j), j >= 1
+    term = a**n
+    for u in range(n, n // 2, -1):  # u up-steps end at j = 2u - n >= 1
+        point[2 * u - n] = term
+        term = term * u * c // ((n - u + 1) * a)
+    law = [0] * (n + 1)
+    tail = weighted = above = 0  # above = b**n P(M_n >= m + 1)
+    for m in range(n, 0, -1):
+        tail += point[m]
+        law[m] = tail + weighted - above
+        above += law[m]
+        weighted = (weighted + point[m]) // a * c
+    law[0] = p.denominator**n - above
+    return law
+
+
+def max_laws(w: WalkParams, first: int = 0):
+    """Yield the law of M_k for k = first..n as integer numerators over b**k.
+
+    Row `first` is the closed form `max_law`; by time reversal, M_k under p
+    has the law of Z_k under q, so the drawdown kernel of the q-walk
+    carries it on.  Nothing is computed before the first row is pulled.
+    """
+    yield from drawdown_laws(WalkParams(w.q, w.n - first), max_law(w.p, first))
 
 
 def final_law(rows) -> list:
@@ -122,13 +162,17 @@ def _final_row(p: Fraction, n: int, start: int) -> tuple:
 
     The inequality checks read it: (i v M_n) - S_n is the chain from i,
     M_n - S_n the chain from 0, and M_n the chain of the q-walk from 0.
+    A row from 0 is the closed form (`max_law` of the other walk, O(n)
+    integer steps); a row from i > 0 is the kernel's last, O(n^2).
     `verify-discrete` reads 441 distinct rows 9,720 times, so 512 rows
     hold its whole grid.  A row holds start + n + 1
     integers below b**n (p = a/b): on that grid (n, start <= 8, b = 10) the
     rows take 0.16 MB, and 512 rows at n = start = 100, b = 10 would take
     5.6 MB.  The solver's streamed sweeps do not read it.
     """
-    return tuple(final_law(drawdown_laws(WalkParams(p, n), start)))
+    if start == 0:
+        return tuple(max_law(1 - p, n))
+    return tuple(final_law(drawdown_laws(WalkParams(p, n), [0] * start + [1])))
 
 
 def reflection_check(w: WalkParams) -> bool:

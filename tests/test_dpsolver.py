@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxstop import dpsolver, rewards
+from maxstop import dpsolver, rewards, walkdist
 from maxstop.dpsolver import (
     NOT_UNIQUE,
     TIE_CLASS,
@@ -242,41 +243,59 @@ class TestPrunedSweep:
                 assert evaluate_policy(w, f, pol) == evaluate_reference(w, f, pol), (p, n)
 
     @pytest.mark.parametrize(
-        "policy, g_rows, laws, drawdown_rows",
+        "policy, g_rows, laws, closed_forms",
         [
-            (policy_tau0(200), [200], 201, 1),
-            (policy_stop_at_max(200), [200], 201, 1),  # stops at time 0
-            (policy_tauN(200), [], 0, 201),
-            (policy_stop_at_max(200, from_step=150), list(range(50, 0, -1)), 51, 151),
-            (policy_drawdown_threshold(200, 30), list(range(170, 0, -1)), 171, 31),
+            (policy_tau0(200), [200], 1, [0, 200]),
+            (policy_stop_at_max(200), [200], 1, [0, 200]),  # stops at time 0
+            (policy_tauN(200), [], 0, [200]),
+            (policy_stop_at_max(200, from_step=150), list(range(50, 0, -1)), 50, [1, 150]),
+            (policy_drawdown_threshold(200, 30), list(range(170, 0, -1)), 170, [1, 30]),
         ],
         ids=["tau0", "stop-at-max", "tauN", "stop-at-max-from-150", "drawdown-30"],
     )
-    def test_builds_only_the_rows_it_reads(self, policy, g_rows, laws, drawdown_rows,
+    def test_builds_only_the_rows_it_reads(self, policy, g_rows, laws, closed_forms,
                                            monkeypatch):
-        """G rows (by j = N - k), laws of M and drawdown laws that one
-        evaluate at N = 200 builds."""
-        built, pulled, pulled_z = [], [], []
-        real_row = dpsolver._g_row
+        """G rows (by j = N - k), laws of M pulled from `max_laws` (the
+        first one closed-form, the rest kernel steps) and the horizons of
+        every closed-form law (`max_law`) that one evaluate at N = 200
+        builds."""
+        built, pulled, horizons = [], [], []
+        real_row, real_laws, real_law = dpsolver._g_row, walkdist.max_laws, walkdist.max_law
 
         def counted_row(law, fnum, j, n):
             built.append(j)
             return real_row(law, fnum, j, n)
 
-        def counter(real, pulls):
-            def counted(w):
-                for law in real(w):
-                    pulls.append(len(law))
-                    yield law
-            return counted
+        def counted_laws(w, first=0):
+            for law in real_laws(w, first):
+                pulled.append(len(law))
+                yield law
 
-        monkeypatch.setattr(dpsolver, "_g_row", counted_row)
-        monkeypatch.setattr(dpsolver, "max_laws", counter(dpsolver.max_laws, pulled))
-        monkeypatch.setattr(dpsolver, "drawdown_laws", counter(dpsolver.drawdown_laws, pulled_z))
+        def counted_law(p, n):
+            horizons.append(n)
+            return real_law(p, n)
+
         w = WalkParams(Fraction(3, 5), 200)
-        assert evaluate_policy(w, GEOM_HALF, policy) == evaluate_reference(w, GEOM_HALF, policy)
+        reference = evaluate_reference(w, GEOM_HALF, policy)
+        monkeypatch.setattr(dpsolver, "_g_row", counted_row)
+        monkeypatch.setattr(dpsolver, "max_laws", counted_laws)
+        monkeypatch.setattr(dpsolver, "max_law", counted_law)
+        monkeypatch.setattr(walkdist, "max_law", counted_law)  # the first row of max_laws
+        assert evaluate_policy(w, GEOM_HALF, policy) == reference
         assert (sorted(built, reverse=True), len(pulled)) == (g_rows, laws)
-        assert len(pulled_z) == drawdown_rows
+        assert sorted(horizons) == closed_forms
+
+    @pytest.mark.parametrize("policy", [policy_tau0, policy_tauN, policy_stop_at_max])
+    def test_large_horizon_matches_the_kernel(self, policy):
+        """At N = 1000 the closed-form rows give the values that the
+        kernel's last rows give: tau0 and stop-at-max (which stops at time
+        0) E[f(M_N)], tauN E[f(M_N - S_N)]."""
+        n, p = 1000, Fraction(2, 5)
+        w = WalkParams(p, n)
+        fnum, den = rewards.reward_numerators(GEOM_HALF, n)
+        rows = walkdist.drawdown_laws(w) if policy is policy_tauN else walkdist.max_laws(w)
+        value = Fraction(sum(map(operator.mul, walkdist.final_law(rows), fnum)), den * 5**n)
+        assert evaluate_policy(w, GEOM_HALF, policy(n)) == value
 
     @pytest.mark.parametrize("p", PS)
     def test_tauN_is_the_solver_value(self, p):

@@ -4,19 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxstop import dpsolver, rewards, walkdist
+from maxstop import dpsolver, oracle, rewards, walkdist
 from maxstop.walkdist import (
     WalkParams,
     check_corollary,
     check_key_inequality,
     drawdown_laws,
     final_law,
+    max_law,
     max_laws,
     reflection_check,
     time_reversal_check,
 )
 
-from conftest import brute_expect, brute_joint, drawdown_marginal, joint_law, max_marginal
+from conftest import (
+    brute_expect,
+    brute_joint,
+    brute_oracle,
+    drawdown_marginal,
+    joint_law,
+    max_marginal,
+)
 
 GEOM_HALF = rewards.geometric_reward(Fraction(1, 2))
 
@@ -36,7 +44,7 @@ def g_value(w, f, k, i):
 def drawdown_value(p, k, i, f):
     """E[f((i v M_k) - S_k)] under the p-walk: the law at k of the drawdown
     kernel started at i, summed against f in Fractions."""
-    law = final_law(drawdown_laws(WalkParams(p, k), start=i))
+    law = final_law(drawdown_laws(WalkParams(p, k), [0] * i + [1]))
     return sum(Fraction(c, p.denominator**k) * f(z) for z, c in enumerate(law))
 
 
@@ -123,6 +131,52 @@ class TestDrawdownKernel:
             for n, law in enumerate(laws):
                 assert m_laws[n] == max_marginal(law), (p, n)
                 assert z_laws[n] == drawdown_marginal(law), (p, n)
+
+
+class TestMaxLaw:
+    """The reflection-principle closed form against the kernel's last row
+    and against path enumeration."""
+
+    EXTRA_PS = [Fraction(1, 1000), Fraction(999, 1000), Fraction(12345, 54321)]
+    HORIZONS = set(range(65)) | {257, 1000}
+
+    def test_is_the_kernel_last_row(self, p_grid):
+        for p in p_grid + self.EXTRA_PS:
+            b = p.denominator
+            # one kernel pass to 1000 yields the last row at every horizon
+            for n, row in enumerate(max_laws(WalkParams(p, max(self.HORIZONS)))):
+                if n in self.HORIZONS:
+                    law = max_law(p, n)
+                    assert law == row, (p, n)
+                    assert sum(law) == b**n, (p, n)
+
+    @given(p=rational_p, n=st.integers(min_value=0, max_value=12))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_enumeration(self, p, n):
+        law = max_law(p, n)
+        b = p.denominator
+        assert sum(law) == b**n
+        assert {m: Fraction(c, b**n) for m, c in enumerate(law)} == max_marginal(
+            brute_joint(p, n))
+
+    def test_references_do_not_call_it(self, monkeypatch, p_grid):
+        """The reflection and time-reversal checks and the prefix-tree oracle
+        stay independent of the closed form."""
+        def refuse(p, n):
+            raise AssertionError("max_law called")
+
+        monkeypatch.setattr(walkdist, "max_law", refuse)
+        monkeypatch.setattr(dpsolver, "max_law", refuse)
+        walkdist._forward_laws.cache_clear()
+        for p in p_grid:
+            for n in range(9):
+                w = WalkParams(p, n)
+                assert reflection_check(w)
+                assert time_reversal_check(w)
+        for p in (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
+            for n in range(5):  # brute_oracle values every rule class, n <= 4
+                res = oracle.enumerate_optimum(WalkParams(p, n), GEOM_HALF)
+                assert res.value == brute_oracle(p, n, GEOM_HALF)[0], (p, n)
 
 
 class TestReflectionAndReversal:
@@ -316,7 +370,8 @@ class TestFinalRowCache:
                     row = walkdist._final_row(p, n, start)
                     assert isinstance(row, tuple)
                     assert walkdist._final_row(p, n, start) is row
-                    assert list(row) == final_law(drawdown_laws(WalkParams(p, n), start=start))
+                    kernel = drawdown_laws(WalkParams(p, n), [0] * start + [1])
+                    assert list(row) == final_law(kernel)
 
     def test_solver_sweeps_do_not_fill_it(self):
         walkdist._final_row.cache_clear()
