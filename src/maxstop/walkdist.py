@@ -26,6 +26,12 @@ raises RewardDomainError, as in the solver.  They read the law at the
 horizon from one bounded cache (`_final_row`), shared across rewards and
 drawdowns.
 
+The check layer's two caches, `_forward_laws` and `_final_row`, step a
+miss forward from the law they hold for the same walk (and start) at the
+longest shorter horizon, not from horizon 0, so a grid of horizons costs
+about what its longest one does.  A miss keeps only the law it was asked
+for, and `cache_clear()` forgets every law a later miss could step from.
+
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
 `(i v M) - S` binds the max before the subtraction.
@@ -61,16 +67,70 @@ class WalkParams:
         return 1 - self.p
 
 
-@lru_cache(maxsize=4096)
+class _Held:
+    """An index of the laws one bounded `lru_cache` holds, for its misses to
+    step from: key -> {horizon: law}, the key made of integers only
+    (hashing a Fraction costs about 0.5 us).
+
+    The cache calls its function only on a miss and stores every law a miss
+    returns, so the index names only laws the cache holds and keeps nothing
+    else alive.  Once the cache is full, each miss makes it drop a law the
+    index cannot name, so such a miss empties the index first;
+    `cache_clear()` empties it too.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.laws = {}
+        self.stored = 0  # misses since the cache was last cleared
+
+    def cache(self, fn):
+        """`lru_cache(maxsize)` over fn, whose `cache_clear()` also empties
+        the index."""
+        cached = lru_cache(maxsize=self.maxsize)(fn)
+        clear = cached.cache_clear
+
+        def cache_clear():
+            clear()
+            self.laws, self.stored = {}, 0
+
+        cached.cache_clear = cache_clear
+        return cached
+
+    def below(self, key, n: int, first):
+        """(k, law) for the held law at the largest horizon k < n, else (0, first)."""
+        held = self.laws.get(key, {})
+        k = max(filter(n.__gt__, held), default=None)
+        return (0, first) if k is None else (k, held[k])
+
+    def hold(self, key, n: int, law):
+        """File the law a miss returns, which the cache then stores; return it."""
+        self.stored += 1
+        if self.stored > self.maxsize:
+            self.laws = {}
+        self.laws.setdefault(key, {})[n] = law
+        return law
+
+
+_JOINT = _Held(4096)
+_ROWS = _Held(512)
+
+
+@_JOINT.cache
 def _forward_laws(p, n: int) -> dict:
     """Joint law of (M_n, S_n) as integer numerators over b**n, p = a/b.
 
-    One forward pass over k = 0..n: an up-step carries weight a, a
-    down-step weight b - a.
+    A forward pass over the steps: an up-step carries weight a, a
+    down-step weight b - a.  It starts from the law held for p at the
+    longest horizon k < n (from {(0, 0): 1} at k = 0 if none is held), so a
+    new horizon costs O(n^2 (n - k)) integer work, and the held law is
+    read, never changed.  A miss holds only the law at n (`_JOINT`), and
+    `cache_clear()` forgets every held law.
     """
     up, down = p.numerator, p.denominator - p.numerator
-    law = {(0, 0): 1}
-    for _ in range(n):
+    walk = p.numerator, p.denominator
+    held, law = _JOINT.below(walk, n, {(0, 0): 1})
+    for _ in range(n - held):
         nxt = {}
         for (k, l), c in law.items():
             key = (max(k, l + 1), l + 1)
@@ -78,7 +138,7 @@ def _forward_laws(p, n: int) -> dict:
             key = (k, l - 1)
             nxt[key] = nxt.get(key, 0) + c * down
         law = nxt
-    return law
+    return _JOINT.hold(walk, n, law)
 
 
 def drawdown_laws(w: WalkParams, row=(1,)):
@@ -155,7 +215,7 @@ def final_law(rows) -> list:
     return row
 
 
-@lru_cache(maxsize=512)
+@_ROWS.cache
 def _final_row(p: Fraction, n: int, start: int) -> tuple:
     """The law at the horizon of the drawdown chain of the p-walk started at
     `start`, as `drawdown_laws` yields it, kept as a tuple.
@@ -163,16 +223,22 @@ def _final_row(p: Fraction, n: int, start: int) -> tuple:
     The inequality checks read it: (i v M_n) - S_n is the chain from i,
     M_n - S_n the chain from 0, and M_n the chain of the q-walk from 0.
     A row from 0 is the closed form (`max_law` of the other walk, O(n)
-    integer steps); a row from i > 0 is the kernel's last, O(n^2).
+    integer steps).  A row from i > 0 is the kernel's last, run on from
+    the row held for (p, i) at the longest horizon k < n (from the chain's
+    start, k = 0, if none is held), in O((i + n)(n - k)) integer work; the
+    held row is read, never changed.  A miss holds only the row at n
+    (`_ROWS`), and `cache_clear()` forgets every held row.
     `verify-discrete` reads 441 distinct rows 9,720 times, so 512 rows
     hold its whole grid.  A row holds start + n + 1
     integers below b**n (p = a/b): on that grid (n, start <= 8, b = 10) the
     rows take 0.16 MB, and 512 rows at n = start = 100, b = 10 would take
     5.6 MB.  The solver's streamed sweeps do not read it.
     """
-    if start == 0:
-        return tuple(max_law(1 - p, n))
-    return tuple(final_law(drawdown_laws(WalkParams(p, n), [0] * start + [1])))
+    key = p.numerator, p.denominator, start
+    if start == 0:  # filed too, so that `_ROWS` counts every row the cache holds
+        return _ROWS.hold(key, n, tuple(max_law(1 - p, n)))
+    k, row = _ROWS.below(key, n, [0] * start + [1])
+    return _ROWS.hold(key, n, tuple(final_law(drawdown_laws(WalkParams(p, n - k), row))))
 
 
 def reflection_check(w: WalkParams) -> bool:

@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -827,6 +830,27 @@ def test_report_bytes_frozen(argv, digest, tmp_path):
     target = tmp_path / "r.json"
     assert cli.main(["--output", str(target)] + argv) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_module_entry_point_runs_main(capsys):
+    """`python -m maxstop` needs no install: PYTHONPATH=src and it prints
+    what cli.main prints and exits with its code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["evaluate", "--p", "2/5", "--N", "12", "--reward", "geometric:1/2", "--policy", "tauN"]
+
+    def run_module(args):
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "maxstop"] + args, capture_output=True,
+                              text=True, timeout=60, env=env)
+
+    proc = run_module(argv)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert (proc.returncode, proc.stdout) == (code, out)
+    bad = run_module(["evaluate", "--p", "0.4", "--N", "3", "--reward", "geometric:1/2",
+                      "--policy", "tauN"])
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("configuration error: probability '0.4'")
 
 
 def test_readme_command_lines_parse():

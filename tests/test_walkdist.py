@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -161,12 +162,14 @@ class TestMaxLaw:
 
     def test_references_do_not_call_it(self, monkeypatch, p_grid):
         """The reflection and time-reversal checks and the prefix-tree oracle
-        stay independent of the closed form."""
-        def refuse(p, n):
-            raise AssertionError("max_law called")
+        stay independent of the closed form and of the kernel."""
+        def refuse(*args):
+            raise AssertionError("law kernel or closed form called")
 
-        monkeypatch.setattr(walkdist, "max_law", refuse)
+        for name in ("max_law", "max_laws", "drawdown_laws"):
+            monkeypatch.setattr(walkdist, name, refuse)
         monkeypatch.setattr(dpsolver, "max_law", refuse)
+        monkeypatch.setattr(dpsolver, "max_laws", refuse)
         walkdist._forward_laws.cache_clear()
         for p in p_grid:
             for n in range(9):
@@ -355,6 +358,112 @@ class TestKeyInequality:
                     assert rep.strict
                 if flags.strictly_convex:
                     assert rep.strict
+
+
+class TestSteppedCaches:
+    """A miss of `_forward_laws` or `_final_row` steps from the longest
+    shorter horizon held, so no law may depend on the order of requests."""
+
+    PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 7), Fraction(12345, 54321)]
+    N = 24
+    ORDERS = {
+        "ascending": list(range(N + 1)),
+        "descending": list(range(N, -1, -1)),
+        "shuffled": random.Random(5).sample(range(N + 1), N + 1),
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_joint_laws_in_any_order(self, order):
+        for p in self.PS:
+            b = p.denominator
+            scratch = _joint_laws(p, self.N)  # one Fraction pass from horizon 0
+            walkdist._forward_laws.cache_clear()
+            got = {n: walkdist._forward_laws(p, n) for n in self.ORDERS[order]}
+            for n, law in got.items():  # every law read after all misses: none changed
+                law = {key: Fraction(c, b**n) for key, c in law.items()}
+                assert law == scratch[n], (p, n)
+                if n <= 12:
+                    assert law == brute_joint(p, n), (p, n)
+        walkdist._forward_laws.cache_clear()
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_chain_rows_in_any_order(self, order):
+        for p in self.PS:
+            kernel = {start: list(drawdown_laws(WalkParams(p, self.N), [0] * start + [1]))
+                      for start in range(4)}
+            walkdist._final_row.cache_clear()
+            got = {(n, start): walkdist._final_row(p, n, start)
+                   for n in self.ORDERS[order] for start in range(4)}
+            for (n, start), row in got.items():  # read after all misses: none changed
+                assert list(row) == kernel[start][n], (p, n, start)
+        walkdist._final_row.cache_clear()
+
+    def test_joint_miss_steps_from_longest_shorter_horizon(self, monkeypatch):
+        p = Fraction(2, 5)
+        seen = []  # (horizon asked, horizon stepped from) of every joint-law miss
+        below = walkdist._Held.below
+
+        def spy(held, key, n, first):
+            k, law = below(held, key, n, first)
+            if held is walkdist._JOINT:
+                seen.append((n, k))
+            return k, law
+
+        monkeypatch.setattr(walkdist._Held, "below", spy)
+        walkdist._forward_laws.cache_clear()
+        for n in (5, 9, 7, 3, 12):
+            walkdist._forward_laws(p, n)
+        walkdist._forward_laws(p, 9)  # a hit
+        assert seen == [(5, 0), (9, 5), (7, 5), (3, 0), (12, 9)]
+        walkdist._forward_laws.cache_clear()
+        walkdist._forward_laws(p, 10)
+        assert seen[-1] == (10, 0)  # cache_clear forgot every law
+        walkdist._forward_laws.cache_clear()
+
+    def test_row_miss_steps_from_longest_shorter_horizon(self, monkeypatch):
+        p, start = Fraction(3, 5), 2
+        seen = []
+        kernel = walkdist.drawdown_laws
+
+        def spy(w, row=(1,)):
+            seen.append((w.n, tuple(row)))
+            return kernel(w, row)
+
+        monkeypatch.setattr(walkdist, "drawdown_laws", spy)
+        walkdist._final_row.cache_clear()
+        row3 = walkdist._final_row(p, 3, start)
+        walkdist._final_row(p, 6, start)
+        assert seen == [(3, (0, 0, 1)), (3, row3)]
+        walkdist._final_row.cache_clear()
+        walkdist._final_row(p, 6, start)
+        assert seen[-1] == (6, (0, 0, 1))  # cache_clear forgot every row
+        walkdist._final_row.cache_clear()
+
+    def test_full_cache_forgets_the_index(self):
+        """Once the cache is full, a miss makes it drop a law the index cannot
+        name, so the index holds only the law of that miss."""
+        held = walkdist._Held(2)
+
+        @held.cache
+        def law(key, n):
+            return held.hold(key, n, [key, n])
+
+        law(1, 1)
+        law(1, 2)
+        assert held.below(1, 3, None) == (2, [1, 2])
+        law(1, 0)  # the cache drops (1, 1)
+        assert held.laws == {1: {0: [1, 0]}}
+        assert law.cache_info().currsize == 2
+        law.cache_clear()
+        assert held.laws == {} and held.below(1, 3, "first") == (0, "first")
+
+    def test_one_check_keeps_only_its_two_laws(self):
+        walkdist._forward_laws.cache_clear()
+        assert reflection_check(WalkParams(Fraction(2, 5), 40))
+        assert walkdist._forward_laws.cache_info().currsize == 2  # p and q at 40 only
+        assert {key: sorted(laws) for key, laws in walkdist._JOINT.laws.items()} == {
+            (2, 5): [40], (3, 5): [40]}
+        walkdist._forward_laws.cache_clear()
 
 
 class TestFinalRowCache:
