@@ -6,14 +6,16 @@ bang-bang theorems are checked as exact equalities and strict
 inequalities, not up to tolerance.  Every law is on Python-int numerators
 over the common denominator b^k, with no gcd:
 
-- The closed form `max_law` reads the law of M_n at one horizon from the
-  reflection principle, in O(n) integer steps.  Every law at one horizon
-  from 0 comes from it: M_n under q has the law of Z_n = M_n - S_n under
-  p (time reversal), so it also closes tauN and the chain from 0.
+- The closed form `max_law` reads any law at one horizon, from any start,
+  from the reflection principle, in O(n + start) integer steps: the law
+  of (start + S_n) v M_n under p, which by time reversal is the law of
+  (start v M_n) - S_n under q.  At start 0 it is the law of M_n under p
+  and of Z_n = M_n - S_n under q, so it also closes tauN and the chain
+  from 0.
 - The drawdown-chain kernel `drawdown_laws` pushes the law of Z_k forward,
-  in O(n^2) integer work, for the callers that need every row: `max_laws`
+  in O(n^2) integer work, for the sweeps that need every row: `max_laws`
   carries the law of M_k on from a closed-form row as the kernel of the
-  q-walk, and (i v M_k) - S_k is the chain started at i (`_final_row`).
+  q-walk.
 - The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
   as integer numerators over b^n, in O(n^3) integer work.  It is
   reference only: the independent route behind the exact reflection and
@@ -23,14 +25,14 @@ The inequality checks work on the reward's numerators over one common
 denominator (the reward's bound `numerators` form) and build one Fraction
 per reported value; a reward that is undefined or not rational there
 raises RewardDomainError, as in the solver.  They read the law at the
-horizon from one bounded cache (`_final_row`), shared across rewards and
-drawdowns.
+horizon from one bounded cache (`_final_row`) of closed-form rows, shared
+across rewards and drawdowns.
 
-The check layer's two caches, `_forward_laws` and `_final_row`, step a
-miss forward from the law they hold for the same walk (and start) at the
-longest shorter horizon, not from horizon 0, so a grid of horizons costs
-about what its longest one does.  A miss keeps only the law it was asked
-for, and `cache_clear()` forgets every law a later miss could step from.
+Only the joint pass steps: a miss of `_forward_laws` runs on from the law
+it holds for the same walk at the longest shorter horizon, not from
+horizon 0, so a grid of horizons costs about what its longest one does.
+A miss keeps only the law it was asked for, and `cache_clear()` forgets
+every law a later miss could step from.
 
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
@@ -68,9 +70,9 @@ class WalkParams:
 
 
 class _Held:
-    """An index of the laws one bounded `lru_cache` holds, for its misses to
-    step from: key -> {horizon: law}, the key made of integers only
-    (hashing a Fraction costs about 0.5 us).
+    """An index of the laws one bounded `lru_cache` (the joint pass's)
+    holds, for its misses to step from: key -> {horizon: law}, the key made
+    of integers only (hashing a Fraction costs about 0.5 us).
 
     The cache calls its function only on a miss and stores every law a miss
     returns, so the index names only laws the cache holds and keeps nothing
@@ -113,7 +115,6 @@ class _Held:
 
 
 _JOINT = _Held(4096)
-_ROWS = _Held(512)
 
 
 @_JOINT.cache
@@ -163,38 +164,47 @@ def drawdown_laws(w: WalkParams, row=(1,)):
         yield row
 
 
-def max_law(p: Fraction, n: int) -> list:
-    """The law of M_n under the p-walk as integer numerators over b**n,
-    p = a/b: the last row of `max_laws(WalkParams(p, n))`, in O(n) integer
-    steps.
+def max_law(p: Fraction, n: int, start: int = 0) -> list:
+    """The law of V = (start + S_n) v M_n under the p-walk, v = 0..n + start,
+    as integer numerators over b**n, p = a/b, in O(n + start) integer
+    steps.  By time reversal it is the law of (start v M_n) - S_n under the
+    q-walk, the drawdown chain of q from `start`; at start 0 it is the law
+    of M_n, the last row of `max_laws(WalkParams(p, n))`.
 
-    By the reflection principle, a path that reaches m >= 1 and ends at
-    j < m, reflected after it first hits m, becomes a path ending at
-    2m - j, and is (q/p)**(m - j) times as likely as its image, so
-    P(M_n >= m) = P(S_n >= m) + sum over j > m of (q/p)**(j - m) P(S_n = j).
-    With c = b - a, term j times b**n is the integer
-    C(n, (n + j)/2) * a**((n - j)/2 + m) * c**((n + j)/2 - m), and the
-    weighted tail W(m) = sum over j > m follows downward from
-    W(m - 1) = (W(m) + b**n P(S_n = m)) / a * c, whose division is exact.
+    By the reflection principle, a path that reaches v >= 1 and ends at
+    j < v, reflected after it first hits v, ends at 2v - j and is
+    (q/p)**(v - j) times as likely as its image.  So, with c = b - a and
+    P_j = b**n P(S_n = j), b**n P(V >= v) = sum over j >= v - start of P_j
+    + R(v), where R(n + start) = 0 and
+    R(v - 1) = (R(v) + (c/a)**start P_(v + start)) * c / a, each division
+    exact (every term is an integer C(n, u) a**x c**y).  At start 0 both
+    terms read the endpoints j >= 1 from one array.
 
     The closed form holds only for the +-1 walk; a walk with other step
     laws would read the kernel's last row.  The independent references,
     `_forward_laws` and `oracle._suffix_max_laws`, never call it.
     """
-    a, c = p.numerator, p.denominator - p.numerator
-    point = [0] * (n + 1)  # point[j] = b**n P(S_n = j), j >= 1
+    a, b = p.numerator, p.denominator
+    c, top = b - a, n + start
+    point = [0] * (top + 1)  # point[v] = P_(v - start), v >= 1
     term = a**n
-    for u in range(n, n // 2, -1):  # u up-steps end at j = 2u - n >= 1
-        point[2 * u - n] = term
+    for u in range(n, max((n - start) // 2, -1), -1):  # u up-steps: v = 2u - n + start >= 1
+        point[2 * u - n + start] = term
         term = term * u * c // ((n - u + 1) * a)
-    law = [0] * (n + 1)
-    tail = weighted = above = 0  # above = b**n P(M_n >= m + 1)
-    for m in range(n, 0, -1):
-        tail += point[m]
-        law[m] = tail + weighted - above
-        above += law[m]
-        weighted = (weighted + point[m]) // a * c
-    law[0] = p.denominator**n - above
+    weight = [0] * (top + 1) if start else point  # (c/a)**start P_(v + start)
+    if 0 < start < n:
+        term = a ** (n - start) * c**start
+        for u in range(n, (n + start) // 2, -1):  # v = 2u - n - start >= 1
+            weight[2 * u - n - start] = term
+            term = term * u * c // ((n - u + 1) * a)
+    law = [0] * (top + 1)
+    tail = weighted = above = 0  # weighted = R(v), above = b**n P(V >= v + 1)
+    for v in range(top, 0, -1):
+        tail += point[v]
+        law[v] = tail + weighted - above
+        above += law[v]
+        weighted = (weighted + weight[v]) // a * c
+    law[0] = b**n - above
     return law
 
 
@@ -208,37 +218,23 @@ def max_laws(w: WalkParams, first: int = 0):
     yield from drawdown_laws(WalkParams(w.q, w.n - first), max_law(w.p, first))
 
 
-def final_law(rows) -> list:
-    """The last row of a law generator (the law at the horizon)."""
-    for row in rows:
-        pass
-    return row
-
-
-@_ROWS.cache
-def _final_row(p: Fraction, n: int, start: int) -> tuple:
-    """The law at the horizon of the drawdown chain of the p-walk started at
-    `start`, as `drawdown_laws` yields it, kept as a tuple.
+@lru_cache(maxsize=512)
+def _final_row(a: int, b: int, n: int, start: int) -> tuple:
+    """The law at the horizon of the drawdown chain of the p-walk, p = a/b,
+    started at `start`, as `drawdown_laws` yields it, kept as a tuple: the
+    closed form `max_law` of the q-walk from `start`, in O(n + start)
+    integer steps.
 
     The inequality checks read it: (i v M_n) - S_n is the chain from i,
     M_n - S_n the chain from 0, and M_n the chain of the q-walk from 0.
-    A row from 0 is the closed form (`max_law` of the other walk, O(n)
-    integer steps).  A row from i > 0 is the kernel's last, run on from
-    the row held for (p, i) at the longest horizon k < n (from the chain's
-    start, k = 0, if none is held), in O((i + n)(n - k)) integer work; the
-    held row is read, never changed.  A miss holds only the row at n
-    (`_ROWS`), and `cache_clear()` forgets every held row.
+    The key is integers only, as hashing a Fraction costs about 0.5 us.
     `verify-discrete` reads 441 distinct rows 9,720 times, so 512 rows
-    hold its whole grid.  A row holds start + n + 1
-    integers below b**n (p = a/b): on that grid (n, start <= 8, b = 10) the
-    rows take 0.16 MB, and 512 rows at n = start = 100, b = 10 would take
-    5.6 MB.  The solver's streamed sweeps do not read it.
+    hold its whole grid.  A row holds start + n + 1 integers below b**n:
+    on that grid (n, start <= 8, b = 10) the rows take 0.16 MB, and 512
+    rows at n = start = 100, b = 10 would take 5.6 MB.  The solver's
+    streamed sweeps do not read it.
     """
-    key = p.numerator, p.denominator, start
-    if start == 0:  # filed too, so that `_ROWS` counts every row the cache holds
-        return _ROWS.hold(key, n, tuple(max_law(1 - p, n)))
-    k, row = _ROWS.below(key, n, [0] * start + [1])
-    return _ROWS.hold(key, n, tuple(final_law(drawdown_laws(WalkParams(p, n - k), row))))
+    return tuple(max_law(Fraction(b - a, b), n, start))
 
 
 def reflection_check(w: WalkParams) -> bool:
@@ -291,19 +287,20 @@ class InequalityReport:
         return self.lhs == self.rhs
 
 
-def _check_against(w: WalkParams, f, i: int, rhs_law: list) -> InequalityReport:
-    """E[f((i v M_n) - S_n)] against E[f(i v X)], X with numerator law rhs_law.
+def _check_against(w: WalkParams, f, i: int, up: int) -> InequalityReport:
+    """E[f((i v M_n) - S_n)] against E[f(i v X)], X the drawdown chain from 0
+    of the walk with up-probability up/b at the horizon (p = a/b).
 
     Both sides are numerators over b**n * D, D the common denominator of
     f(0..i+n), so the comparison is between integers.
     """
-    n = w.n
+    a, b, n = w.p.numerator, w.p.denominator, w.n
     if i < 0:
         raise ValueError("drawdown must be >= 0")
     fnum, den = reward_numerators(f, i + n)
-    den *= w.p.denominator**n
-    lhs = sum(map(operator.mul, _final_row(w.p, n, i), fnum))
-    rhs = _expect_max(rhs_law, fnum, i)
+    den *= b**n
+    lhs = sum(map(operator.mul, _final_row(a, b, n, i), fnum))
+    rhs = _expect_max(_final_row(up, b, n, 0), fnum, i)
     return InequalityReport(Fraction(lhs, den), Fraction(rhs, den), lhs > rhs)
 
 
@@ -314,9 +311,9 @@ def check_key_inequality(w: WalkParams, f, i: int) -> InequalityReport:
     itself accepts any f and reports the raw values.  Needs f defined and
     rational up to i + n (the worst path ends n below the start).
     """
-    return _check_against(w, f, i, _final_row(w.p, w.n, 0))
+    return _check_against(w, f, i, w.p.numerator)
 
 
 def check_corollary(w: WalkParams, f, i: int) -> InequalityReport:
     """E[f((i v M_n) - S_n)] >= E[f(i v M_n)] under the w.p walk."""
-    return _check_against(w, f, i, _final_row(w.q, w.n, 0))
+    return _check_against(w, f, i, w.p.denominator - w.p.numerator)

@@ -15,6 +15,7 @@ library's reference joint pass in Fractions.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -51,6 +52,11 @@ def path_max_end(path):
 def _path_stats(p, n):
     """(probability, M_n, S_n) of every path, in all_paths order."""
     return tuple((path_prob(path, p), *path_max_end(path)) for path in all_paths(n))
+
+
+def last_row(rows):
+    """The last row of a law generator (the law at the horizon)."""
+    return deque(rows, maxlen=1)[0]
 
 
 def brute_expect(p, n, fn):

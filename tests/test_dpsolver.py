@@ -27,6 +27,7 @@ from conftest import (
     brute_joint,
     brute_rule_value,
     evaluate_reference,
+    last_row,
     reference_label,
 )
 
@@ -294,7 +295,7 @@ class TestPrunedSweep:
         w = WalkParams(p, n)
         fnum, den = rewards.reward_numerators(GEOM_HALF, n)
         rows = walkdist.drawdown_laws(w) if policy is policy_tauN else walkdist.max_laws(w)
-        value = Fraction(sum(map(operator.mul, walkdist.final_law(rows), fnum)), den * 5**n)
+        value = Fraction(sum(map(operator.mul, last_row(rows), fnum)), den * 5**n)
         assert evaluate_policy(w, GEOM_HALF, policy(n)) == value
 
     @pytest.mark.parametrize("p", PS)

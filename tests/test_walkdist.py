@@ -11,7 +11,6 @@ from maxstop.walkdist import (
     check_corollary,
     check_key_inequality,
     drawdown_laws,
-    final_law,
     max_law,
     max_laws,
     reflection_check,
@@ -24,6 +23,7 @@ from conftest import (
     brute_oracle,
     drawdown_marginal,
     joint_law,
+    last_row,
     max_marginal,
 )
 
@@ -38,14 +38,14 @@ def g_value(w, f, k, i):
     """G(k, i) = E[f(i v M_k)] under the w.p walk, from the solver's row
     kernel on the law of M_k."""
     fnum, den = rewards.reward_numerators(f, k + i)
-    law = final_law(max_laws(WalkParams(w.p, k)))
+    law = last_row(max_laws(WalkParams(w.p, k)))
     return Fraction(dpsolver._g_row(law, fnum, k, k + i)[i], w.p.denominator**k * den)
 
 
 def drawdown_value(p, k, i, f):
     """E[f((i v M_k) - S_k)] under the p-walk: the law at k of the drawdown
     kernel started at i, summed against f in Fractions."""
-    law = final_law(drawdown_laws(WalkParams(p, k), [0] * i + [1]))
+    law = last_row(drawdown_laws(WalkParams(p, k), [0] * i + [1]))
     return sum(Fraction(c, p.denominator**k) * f(z) for z, c in enumerate(law))
 
 
@@ -140,6 +140,9 @@ class TestMaxLaw:
 
     EXTRA_PS = [Fraction(1, 1000), Fraction(999, 1000), Fraction(12345, 54321)]
     HORIZONS = set(range(65)) | {257, 1000}
+    # the large denominator catches a division that is not exact
+    START_PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 7),
+                Fraction(12345, 54321)]
 
     def test_is_the_kernel_last_row(self, p_grid):
         for p in p_grid + self.EXTRA_PS:
@@ -159,6 +162,30 @@ class TestMaxLaw:
         assert sum(law) == b**n
         assert {m: Fraction(c, b**n) for m, c in enumerate(law)} == max_marginal(
             brute_joint(p, n))
+
+    def test_any_start_matches_enumeration(self):
+        """max_law(q, n, start) is the law of (start v M_n) - S_n under p,
+        pushed from path enumeration, for start = 0..2n + 2."""
+        for p in self.START_PS:
+            for n in range(13):
+                joint = brute_joint(p, n)
+                for start in range(2 * n + 3):
+                    want = [Fraction(0)] * (n + start + 1)
+                    for (m, s), pr in joint.items():
+                        want[max(start, m) - s] += pr
+                    law = max_law(1 - p, n, start)
+                    assert [Fraction(c, p.denominator**n) for c in law] == want, (p, n, start)
+
+    def test_any_start_is_the_kernel_last_row(self):
+        """max_law(p, n, start) is the drawdown chain of the q-walk from
+        start at n, for n <= 40 and start = 0..2n + 2."""
+        top = 40
+        for p in self.START_PS:
+            for start in range(2 * top + 3):
+                # one kernel pass to 40 yields the chain at every horizon
+                for n, row in enumerate(drawdown_laws(WalkParams(1 - p, top), [0] * start + [1])):
+                    if start <= 2 * n + 2:
+                        assert max_law(p, n, start) == row, (p, n, start)
 
     def test_references_do_not_call_it(self, monkeypatch, p_grid):
         """The reflection and time-reversal checks and the prefix-tree oracle
@@ -288,7 +315,7 @@ class TestValues:
         b = p.denominator
 
         def expect(rows, k, g):
-            return sum(Fraction(c, b**k) * g(x) for x, c in enumerate(final_law(rows)))
+            return sum(Fraction(c, b**k) * g(x) for x, c in enumerate(last_row(rows)))
 
         for k in range(n + 1):
             assert g_value(w, f, k, i) == expect(max_laws(WalkParams(p, k)), k, lambda m: f(max(i, m)))
@@ -361,8 +388,9 @@ class TestKeyInequality:
 
 
 class TestSteppedCaches:
-    """A miss of `_forward_laws` or `_final_row` steps from the longest
-    shorter horizon held, so no law may depend on the order of requests."""
+    """A miss of `_forward_laws` steps from the longest shorter horizon held,
+    so no law may depend on the order of requests; `_final_row`'s rows are
+    read in every order too."""
 
     PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 7), Fraction(12345, 54321)]
     N = 24
@@ -392,7 +420,7 @@ class TestSteppedCaches:
             kernel = {start: list(drawdown_laws(WalkParams(p, self.N), [0] * start + [1]))
                       for start in range(4)}
             walkdist._final_row.cache_clear()
-            got = {(n, start): walkdist._final_row(p, n, start)
+            got = {(n, start): walkdist._final_row(p.numerator, p.denominator, n, start)
                    for n in self.ORDERS[order] for start in range(4)}
             for (n, start), row in got.items():  # read after all misses: none changed
                 assert list(row) == kernel[start][n], (p, n, start)
@@ -419,25 +447,6 @@ class TestSteppedCaches:
         walkdist._forward_laws(p, 10)
         assert seen[-1] == (10, 0)  # cache_clear forgot every law
         walkdist._forward_laws.cache_clear()
-
-    def test_row_miss_steps_from_longest_shorter_horizon(self, monkeypatch):
-        p, start = Fraction(3, 5), 2
-        seen = []
-        kernel = walkdist.drawdown_laws
-
-        def spy(w, row=(1,)):
-            seen.append((w.n, tuple(row)))
-            return kernel(w, row)
-
-        monkeypatch.setattr(walkdist, "drawdown_laws", spy)
-        walkdist._final_row.cache_clear()
-        row3 = walkdist._final_row(p, 3, start)
-        walkdist._final_row(p, 6, start)
-        assert seen == [(3, (0, 0, 1)), (3, row3)]
-        walkdist._final_row.cache_clear()
-        walkdist._final_row(p, 6, start)
-        assert seen[-1] == (6, (0, 0, 1))  # cache_clear forgot every row
-        walkdist._final_row.cache_clear()
 
     def test_full_cache_forgets_the_index(self):
         """Once the cache is full, a miss makes it drop a law the index cannot
@@ -476,11 +485,11 @@ class TestFinalRowCache:
         for p in self.PS:
             for n in range(21):
                 for start in range(11):
-                    row = walkdist._final_row(p, n, start)
+                    row = walkdist._final_row(p.numerator, p.denominator, n, start)
                     assert isinstance(row, tuple)
-                    assert walkdist._final_row(p, n, start) is row
+                    assert walkdist._final_row(p.numerator, p.denominator, n, start) is row
                     kernel = drawdown_laws(WalkParams(p, n), [0] * start + [1])
-                    assert list(row) == final_law(kernel)
+                    assert list(row) == last_row(kernel)
 
     def test_solver_sweeps_do_not_fill_it(self):
         walkdist._final_row.cache_clear()
