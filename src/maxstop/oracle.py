@@ -10,10 +10,16 @@ knows its (k, S_k, M_k).  Stopping there pays
 
 with the law of M' built here by first-step decomposition,
 M'_j = max(0, X + M'_{j-1}), independently of `walkdist`.  Continuing pays
-p * V(up) + q * V(down), and V is the larger of the two.  Nothing is
-memoized on the state (k, z): two histories that share a drawdown are still
-valued and decided apart, so a history-dependent rule that beat every
-drawdown rule would show here.
+p * V(up) + q * V(down), and V is the larger of the two.
+
+Histories with one (k, S_k, M_k) root isomorphic subtrees with the same
+payoffs (the Markov property of (S, M)), so they share their value, their
+optimal actions and their class count, and each distinct triple is valued
+once, in a memo local to one call.  Nothing is memoized on the drawdown
+z = M_k - S_k: two triples that share a drawdown are still valued and
+decided apart, so a history-dependent rule that beat every drawdown rule
+would show here.  The triples number O(N^3) against the 2^(N+1) - 1
+histories.
 
 Two rules are the same class when they stop every path at the same index.
 Every prefix has positive probability, so a rule is optimal exactly when it
@@ -23,11 +29,14 @@ of a subtree number
     count = [stop optimal] + [continue optimal] * count(up) * count(down),
 
 with count 1 at a leaf.  Raw decision maps number 2^(2^N - 1).  Everything
-is exact rational arithmetic.
+is exact: with p = a/b and D the least common denominator of f(0..N), the
+values at step k are integer numerators over b^(N-k) * D.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,14 +66,15 @@ class OracleResult:
 
 
 def _suffix_max_laws(p: Fraction, n: int) -> list:
-    """laws[j][m] = P(max(0, S_1, ..., S_j) = m) for j = 0..n."""
-    q = 1 - p
-    laws = [[Fraction(1)]]
+    """laws[j][m] = b**j P(max(0, S_1, ..., S_j) = m) for j = 0..n, p = a/b:
+    integer numerators over b**j."""
+    up, down = p.numerator, p.denominator - p.numerator
+    laws = [[1]]
     for j in range(1, n + 1):
-        law = [Fraction(0)] * (j + 1)
-        for m, pr in enumerate(laws[-1]):
-            law[m + 1] += p * pr
-            law[max(m - 1, 0)] += q * pr
+        law = [0] * (j + 1)
+        for m, c in enumerate(laws[-1]):
+            law[m + 1] += up * c
+            law[max(m - 1, 0)] += down * c
         laws.append(law)
     return laws
 
@@ -82,7 +92,8 @@ def enumerate_optimum(w: WalkParams, f) -> OracleResult:
     """Exact maximum of E[f(M_N - S_tau)] over all adapted stopping rules."""
     n = w.n
     check_horizon(n)
-    p, q = w.p, 1 - w.p
+    a, b = w.p.numerator, w.p.denominator
+    c = b - a
     # from z = N down, so a table reward too short for the horizon is
     # reported at its first use on the all-up path
     try:
@@ -92,20 +103,28 @@ def enumerate_optimum(w: WalkParams, f) -> OracleResult:
     for z, v in enumerate(fv):
         if not isinstance(v, (int, Fraction)):
             raise RewardDomainError(f"the oracle needs a rational reward, got f({z}) = {v!r}")
-    laws = _suffix_max_laws(p, n)
+    den = math.lcm(*(v.denominator for v in fv))
+    fnum = [v.numerator * (den // v.denominator) for v in fv]
+    laws = _suffix_max_laws(w.p, n)
     stop_strict_at_root = n == 0
     continue_strict = tie_pattern = True
+    memo = {}
 
     def visit(k: int, s: int, m: int) -> tuple:
-        """(optimal value, optimal class count) of the subtree at this prefix."""
+        """(optimal value over b**(n-k) * den, optimal class count) of the
+        subtree at every prefix with this (k, S_k, M_k)."""
         nonlocal stop_strict_at_root, continue_strict, tie_pattern
         z = m - s
         if k == n:
-            return fv[z], 1
+            return fnum[z], 1
+        key = k, s, m
+        if key in memo:
+            return memo[key]
         up_value, up_count = visit(k + 1, s + 1, max(m, s + 1))
         down_value, down_count = visit(k + 1, s - 1, m)
-        cont = p * up_value + q * down_value
-        stop = sum(pr * fv[max(z, j)] for j, pr in enumerate(laws[n - k]))
+        cont = a * up_value + c * down_value
+        law = laws[n - k]  # stop: the suffix max j pays f(max(z, j))
+        stop = sum(law[: z + 1]) * fnum[z] + sum(map(operator.mul, law[z + 1 :], fnum[z + 1 :]))
         if k == 0:
             stop_strict_at_root = stop > cont
         if stop >= cont:
@@ -113,11 +132,12 @@ def enumerate_optimum(w: WalkParams, f) -> OracleResult:
         if stop > cont or (stop == cont) != (z == 0):
             tie_pattern = False
         count = (stop >= cont) + (cont >= stop) * up_count * down_count
-        return max(stop, cont), count
+        memo[key] = out = max(stop, cont), count
+        return out
 
     value, count = visit(0, 0, 0)
     return OracleResult(
-        value=value,
+        value=Fraction(value, b**n * den),
         n_rules_total=2 ** (2**n - 1),
         n_optimal_classes=count,
         n_paths=2**n,

@@ -16,10 +16,10 @@ over the common denominator b^k, with no gcd:
   in O(n^2) integer work, for the sweeps that need every row: `max_laws`
   carries the law of M_k on from a closed-form row as the kernel of the
   q-walk.
-- The joint pass over (running max, endpoint) gives the law of (M_n, S_n)
-  as integer numerators over b^n, in O(n^3) integer work.  It is
-  reference only: the independent route behind the exact reflection and
-  time-reversal checks that the kernel and the closed form rest on.
+- The joint pass gives the law of (M_n, Z_n) as rows of integer
+  numerators over b^n, row m for z = 0..n - m, in O(n^3) integer work.
+  It is reference only: the independent route behind the exact reflection
+  and time-reversal checks that the kernel and the closed form rest on.
 
 The inequality checks work on the reward's numerators over one common
 denominator (the reward's bound `numerators` form) and build one Fraction
@@ -45,6 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .rewards import reward_numerators
 
@@ -118,28 +119,31 @@ _JOINT = _Held(4096)
 
 
 @_JOINT.cache
-def _forward_laws(p, n: int) -> dict:
-    """Joint law of (M_n, S_n) as integer numerators over b**n, p = a/b.
+def _forward_laws(a: int, b: int, n: int) -> tuple:
+    """Joint law of (M_n, Z_n) under the p-walk, p = a/b, as integer
+    numerators over b**n: row m lists z = 0..n - m (a path that reaches m
+    and ends z below it takes at least m + z steps).
 
-    A forward pass over the steps: an up-step carries weight a, a
-    down-step weight b - a.  It starts from the law held for p at the
-    longest horizon k < n (from {(0, 0): 1} at k = 0 if none is held), so a
+    A forward pass over the steps: a down-step (weight b - a) moves Z up
+    one; an up-step (weight a) moves it down one, or from z = 0 moves the
+    mass on to row m + 1.  It starts from the law held for (a, b) at the
+    longest horizon k < n (from ((1,),) at k = 0 if none is held), so a
     new horizon costs O(n^2 (n - k)) integer work, and the held law is
     read, never changed.  A miss holds only the law at n (`_JOINT`), and
-    `cache_clear()` forgets every held law.
+    `cache_clear()` forgets every held law.  The key is integers only, as
+    hashing a Fraction costs about 0.5 us.
     """
-    up, down = p.numerator, p.denominator - p.numerator
-    walk = p.numerator, p.denominator
-    held, law = _JOINT.below(walk, n, {(0, 0): 1})
+    down = b - a
+    held, law = _JOINT.below((a, b), n, ((1,),))
     for _ in range(n - held):
-        nxt = {}
-        for (k, l), c in law.items():
-            key = (max(k, l + 1), l + 1)
-            nxt[key] = nxt.get(key, 0) + c * up
-            key = (k, l - 1)
-            nxt[key] = nxt.get(key, 0) + c * down
-        law = nxt
-    return _JOINT.hold(walk, n, law)
+        rows, carry = [], 0  # carry: the up-steps from z = 0 of the row below
+        for row in law:
+            pad = row + (0, 0)
+            rows.append((a * pad[1] + carry, *[a * x + down * y for x, y in zip(pad[2:], row)]))
+            carry = a * row[0]
+        rows.append((carry,))
+        law = tuple(rows)
+    return _JOINT.hold((a, b), n, law)
 
 
 def drawdown_laws(w: WalkParams, row=(1,)):
@@ -240,24 +244,24 @@ def _final_row(a: int, b: int, n: int, start: int) -> tuple:
 def reflection_check(w: WalkParams) -> bool:
     """(M_n - S_n, S_n) under p has the same law as (M_n, -S_n) under q.
 
-    Both maps, (k,l) -> (k-l, l) and (k,l) -> (k, -l), are one-to-one, so
-    each pushforward relabels a law.  With p = a/b reduced, q = (b-a)/b, so
-    both laws are numerators over b**n and compare as integers.
+    On (M_n, Z_n) that reads: the joint table under p is the transpose of
+    the table under q (P_p(M = m, Z = z) = P_q(M = z, Z = m)).  With p = a/b
+    reduced, q = (b-a)/b, so both tables are numerators over b**n and
+    compare as integers.  Column z of the q-table has its n + 1 - z entries
+    first; `zip_longest` pads the rest.
     """
-    lhs = {(k - l, l): c for (k, l), c in _forward_laws(w.p, w.n).items()}
-    rhs = {(k, -l): c for (k, l), c in _forward_laws(w.q, w.n).items()}
-    return lhs == rhs
+    a, b, n = w.p.numerator, w.p.denominator, w.n
+    columns = zip_longest(*_forward_laws(b - a, b, n))
+    return [col[: n + 1 - z] for z, col in enumerate(columns)] == list(_forward_laws(a, b, n))
 
 
 def time_reversal_check(w: WalkParams) -> bool:
-    """Law of M_n under p equals the law of Z_n = M_n - S_n under q, exactly
+    """Law of M_n under p equals the law of Z_n = M_n - S_n under q, exactly:
+    the row sums of the p-table equal the column sums of the q-table
     (integer numerators over b**n, as in `reflection_check`)."""
-    lhs, rhs = [0] * (w.n + 1), [0] * (w.n + 1)
-    for (k, _l), c in _forward_laws(w.p, w.n).items():
-        lhs[k] += c
-    for (k, l), c in _forward_laws(w.q, w.n).items():
-        rhs[k - l] += c
-    return lhs == rhs
+    a, b, n = w.p.numerator, w.p.denominator, w.n
+    columns = zip_longest(*_forward_laws(b - a, b, n), fillvalue=0)
+    return list(map(sum, _forward_laws(a, b, n))) == list(map(sum, columns))
 
 
 def _expect_max(law: list, fnum: list, i: int) -> int:

@@ -6,9 +6,11 @@ compare two genuinely different routes to the same exact value.  The
 Bellman reference runs the solver's recursion in Fractions on stop values
 from those enumerations, sharing no code with the library.  The rule
 enumerator below is the oracle's own oracle: it values every
-history-dependent stopping rule class on every path (n <= 4).  The
-Brownian grid reference is the shared fixed-grid loop that valued the
-drawdown and time rules before stopped rows left the step loop early.
+history-dependent stopping rule class on every path (n <= 4), and the
+prefix-tree reference values every step history on its own, with nothing
+memoized (n <= 12).  The Brownian grid reference is the shared fixed-grid
+loop that valued the drawdown and time rules before stopped rows left the
+step loop early.
 The policy sweep reference values a Markov rule by the full backward
 sweep, over every row and every G row, and the joint-law view reads the
 library's reference joint pass in Fractions.
@@ -23,7 +25,7 @@ from itertools import accumulate, product
 import numpy as np
 import pytest
 
-from maxstop import walkdist
+from maxstop import oracle, walkdist
 from maxstop.rewards import reward_numerators
 
 
@@ -206,6 +208,60 @@ def brute_agrees(p, n, f, value, label):
     return len(optimal) == 1 and optimal.isdisjoint({(0,) * 2**n, (n,) * 2**n})
 
 
+def _fraction_suffix_max_laws(p, n):
+    """laws[j][m] = P(max(0, S_1, ..., S_j) = m) for j = 0..n, in Fractions."""
+    q = 1 - p
+    laws = [[Fraction(1)]]
+    for j in range(1, n + 1):
+        law = [Fraction(0)] * (j + 1)
+        for m, pr in enumerate(laws[-1]):
+            law[m + 1] += p * pr
+            law[max(m - 1, 0)] += q * pr
+        laws.append(law)
+    return laws
+
+
+def prefix_tree_oracle(w, f):
+    """The oracle's result by backward induction over every one of the
+    2^(N+1) - 1 step histories, in Fractions, with nothing memoized: each
+    history is valued and decided on its own, where the oracle values each
+    (k, S_k, M_k) once.  Stopping at a history pays E[f(z v M')], M' the
+    maximum of the remaining walk; the flags and the class count follow
+    `oracle.OracleResult`."""
+    n, p = w.n, w.p
+    q = 1 - p
+    fv = [f(z) for z in range(n + 1)]
+    laws = _fraction_suffix_max_laws(p, n)
+    flags = {"root": n == 0, "continue": True, "tie": True}
+
+    def visit(k, s, m):
+        z = m - s
+        if k == n:
+            return Fraction(fv[z]), 1
+        up_value, up_count = visit(k + 1, s + 1, max(m, s + 1))
+        down_value, down_count = visit(k + 1, s - 1, m)
+        cont = p * up_value + q * down_value
+        stop = sum(pr * fv[max(z, j)] for j, pr in enumerate(laws[n - k]))
+        if k == 0:
+            flags["root"] = stop > cont
+        if stop >= cont:
+            flags["continue"] = False
+        if stop > cont or (stop == cont) != (z == 0):
+            flags["tie"] = False
+        return max(stop, cont), (stop >= cont) + (cont >= stop) * up_count * down_count
+
+    value, count = visit(0, 0, 0)
+    return oracle.OracleResult(
+        value=value,
+        n_rules_total=2 ** (2**n - 1),
+        n_optimal_classes=count,
+        n_paths=2**n,
+        stop_strict_at_root=flags["root"],
+        continue_strict_everywhere=flags["continue"],
+        tie_pattern=flags["tie"],
+    )
+
+
 def evaluate_reference(w, f, pol):
     """Value of a Markov drawdown rule by the full backward sweep: every row
     k = N..0, every G(N-k, .) row built from every law of M, a STOP or TIE
@@ -231,9 +287,15 @@ def evaluate_reference(w, f, pol):
 
 def joint_law(p, n):
     """Law of (M_n, S_n) as {(max, endpoint): Fraction}: the library's joint
-    pass (`walkdist._forward_laws`, integer numerators over b**n) in Fractions."""
-    den = p.denominator**n
-    return {key: Fraction(c, den) for key, c in walkdist._forward_laws(p, n).items()}
+    pass (`walkdist._forward_laws`, rows m of integer numerators over b**n
+    for z = M_n - S_n = 0..n - m) in Fractions, without its zero entries."""
+    return joint_from_rows(walkdist._forward_laws(p.numerator, p.denominator, n), p.denominator**n)
+
+
+def joint_from_rows(rows, den):
+    """{(max, endpoint): Fraction} from rows m of (M_n, Z_n) numerators over
+    den, z = 0..n - m, without the zero entries."""
+    return {(m, m - z): Fraction(c, den) for m, row in enumerate(rows) for z, c in enumerate(row) if c}
 
 
 def max_marginal(joint):

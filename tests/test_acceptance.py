@@ -104,9 +104,9 @@ def test_criterion_2_bang_bang_grid():
 
 def test_criterion_3_uniqueness_via_oracle():
     """The history-indexed prefix-tree oracle confirms the uniqueness labels
-    for N <= 10."""
+    for N <= oracle.MAX_HORIZON (13)."""
     with criterion(3, "uniqueness vs oracle, <60s", budget=60.0):
-        for n in range(1, 11):
+        for n in range(1, oracle.MAX_HORIZON + 1):
             fam = reward_family(n) + [("linear", rewards.linear_reward(n))]
             for name, f in fam:
                 flags = rewards.classify(f, horizon=n)

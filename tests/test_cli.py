@@ -437,6 +437,19 @@ class TestOracleCommand:
         assert len(str(rep["n_rules_total"])) == 2466
         assert rep["dp_match"] is True
 
+    def test_unconfirmed_label_exits_one(self, capsys, monkeypatch):
+        """A label the oracle does not confirm is a failed theorem check: exit
+        1, with the report otherwise as when it is confirmed."""
+        argv = ["oracle", "--p", "2/5", "--N", "4", "--reward", "geometric:1/2"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr(cli.oracle, "agrees", lambda res, rep: False)
+        failed_code, failed_out = run_cli(argv, capsys)
+        assert failed_code == 1
+        want = json.loads(out)
+        assert want["dp_match"] is True and want["cross_validate"] is True
+        assert json.loads(failed_out) == {**want, "cross_validate": False}
+
     def test_float_reward_refused_by_oracle(self, capsys, monkeypatch):
         """The oracle itself refuses the reward: the solver never runs."""
         monkeypatch.setattr(cli.dpsolver, "solve", None)

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_agrees, brute_oracle, brute_rule_classes, brute_stopping_index
+from conftest import (
+    brute_agrees,
+    brute_oracle,
+    brute_rule_classes,
+    brute_stopping_index,
+    prefix_tree_oracle,
+)
 from maxstop import dpsolver, oracle, rewards
 from maxstop.dpsolver import NOT_UNIQUE, TIE_CLASS, UNIQUE_TAU0, UNIQUE_TAUN, UNKNOWN
 from maxstop.oracle import enumerate_optimum
@@ -229,6 +235,28 @@ class TestAgainstBruteEnumeration:
                             p, n, f, rep.optimal_value, label
                         ), (name, p, n, label)
         assert seen == set(LABELS)
+
+
+class TestAgainstPrefixTree:
+    """Each (k, S_k, M_k) valued once against every history valued on its own
+    (`conftest.prefix_tree_oracle`), every result field, N <= 12."""
+
+    @pytest.mark.parametrize("p", [Fraction(2, 5), HALF, Fraction(3, 5)], ids=str)
+    @pytest.mark.parametrize("name", ["geometric:1/2", "indicator_top"])
+    def test_every_field(self, p, name):
+        f = dict(BRUTE_REWARDS)[name]
+        for n in range(13):
+            w = WalkParams(p, n)
+            assert enumerate_optimum(w, f) == prefix_tree_oracle(w, f), (n, p)
+
+    @pytest.mark.parametrize("p", [Fraction(19, 40), Fraction(23, 40)], ids=str)
+    def test_every_field_concave_unknown(self, p):
+        """f(z) = -(3/2)^z, the strictly concave reward the solver labels UNKNOWN."""
+        f = rewards.table_reward([-(Fraction(3, 2) ** z) for z in range(13)])
+        assert dpsolver.solve(WalkParams(p, 12), f).unique == UNKNOWN
+        for n in range(13):
+            w = WalkParams(p, n)
+            assert enumerate_optimum(w, f) == prefix_tree_oracle(w, f), (n, p)
 
 
 class TestIndependence:

@@ -22,6 +22,7 @@ from conftest import (
     brute_joint,
     brute_oracle,
     drawdown_marginal,
+    joint_from_rows,
     joint_law,
     last_row,
     max_marginal,
@@ -234,12 +235,11 @@ class TestReflectionAndReversal:
         w = WalkParams(p, 5)
         real = walkdist._forward_laws
 
-        def off_by_one(pp, n):
-            law = dict(real(pp, n))
-            if pp == w.q:
-                key = max(law)
-                law[key] += 1
-            return law
+        def off_by_one(a, b, n):
+            rows = real(a, b, n)
+            if Fraction(a, b) == w.q:  # the last row: all-up paths, M = n, Z = 0
+                rows = rows[:-1] + ((rows[-1][0] + 1,),)
+            return rows
 
         monkeypatch.setattr(walkdist, "_forward_laws", off_by_one)
         assert not reflection_check(w)
@@ -403,12 +403,13 @@ class TestSteppedCaches:
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_joint_laws_in_any_order(self, order):
         for p in self.PS:
-            b = p.denominator
+            a, b = p.numerator, p.denominator
             scratch = _joint_laws(p, self.N)  # one Fraction pass from horizon 0
             walkdist._forward_laws.cache_clear()
-            got = {n: walkdist._forward_laws(p, n) for n in self.ORDERS[order]}
-            for n, law in got.items():  # every law read after all misses: none changed
-                law = {key: Fraction(c, b**n) for key, c in law.items()}
+            got = {n: walkdist._forward_laws(a, b, n) for n in self.ORDERS[order]}
+            for n, rows in got.items():  # every law read after all misses: none changed
+                assert [len(row) for row in rows] == list(range(n + 1, 0, -1)), (p, n)
+                law = joint_from_rows(rows, b**n)
                 assert law == scratch[n], (p, n)
                 if n <= 12:
                     assert law == brute_joint(p, n), (p, n)
@@ -427,7 +428,6 @@ class TestSteppedCaches:
         walkdist._final_row.cache_clear()
 
     def test_joint_miss_steps_from_longest_shorter_horizon(self, monkeypatch):
-        p = Fraction(2, 5)
         seen = []  # (horizon asked, horizon stepped from) of every joint-law miss
         below = walkdist._Held.below
 
@@ -440,11 +440,11 @@ class TestSteppedCaches:
         monkeypatch.setattr(walkdist._Held, "below", spy)
         walkdist._forward_laws.cache_clear()
         for n in (5, 9, 7, 3, 12):
-            walkdist._forward_laws(p, n)
-        walkdist._forward_laws(p, 9)  # a hit
+            walkdist._forward_laws(2, 5, n)
+        walkdist._forward_laws(2, 5, 9)  # a hit
         assert seen == [(5, 0), (9, 5), (7, 5), (3, 0), (12, 9)]
         walkdist._forward_laws.cache_clear()
-        walkdist._forward_laws(p, 10)
+        walkdist._forward_laws(2, 5, 10)
         assert seen[-1] == (10, 0)  # cache_clear forgot every law
         walkdist._forward_laws.cache_clear()
 
