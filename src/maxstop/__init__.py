@@ -63,7 +63,6 @@ from .brownian import (  # noqa: F401
     check_bm_key_inequality,
     density_reflection_check,
     dtilde_bm,
-    expect_joint,
     g_bm,
     joint_density,
     mc_bm_rule_values,

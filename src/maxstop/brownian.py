@@ -1,20 +1,22 @@
-"""Joint law of (max, endpoint) for drifted Brownian motion, and rule values.
+"""Laws of the maximum of drifted Brownian motion, and rule values.
 
 The joint density of (M_t, B_t) for drift lambda is
 
     h(s, b) = sqrt(2/pi) * (2s - b) / t^(3/2)
               * exp(-(2s - b)^2 / (2t)) * exp(lambda * (b - lambda * t / 2))
 
-on s >= 0, b <= s.  Expectations E[f(x v M - B)] etc. are computed by
-conditioning on the endpoint: given B_t = b the maximum has the explicit
-law P(M_t >= s | B_t = b) = exp(-2s(s-b)/t), so E[phi(M, B)] is a nested
-integral, over b outside and over s >= max(0, b) inside, which one fixed
-Gauss-Legendre rule evaluates (`expect_joint`).  Every kink of the
-integrands lies on a line s = const, s - b = const or b = const (the
-lines s = x, s - b = x, b = x - node and those of a piecewise-linear
-reward's nodes); callers declare them, and they become panel edges.  The
-reported error is the difference of the rule on the declared panels and
-on their halves, plus the truncated tail mass.
+on s >= 0, b <= s.  Every functional the checks need is E[f(floor v V)]
+with V = (start + B_t) v M_t, start >= 0, under some drift mu, and by
+reflection (Borodin & Salminen, Handbook of Brownian Motion, 2002)
+
+    P(V <= y) = Phi((y - start - mu t)/sqrt(t))
+                - exp(2 mu y) Phi((-y - start - mu t)/sqrt(t)),   y >= 0.
+
+One 1-D Gauss-Legendre rule over y (`_expect_floor_max`) gives
+E[f(x v M_t)] (mu = lambda, floor x, start 0), E[f(x v (M_t - B_t))]
+(the same under -lambda) and, by time reversal, E[f((x v M_t) - B_t)]
+(mu = -lambda, floor 0, start x).  V's density is smooth for y > 0, so
+its panel edges are the floor and the reward's nodes.
 
 Sampling (M_T, B_T) needs no path discretization: the same conditional
 law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  Per grid segment
@@ -39,9 +41,9 @@ from .rewards import RewardDomainError, RewardSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-_SIGMAS = 8.0  # quadrature range half-width in units of sqrt(t)
+_SIGMAS = 8.0  # quadrature range past start + |mu| t, in units of sqrt(t)
 _EPS_COEFF = 0.5  # stop-at-running-max triggers at Z <= _EPS_COEFF * sqrt(dt)
-_GL_POINTS = 20  # Gauss-Legendre points per sub-panel of `expect_joint`
+_GL_POINTS = 20  # Gauss-Legendre points per sub-panel of `_expect_floor_max`
 
 
 @dataclass(frozen=True)
@@ -86,88 +88,62 @@ def density_reflection_check(t: float, lam: float, grid) -> float:
 class QuadResult(NamedTuple):
     value: float
     error: float
-    panels: int = 0  # declared (b, s) panels; 0 when no integral was needed (t = 0)
 
 
 @functools.cache
-def _unit_rule(split: int):
-    """Nodes and weights on [0, 1] of the 20-point Gauss-Legendre rule on
-    each of `split` equal parts; built on first use, so importing maxstop
-    does not load numpy.polynomial."""
+def _unit_rule():
+    """Nodes and weights on [0, 1] of the 20-point Gauss-Legendre rule; built
+    on first use, so importing maxstop does not load numpy.polynomial."""
     x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
-    nodes = (np.arange(split)[:, None] + 0.5 * (1.0 + x)) / split
-    return nodes.ravel(), np.tile(w, split) / (2 * split)
+    return 0.5 * (1.0 + x), 0.5 * w
 
 
-def _compound(edges, split: int):
-    """`_unit_rule(split)` on every interval between consecutive edges, row
-    by row: edges of shape (rows, k + 1) give nodes and weights of shape
-    (rows, k * 20 * split)."""
-    u, w = _unit_rule(split)
-    lo, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
-    return (lo + width * u).reshape(len(edges), -1), (width * w).reshape(len(edges), -1)
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def expect_joint(
-    phi: Callable,
-    t: float,
-    lam: float,
-    *,
-    s_cuts=(),
-    z_cuts=(),
-    b_cuts=(),
-) -> QuadResult:
-    """E[phi(M_t, B_t)] by a fixed nested Gauss-Legendre rule over (b, s).
+def _expect_floor_max(fv: Callable, nodes, t: float, mu: float, floor: float,
+                      start: float) -> QuadResult:
+    """E[fv(floor v V)], V = (start + B_t) v M_t under drift mu, for
+    floor, start >= 0 and a numpy-vectorized fv smooth between its nodes.
 
-    phi(s, b) must be numpy-vectorized.  The outer integral runs over the
-    endpoint b on [lam t - c sqrt(t), lam t + c sqrt(t)] (c = _SIGMAS), the
-    inner one over the maximum s on [max(0, b), max(0, b) + c sqrt(t)];
-    the integrand is phi(s, b) h(s, b).  Given B_t = b the maximum has the
-    law P(M_t >= s | b) = exp(-2s(s - b)/t), smooth in s, so every kink of
-    phi that lies on a line s = const (s_cuts), s - b = const (z_cuts) or
-    b = const (b_cuts) is a panel edge:
-      * outer cuts: 0, the s_cuts, the negated z_cuts (where those lines
-        meet the inner lower limit) and the b_cuts;
-      * inner cuts, per outer node b: the s_cuts and b + the z_cuts,
-        clipped into the inner range; a clipped cut makes a zero-width
-        panel, so every row has the same shape.
-
-    The fine rule puts the 20-point rule on 2 equal parts of every
-    declared panel, the coarse rule on the whole panel, on both axes.  The
-    returned value is the fine rule's; the error is |fine - coarse| plus
-    the truncated mass (at most 4 Phi(-c)) times max(1, max |phi| seen).
-    It bounds the error when phi is smooth inside every declared panel:
-    an undeclared kink or jump can make it understate the error.
-    `panels` counts the declared (b, s) panels, zero-width ones included.
-    At t = 0, M_0 = B_0 = 0: the value is phi(0, 0), exact, with no panel.
+    The value is fv(floor) P(V <= floor) plus the integral of fv against
+    V's density, phi(a) (1 + exp(-2 y start / t)) / sqrt(t)
+    - 2 mu exp(2 mu y) Phi(b) with a, b the arguments of Phi above, over
+    [floor, floor + start + |mu| t + c sqrt(t)] (c = _SIGMAS), by the
+    20-point rule on two halves of each panel between the nodes.  The
+    error is an estimate: the difference from the rule on whole panels,
+    plus P(V > upper end) max(1, max |fv| on the nodes), plus a rounding
+    allowance 8 n u sum |w fv p| over the n nodes (u = 2^-53).  At t = 0,
+    V = start: the value is fv(floor v start), exact.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0:
-        return QuadResult(float(phi(0.0, 0.0)), 0.0)
-    reach = _SIGMAS * math.sqrt(t)
-    b_lo, b_hi = lam * t - reach, lam * t + reach
-    s_fixed = np.array(sorted({float(c) for c in s_cuts}))
-    z_fixed = np.array(sorted({float(c) for c in z_cuts}))
-    b_inner = {0.0, *s_fixed, *-z_fixed, *map(float, b_cuts)}
-    b_edges = np.array([[b_lo, *sorted(c for c in b_inner if b_lo < c < b_hi), b_hi]])
-    max_abs_phi = 1.0
-    estimates = []
-    for split in (1, 2):
-        (b,), (wb,) = _compound(b_edges, split)
-        lo = np.maximum(b, 0.0)[:, None]
-        hi = lo + reach
-        cuts = np.hstack([np.tile(s_fixed, (len(b), 1)), b[:, None] + z_fixed])
-        s, ws = _compound(np.sort(np.hstack([lo, np.clip(cuts, lo, hi), hi]), axis=1), split)
-        bb = np.broadcast_to(b[:, None], s.shape)
-        pv = phi(s, bb)
-        max_abs_phi = max(max_abs_phi, float(np.max(np.abs(pv))))
-        estimates.append(float(wb @ np.sum(ws * pv * joint_density(s, bb, t, lam), axis=1)))
+        return QuadResult(float(fv(np.float64(max(floor, start)))), 0.0)
+    root_t, shift = math.sqrt(t), start + mu * t
+    upper = floor + start + abs(mu) * t + _SIGMAS * root_t
+    edges = np.array(sorted({floor, upper, *(float(c) for c in nodes if floor < c < upper)}))
+    halves = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    (u, unit_w), estimates = _unit_rule(), []
+    for cuts in (edges, halves):
+        width = np.diff(cuts)[:, None]
+        y, w = (cuts[:-1, None] + width * u).ravel(), (width * unit_w).ravel()
+        a = (y - shift) / root_t
+        density = (0.5 * SQRT_2_OVER_PI / root_t * np.exp(-0.5 * np.square(a))
+                   * (1.0 + np.exp(-2.0 * start / t * y)) - 2.0 * mu * np.exp(2.0 * mu * y)
+                   * np.array([_normal_cdf(v) for v in (-y - shift) / root_t]))
+        terms = w * fv(y) * density
+        estimates.append(float(np.sum(terms)))
     coarse, fine = estimates
-    # truncated mass: P(|B - lam t| > c sqrt(t)) + P(M > max(0, B) + c sqrt(t)) <= 4 Phi(-c)
-    tail = 4.0 * 0.5 * math.erfc(_SIGMAS / math.sqrt(2.0))
-    panels = (b_edges.shape[1] - 1) * (len(s_fixed) + len(z_fixed) + 1)
-    return QuadResult(value=fine, error=abs(fine - coarse) + tail * max_abs_phi, panels=panels)
+    below = _normal_cdf((floor - shift) / root_t) - math.exp(2.0 * mu * floor) * _normal_cdf(
+        (-floor - shift) / root_t)
+    tail = _normal_cdf((shift - upper) / root_t) + math.exp(2.0 * mu * upper) * _normal_cdf(
+        (-upper - shift) / root_t)
+    rounding = 8 * 2.0**-53 * len(terms) * float(np.sum(np.abs(terms)))
+    tail *= max(1.0, float(np.max(np.abs(fv(y)))))
+    return QuadResult(float(fv(np.float64(floor))) * below + fine,
+                      abs(fine - coarse) + tail + rounding)
 
 
 def _vectorized_reward(f: RewardSpec) -> Callable:
@@ -181,21 +157,16 @@ def g_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f(x v M_t)] under drift lam."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    fv = _vectorized_reward(f)
-    return expect_joint(lambda s, b: fv(np.maximum(x, s)), t, lam, s_cuts=(x, *f.nodes))
+    return _expect_floor_max(_vectorized_reward(f), f.nodes, t, lam, x, 0.0)
 
 
 def dtilde_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f((x v M_t) - B_t)] under drift lam."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    fv = _vectorized_reward(f)
-    # f's argument is s - b where s >= x, so its nodes are z-lines there;
-    # where s < x it is x - b, which bends on the lines b = x - node
-    return expect_joint(
-        lambda s, b: fv(np.maximum(x, s) - b), t, lam,
-        s_cuts=(x,), z_cuts=f.nodes, b_cuts=[x - node for node in f.nodes],
-    )
+    # time reversal: (x v M_t) - B_t under lam has the law of
+    # (x + B_t) v M_t under -lam
+    return _expect_floor_max(_vectorized_reward(f), f.nodes, t, -lam, 0.0, x)
 
 
 @dataclass(frozen=True)
@@ -221,8 +192,7 @@ def check_bm_key_inequality(t: float, x: float, lam: float, f) -> BmInequalityRe
     """E[f((x v M) - B)] >= E[f(x v (M - B))]; holds for nonincreasing convex
     f when lam >= 0, any lam accepted for raw reporting."""
     lhs = dtilde_bm(t, x, lam, f)
-    fv = _vectorized_reward(f)
-    rhs = expect_joint(lambda s, b: fv(np.maximum(x, s - b)), t, lam, z_cuts=(x, *f.nodes))
+    rhs = g_bm(t, x, -lam, f)  # M - B under lam has the law of M under -lam
     return BmInequalityReport(
         lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
     )

@@ -394,7 +394,7 @@ def cmd_bm_verify(args) -> int:
     rec = _Checks()
     for t in (1.0, 2.0):
         for lam in (-1.0, 0.0, 1.0):
-            norm = brownian.expect_joint(lambda s, b: np.ones_like(s), t, lam)
+            norm = brownian._expect_floor_max(np.ones_like, (), t, lam, 0.0, 0.0)
             rec.record(f"normalization t={t} lam={lam}", abs(norm.value - 1.0) < 1e-6,
                        {"check": "normalization", "t": t, "lam": lam}, value=_quad(norm))
 

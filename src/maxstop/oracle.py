@@ -44,7 +44,7 @@ from . import dpsolver
 from .rewards import RewardDomainError
 from .walkdist import WalkParams
 
-# n_rules_total = 2^(2^N - 1) must print: at N = 14 it has 4,933 digits,
+# n_rules_total = 2^(2^N - 1) must print: at N = 14 it has 4,932 digits,
 # past Python's default int-to-str limit of 4,300
 MAX_HORIZON = 13
 
@@ -83,8 +83,9 @@ def check_horizon(n: int) -> None:
     """Raise ValueError unless the oracle takes a horizon of n steps."""
     if n > MAX_HORIZON:
         raise ValueError(
-            f"the prefix-tree oracle is capped at N <= {MAX_HORIZON} "
-            f"(2^(N+1) - 1 step histories); got N = {n}"
+            f"the prefix-tree oracle is capped at N <= {MAX_HORIZON} (its rule count "
+            f"2^(2^N - 1) must print, and from N = 14 it has more digits than Python's "
+            f"int-to-str limit of 4,300); got N = {n}"
         )
 
 

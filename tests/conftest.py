@@ -10,7 +10,7 @@ history-dependent stopping rule class on every path (n <= 4), and the
 prefix-tree reference values every step history on its own, with nothing
 memoized (n <= 12).  The Brownian grid reference is the shared fixed-grid
 loop that valued the drawdown and time rules before stopped rows left the
-step loop early.
+step loop early, and the joint density's mass is scipy's 2-D quadrature.
 The policy sweep reference values a Markov rule by the full backward
 sweep, over every row and every G row, and the joint-law view reads the
 library's reference joint pass in Fractions.
@@ -24,6 +24,7 @@ from itertools import accumulate, product
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from maxstop import oracle, walkdist
 from maxstop.rewards import reward_numerators
@@ -352,6 +353,18 @@ def brownian_grid_reference(seed, model, fv, rules):
         for sample, bt in zip(samples, b_tau):
             sample.append(fv(m - bt))
     return [np.concatenate(sample) for sample in samples]
+
+
+def joint_density_mass(density, t, lam):
+    """Integral of density(s, b, t, lam) over b within lam t +- 12 sqrt(t)
+    and s from max(0, b) to 12 sqrt(t) above it, by scipy's adaptive
+    dblquad: the mass of the joint law of (M_t, B_t), up to 1e-9."""
+    reach = 12.0 * math.sqrt(t)
+    value, _abserr = integrate.dblquad(
+        lambda s, b: density(s, b, t, lam), lam * t - reach, lam * t + reach,
+        lambda b: max(0.0, b), lambda b: max(0.0, b) + reach, epsabs=1e-9, epsrel=0.0,
+    )
+    return value
 
 
 @pytest.fixture

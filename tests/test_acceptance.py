@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
+from conftest import joint_density_mass
 
 from maxstop import brownian as bm
 from maxstop import cli, coupling, dpsolver, oracle, rewards, walkdist
@@ -177,8 +178,8 @@ def test_criterion_6_brownian_density():
     with criterion(6, "brownian density checks, <60s", budget=60.0):
         for t in (1.0, 2.0):
             for lam in (-1.0, 0.0, 1.0):
-                res = bm.expect_joint(lambda s, b: np.ones_like(s), t, lam)
-                assert abs(res.value - 1.0) < 1e-6, (t, lam)
+                mass = joint_density_mass(bm.joint_density, t, lam)
+                assert abs(mass - 1.0) < 1e-6, (t, lam)
 
         rng = np.random.Generator(np.random.PCG64(2026))
         for lam in (0.3, 1.0, -0.3, -1.0):

@@ -417,6 +417,7 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err.startswith("configuration error:")
         assert "N <= 13" in captured.err
+        assert "rule count 2^(2^N - 1)" in captured.err
 
     def test_reward_too_short_is_config_error(self, capsys):
         code = cli.main(["oracle", "--p", "1/3", "--N", "4", "--reward", "table:1,1,0"])
@@ -822,7 +823,7 @@ class TestSweepCommand:
         ),
         (
             ["bm-verify", "--seed", "1"],
-            "cb335843ced4d26fef5b6c2ca145e7e325b80542ac701f0351279b7ca2b4a3e4",
+            "347a02f4c78377582d9a967906c4b4799eac3c047c3defe67d544bc82f0c857d",
         ),
         (
             ["verify-discrete"],
@@ -993,7 +994,7 @@ def bm_verify_checks():
 
 BM_VERIFY_FAILURES = {
     "normalization": (
-        ("expect_joint", lambda phi, t, lam: (t, lam) == (2.0, 1.0),
+        ("_expect_floor_max", lambda fv, nodes, t, mu, floor, start: (t, mu) == (2.0, 1.0),
          lambda q: brownian.QuadResult(1.5, 0.0)),
         {"check": "normalization t=2.0 lam=1.0", "passed": False,
          "value": {"mode": "quadrature", "value": 1.5, "error_bound": 0.0}},
