@@ -32,10 +32,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from ._lazy import np
+from ._record import Checked
 from .coupling import McEstimate, _blocks
 from .rewards import RewardDomainError, RewardSpec
 
@@ -46,17 +46,15 @@ _EPS_COEFF = 0.5  # stop-at-running-max triggers at Z <= _EPS_COEFF * sqrt(dt)
 _GL_POINTS = 20  # Gauss-Legendre points per sub-panel of `_expect_floor_max`
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(NamedTuple):
     steps: int = 1000
     replications: int = 100_000
 
 
-@dataclass(frozen=True)
-class BmModel:
+class BmModel(NamedTuple):
     lam: float
     T: float
-    mc: McConfig = field(default_factory=McConfig)
+    mc: McConfig = McConfig()
 
 
 def joint_density(s, b, t: float, lam: float):
@@ -169,8 +167,7 @@ def dtilde_bm(t: float, x: float, lam: float, f) -> QuadResult:
     return _expect_floor_max(_vectorized_reward(f), f.nodes, t, -lam, 0.0, x)
 
 
-@dataclass(frozen=True)
-class BmInequalityReport:
+class BmInequalityReport(NamedTuple):
     lhs: float
     rhs: float
     quad_error_bound: float
@@ -259,8 +256,12 @@ def check_limits(model: BmModel, rules) -> None:
             raise ValueError(f"T = {T:g} gives a grid step of 0 {at}")
 
 
-@dataclass(frozen=True)
-class BmRule:
+class _Rule(NamedTuple):
+    kind: str
+    param: float | None = None
+
+
+class BmRule(Checked, _Rule):
     """Stopping rules evaluated by simulation.
 
     kind: 'tau0' | 'tauT' | 'drawdown_threshold' | 'time_threshold'.
@@ -270,10 +271,9 @@ class BmRule:
     drawdown is unobservable on a grid.
     """
 
-    kind: str
-    param: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ("tau0", "tauT", "drawdown_threshold", "time_threshold"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind in ("drawdown_threshold", "time_threshold"):

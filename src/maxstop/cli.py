@@ -7,8 +7,8 @@ Carlo with a standard error.  Probabilities are given as 'a/b' rationals;
 bare floats are rejected where exactness is part of the contract.
 
 This module is the only writer of reports: the library's result types are
-plain dataclasses, and every number goes out through `_exact`, `_quad` or
-`_mc`, which tag it.
+plain `NamedTuple` records, and every number goes out through `_exact`,
+`_quad` or `_mc`, which tag it.
 
 Exit status: 0 all checks passed, 1 a theorem check failed (the failing
 instance is serialized in the report), 2 configuration error (a bad flag,
@@ -536,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lam", type=_number(float, math.isfinite, "a finite number"), required=True)
     sp.add_argument("--T", type=_number(float, lambda v: 0 < v < math.inf, "a positive number"),
                     default=1.0)
-    sp.add_argument("--steps", type=positive, default=brownian.McConfig.steps)
-    sp.add_argument("--replications", type=positive, default=brownian.McConfig.replications)
+    sp.add_argument("--steps", type=positive, default=brownian.McConfig().steps)
+    sp.add_argument("--replications", type=positive, default=brownian.McConfig().replications)
     sp.add_argument("--rule", required=True, help="tau0 | tauT | drawdown:a | time:t0")
     sp.add_argument("--reward", required=True)
     sp.set_defaults(fn=cmd_bm_mc)

@@ -16,7 +16,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import np
 from .dpsolver import CONTINUE, PolicyTable
@@ -38,8 +38,7 @@ def _blocks(seed: int, replications: int):
         yield _rng(seed, block), min(BLOCK, replications - start)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Sample mean and its standard error; steps is the number of grid steps
     per simulated path, None when no path was discretized."""
 

@@ -39,13 +39,12 @@ Uniqueness labels:
 
 from __future__ import annotations
 
-import csv
-import io
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
+from ._record import Checked
 from .rewards import reward_numerators
 from .walkdist import WalkParams, max_law, max_laws
 
@@ -60,8 +59,12 @@ NOT_UNIQUE = "NOT_UNIQUE"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class PolicyTable:
+class _Policy(NamedTuple):
+    n: int
+    rows: tuple
+
+
+class PolicyTable(Checked, _Policy):
     """Stop/continue decision per reachable drawdown state (k, z), 0 <= z <= k.
 
     rows[k] is the tuple of decisions at z = 0..k.  Decisions at k = N are
@@ -69,10 +72,9 @@ class PolicyTable:
     exactly equal value; for execution a TIE stops (ties break toward STOP).
     """
 
-    n: int
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.rows) != self.n + 1:
             raise ValueError(f"policy has {len(self.rows)} rows, needs {self.n + 1}")
         for k, row in enumerate(self.rows):
@@ -97,11 +99,11 @@ class PolicyTable:
         return {(k, z): d for k, row in enumerate(self.rows) for z, d in enumerate(row)}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["k", "z", "decision"])
-        w.writerows((k, z, d) for k, row in enumerate(self.rows) for z, d in enumerate(row))
-        return buf.getvalue()
+        """One `k,z,decision` line per state under that header, each ending
+        in CRLF, as `csv.writer` writes them."""
+        return "k,z,decision\r\n" + "".join(
+            f"{k},{z},{d}\r\n" for k, row in enumerate(self.rows) for z, d in enumerate(row)
+        )
 
 
 def policy_tau0(n: int) -> PolicyTable:
@@ -118,8 +120,7 @@ def policy_stop_at_max(n: int, from_step: int = 0) -> PolicyTable:
     return PolicyTable(n, rows + ((STOP,) * (n + 1),))
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     optimal_value: Fraction
     policy: PolicyTable
     value_tau0: Fraction

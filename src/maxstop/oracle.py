@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import dpsolver
 from .rewards import RewardDomainError
@@ -49,8 +49,7 @@ from .walkdist import WalkParams
 MAX_HORIZON = 13
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: Fraction
     n_rules_total: int
     n_optimal_classes: int

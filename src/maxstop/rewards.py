@@ -28,11 +28,12 @@ import functools
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from ._lazy import np
+from ._record import Checked
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -77,8 +78,7 @@ def _numerators_via(at) -> Callable:
     return lambda n: rational_numerators([at(z) for z in range(n + 1)])
 
 
-@dataclass(frozen=True, eq=False)
-class RewardSpec:
+class RewardSpec(NamedTuple):
     """A reward function, built by one of the constructors below.
 
     The constructor checks the parameters once and binds every form of f:
@@ -88,8 +88,9 @@ class RewardSpec:
     table) and through `at` for the float kinds, so it raises what `at` and
     `rational_numerators` raise there; `array` is f on a numpy array, None
     for a kind with no continuous form; `nodes` are the kinks of a
-    piecewise-linear f; `size` is a table's length.  Equality is identity,
-    since the forms are closures.
+    piecewise-linear f; `size` is a table's length.  Equality is tuple
+    equality over the fields, and the bound forms are closures, which
+    compare by identity, so a spec equals itself and its copies only.
     """
 
     kind: str
@@ -133,15 +134,7 @@ def evaluate(f: RewardSpec, x):
     return f.at(x)
 
 
-@dataclass(frozen=True)
-class RewardFlags:
-    """Structural properties of a reward, as used by the optimality theorems.
-
-    Always satisfies: strictly_convex => convex,
-    strictly_decreasing => nonincreasing and not constant,
-    constant => linear.
-    """
-
+class _Flags(NamedTuple):
     nonincreasing: bool
     convex: bool
     strictly_convex: bool
@@ -149,7 +142,18 @@ class RewardFlags:
     constant: bool
     linear: bool
 
-    def __post_init__(self):
+
+class RewardFlags(Checked, _Flags):
+    """Structural properties of a reward, as used by the optimality theorems.
+
+    Always satisfies: strictly_convex => convex,
+    strictly_decreasing => nonincreasing and not constant,
+    constant => linear.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if self.strictly_convex and not self.convex:
             raise ValueError("strictly_convex requires convex")
         if self.strictly_decreasing and (not self.nonincreasing or self.constant):

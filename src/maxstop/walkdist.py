@@ -42,22 +42,26 @@ Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from typing import NamedTuple
 
+from ._record import Checked
 from .rewards import reward_numerators
 
 
-@dataclass(frozen=True)
-class WalkParams:
-    """Bernoulli walk with exact rational up-probability p and horizon n."""
-
+class _Walk(NamedTuple):
     p: Fraction
     n: int
 
-    def __post_init__(self):
+
+class WalkParams(Checked, _Walk):
+    """Bernoulli walk with exact rational up-probability p and horizon n."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not isinstance(self.p, Fraction):
             raise ValueError(f"p must be an exact Fraction, got {self.p!r}")
         if not 0 < self.p < 1:
@@ -270,8 +274,7 @@ def _expect_max(law: list, fnum: list, i: int) -> int:
     return sum(law[: i + 1]) * fnum[i] + sum(map(operator.mul, law[i + 1 :], fnum[i + 1 :]))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of one exact inequality check.
 
     Under the hypotheses of the checked statement lhs >= rhs always holds,

@@ -370,3 +370,17 @@ def joint_density_mass(density, t, lam):
 @pytest.fixture
 def p_grid():
     return [Fraction(k, 10) for k in range(1, 10)]
+
+
+def assert_refused(valid, *fields, match=None):
+    """A record of valid's type with these fields raises ValueError matching
+    `match` on every construction path: the constructor, `_make`, and
+    `_replace` of every field on the valid record."""
+    cls = type(valid)
+    for build in (
+        lambda: cls(*fields),
+        lambda: cls._make(fields),
+        lambda: valid._replace(**dict(zip(cls._fields, fields))),
+    ):
+        with pytest.raises(ValueError, match=match):
+            build()

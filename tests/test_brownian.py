@@ -1,10 +1,11 @@
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
-from conftest import brownian_grid_reference, joint_density_mass
+from conftest import assert_refused, brownian_grid_reference, joint_density_mass
 from scipy import integrate
 from scipy.special import erfcx
 from scipy.stats import norm
@@ -412,10 +413,15 @@ class TestMcRules:
         assert abs(est.estimate - oracle) < 4 * math.hypot(est.stderr, oracle_se)
 
     def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            bm.BmRule("nonsense")
-        with pytest.raises(ValueError):
-            bm.BmRule("drawdown_threshold")
+        valid = bm.BmRule("drawdown_threshold", 0.5)
+        assert_refused(valid, "nonsense", None, match="unknown rule kind 'nonsense'")
+        assert_refused(valid, "drawdown_threshold", None,
+                       match="rule drawdown_threshold needs a parameter$")
+
+    def test_rule_pickle_round_trip(self):
+        rule = bm.BmRule("time_threshold", 0.25)
+        back = pickle.loads(pickle.dumps(rule))
+        assert back == rule and type(back) is bm.BmRule
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match=r"horizon T = 0 is outside \(0, 7.42652e\+304\]"):

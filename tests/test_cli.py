@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -960,7 +959,7 @@ VERIFY_DISCRETE_FAILURES = {
     ),
     "bang_bang": (
         ("solve", _at_walk("1/5", 2, "indicator_top"),
-         lambda rep: dataclasses.replace(rep, optimal_value=rep.optimal_value + 1)),
+         lambda rep: rep._replace(optimal_value=rep.optimal_value + 1)),
         _passed("bang_bang grid"),
         [{"check": "bang_bang", "p": "1/5", "N": 2, "f": "indicator_top"},
          {"check": "bang_bang grid"}],

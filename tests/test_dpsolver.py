@@ -1,4 +1,5 @@
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from maxstop.dpsolver import (
 from maxstop.walkdist import WalkParams
 
 from conftest import (
+    assert_refused,
     bellman_reference,
     brute_expect,
     brute_joint,
@@ -158,18 +160,29 @@ class TestEvaluatePolicy:
         )
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match=r"missing or invalid decision at \(1, 0\): None"):
+        """Each refusal by `from_decisions` and on every construction path."""
+        valid = policy_tau0(2)
+        missing = r"missing or invalid decision at \(1, 0\): None"
+        with pytest.raises(ValueError, match=missing):
             PolicyTable.from_decisions(2, {(0, 0): "STOP"})  # missing states
+        assert_refused(valid, 2, (("STOP",), (None,) * 2, (None,) * 3), match=missing)
         dec = {(k, z): "CONTINUE" for k in range(3) for z in range(k + 1)}
         dec.update({(2, z): "CONTINUE" for z in range(3)})
         with pytest.raises(ValueError, match="must stop at the horizon"):
             PolicyTable.from_decisions(2, dec)
-        with pytest.raises(ValueError, match="row 1 has 3 decisions"):
-            PolicyTable(2, (("STOP",), ("STOP",) * 3, ("STOP",) * 3))  # wrong row length
-        with pytest.raises(ValueError, match="2 rows"):
-            PolicyTable(2, (("STOP",), ("STOP",) * 2))  # a row short
+        all_continue = tuple(("CONTINUE",) * (k + 1) for k in range(3))
+        assert_refused(valid, 2, all_continue, match="must stop at the horizon")
+        # wrong row length, then a row short
+        assert_refused(valid, 2, (("STOP",), ("STOP",) * 3, ("STOP",) * 3),
+                       match="row 1 has 3 decisions")
+        assert_refused(valid, 2, (("STOP",), ("STOP",) * 2), match="2 rows")
         with pytest.raises(ValueError):
             evaluate_policy(WalkParams(Fraction(1, 2), 3), GEOM_HALF, policy_tau0(2))
+
+    def test_policy_pickle_round_trip(self):
+        pol = policy_stop_at_max(3)
+        back = pickle.loads(pickle.dumps(pol))
+        assert back == pol and type(back) is PolicyTable
 
     def test_policy_csv(self):
         text = policy_stop_at_max(2).to_csv()

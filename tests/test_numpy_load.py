@@ -20,6 +20,11 @@ sys.path.insert(0, sys.argv[1])
 def numpy_modules():
     return sorted(m for m in sys.modules if m.startswith("numpy."))
 
+# standard modules the package never imports: its records are NamedTuples,
+# and `PolicyTable.to_csv` joins its own lines
+def stdlib_not_needed():
+    return [m for m in ("csv", "dataclasses", "inspect") if m in sys.modules]
+
 def run(argv):
     from maxstop import cli
     target = os.path.join(sys.argv[2], "r.json")
@@ -52,7 +57,10 @@ def test_exact_layer_runs_without_numpy(tmp_path):
 from fractions import Fraction
 import maxstop.cli
 from maxstop import rewards
-out = {"codes": [run(argv)[0] for argv in EXACT], "after exact commands": numpy_modules()}
+out = {"stdlib after import": stdlib_not_needed()}
+out["codes"] = [run(argv)[0] for argv in EXACT]
+out["after exact commands"] = numpy_modules()
+out["stdlib after exact commands"] = stdlib_not_needed()
 rewards.table_reward([1, 0])
 rewards.geometric_reward(Fraction(1, 2))
 rewards.indicator_top_reward()
@@ -63,8 +71,10 @@ rewards.exp_decay_reward(1.0)
 out["after exp_decay_reward"] = numpy_modules()
 print(json.dumps(out))
 """, tmp_path)
+    assert seen["stdlib after import"] == []
     assert seen["codes"] == [0] * 5
     assert seen["after exact commands"] == []
+    assert seen["stdlib after exact commands"] == []
     assert seen["after discrete rewards"] == []
     assert seen["after exp_decay_reward"]  # a continuous reward binds its numpy form
 

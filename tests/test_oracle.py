@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -175,7 +174,7 @@ class TestCrossValidate:
         w = WalkParams(p, n)
         assert oracle_agrees(w, f)
         solve = dpsolver.solve
-        monkeypatch.setattr(dpsolver, "solve", lambda w, f: replace(solve(w, f), unique=wrong))
+        monkeypatch.setattr(dpsolver, "solve", lambda w, f: solve(w, f)._replace(unique=wrong))
         assert not oracle_agrees(w, f)
 
     @pytest.mark.parametrize("r", [Fraction(3, 2), Fraction(2)], ids=str)
@@ -203,7 +202,7 @@ class TestCrossValidate:
 
         def off(w, f):
             rep = solve(w, f)
-            return replace(rep, optimal_value=rep.optimal_value + sign * Fraction(1, p.denominator**n))
+            return rep._replace(optimal_value=rep.optimal_value + sign * Fraction(1, p.denominator**n))
 
         monkeypatch.setattr(dpsolver, "solve", off)
         assert not oracle_agrees(w, GEOM_HALF)
@@ -231,7 +230,7 @@ class TestAgainstBruteEnumeration:
                     assert oracle_agrees(w, f) == verdict, (name, p, n)
                     # a wrong label gets the brute verdict too
                     for label in LABELS:
-                        assert oracle.agrees(res, replace(rep, unique=label)) == brute_agrees(
+                        assert oracle.agrees(res, rep._replace(unique=label)) == brute_agrees(
                             p, n, f, rep.optimal_value, label
                         ), (name, p, n, label)
         assert seen == set(LABELS)
@@ -269,7 +268,7 @@ class TestIndependence:
 
         w = WalkParams(Fraction(3, 5), 4)
         for _name, f in BRUTE_REWARDS:
-            f_broken = replace(f, numerators=broken)
+            f_broken = f._replace(numerators=broken)
             assert enumerate_optimum(w, f_broken) == enumerate_optimum(w, f)
             with pytest.raises(RuntimeError, match="numerators form read"):
                 dpsolver.solve(w, f_broken)

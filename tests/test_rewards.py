@@ -18,6 +18,8 @@ from maxstop.rewards import (
     table_reward,
 )
 
+from conftest import assert_refused
+
 
 class TestEvaluate:
     def test_indicator_top(self):
@@ -235,19 +237,24 @@ class TestClassify:
 
 
 class TestFlagsInvariants:
+    """Each refusal on every construction path, from a valid record with
+    every flag false."""
+
+    VALID = RewardFlags(*(False,) * 6)
+
     def test_strictly_convex_requires_convex(self):
-        with pytest.raises(ValueError):
-            RewardFlags(True, False, True, False, False, False)
+        assert_refused(self.VALID, True, False, True, False, False, False,
+                       match="strictly_convex requires convex")
 
     def test_strictly_decreasing_requires_nonincreasing_nonconstant(self):
-        with pytest.raises(ValueError):
-            RewardFlags(False, True, False, True, False, False)
-        with pytest.raises(ValueError):
-            RewardFlags(True, True, False, True, True, True)
+        assert_refused(self.VALID, False, True, False, True, False, False,
+                       match="strictly_decreasing requires nonincreasing and nonconstant")
+        assert_refused(self.VALID, True, True, False, True, True, True,
+                       match="strictly_decreasing requires nonincreasing and nonconstant")
 
     def test_constant_requires_linear(self):
-        with pytest.raises(ValueError):
-            RewardFlags(True, True, False, False, True, False)
+        assert_refused(self.VALID, True, True, False, False, True, False,
+                       match="constant requires linear")
 
 
 def _numerators_by_values(f, n):

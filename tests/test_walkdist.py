@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from maxstop.walkdist import (
 )
 
 from conftest import (
+    assert_refused,
     brute_expect,
     brute_joint,
     brute_oracle,
@@ -83,12 +85,15 @@ class TestJointPmf:
             assert (n - l) % 2 == 0
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            WalkParams(Fraction(0), 3)
-        with pytest.raises(ValueError):
-            WalkParams(Fraction(1, 2), -1)
-        with pytest.raises(ValueError, match="exact Fraction"):
-            WalkParams(0.4, 3)
+        valid = WalkParams(Fraction(1, 2), 3)
+        assert_refused(valid, Fraction(0), 3)
+        assert_refused(valid, Fraction(1, 2), -1)
+        assert_refused(valid, 0.4, 3, match="exact Fraction")
+
+    def test_pickle_round_trip(self):
+        w = WalkParams(Fraction(2, 5), 7)
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and type(back) is WalkParams
 
 
 def _rows_as_laws(rows, b):
