@@ -75,6 +75,8 @@ class PolicyTable(Checked, _Policy):
     __slots__ = ()
 
     def _check(self):
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"policy horizon must be an int >= 0, got {self.n!r}")
         if len(self.rows) != self.n + 1:
             raise ValueError(f"policy has {len(self.rows)} rows, needs {self.n + 1}")
         for k, row in enumerate(self.rows):

@@ -28,12 +28,6 @@ raises RewardDomainError, as in the solver.  They read the law at the
 horizon from one bounded cache (`_final_row`) of closed-form rows, shared
 across rewards and drawdowns.
 
-Only the joint pass steps: a miss of `_forward_laws` runs on from the law
-it holds for the same walk at the longest shorter horizon, not from
-horizon 0, so a grid of horizons costs about what its longest one does.
-A miss keeps only the law it was asked for, and `cache_clear()` forgets
-every law a later miss could step from.
-
 Notation used throughout: S_n is the walk, M_n its running maximum,
 Z_n = M_n - S_n the drawdown.  `i v m` below means max(i, m), and
 `(i v M) - S` binds the max before the subtraction.
@@ -66,6 +60,8 @@ class WalkParams(Checked, _Walk):
             raise ValueError(f"p must be an exact Fraction, got {self.p!r}")
         if not 0 < self.p < 1:
             raise ValueError(f"p must lie strictly inside (0,1), got {self.p}")
+        if not isinstance(self.n, int):
+            raise ValueError(f"horizon must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"horizon must be >= 0, got {self.n}")
 
@@ -74,72 +70,21 @@ class WalkParams(Checked, _Walk):
         return 1 - self.p
 
 
-class _Held:
-    """An index of the laws one bounded `lru_cache` (the joint pass's)
-    holds, for its misses to step from: key -> {horizon: law}, the key made
-    of integers only (hashing a Fraction costs about 0.5 us).
-
-    The cache calls its function only on a miss and stores every law a miss
-    returns, so the index names only laws the cache holds and keeps nothing
-    else alive.  Once the cache is full, each miss makes it drop a law the
-    index cannot name, so such a miss empties the index first;
-    `cache_clear()` empties it too.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.laws = {}
-        self.stored = 0  # misses since the cache was last cleared
-
-    def cache(self, fn):
-        """`lru_cache(maxsize)` over fn, whose `cache_clear()` also empties
-        the index."""
-        cached = lru_cache(maxsize=self.maxsize)(fn)
-        clear = cached.cache_clear
-
-        def cache_clear():
-            clear()
-            self.laws, self.stored = {}, 0
-
-        cached.cache_clear = cache_clear
-        return cached
-
-    def below(self, key, n: int, first):
-        """(k, law) for the held law at the largest horizon k < n, else (0, first)."""
-        held = self.laws.get(key, {})
-        k = max(filter(n.__gt__, held), default=None)
-        return (0, first) if k is None else (k, held[k])
-
-    def hold(self, key, n: int, law):
-        """File the law a miss returns, which the cache then stores; return it."""
-        self.stored += 1
-        if self.stored > self.maxsize:
-            self.laws = {}
-        self.laws.setdefault(key, {})[n] = law
-        return law
-
-
-_JOINT = _Held(4096)
-
-
-@_JOINT.cache
+@lru_cache(maxsize=4096)
 def _forward_laws(a: int, b: int, n: int) -> tuple:
     """Joint law of (M_n, Z_n) under the p-walk, p = a/b, as integer
     numerators over b**n: row m lists z = 0..n - m (a path that reaches m
     and ends z below it takes at least m + z steps).
 
-    A forward pass over the steps: a down-step (weight b - a) moves Z up
-    one; an up-step (weight a) moves it down one, or from z = 0 moves the
-    mass on to row m + 1.  It starts from the law held for (a, b) at the
-    longest horizon k < n (from ((1,),) at k = 0 if none is held), so a
-    new horizon costs O(n^2 (n - k)) integer work, and the held law is
-    read, never changed.  A miss holds only the law at n (`_JOINT`), and
-    `cache_clear()` forgets every held law.  The key is integers only, as
-    hashing a Fraction costs about 0.5 us.
+    A forward pass over the n steps from ((1,),) at horizon 0, in
+    O(n^3) integer work: a down-step (weight b - a) moves Z up one; an
+    up-step (weight a) moves it down one, or from z = 0 moves the mass on
+    to row m + 1.  The key is integers only, as hashing a Fraction costs
+    about 0.5 us.
     """
     down = b - a
-    held, law = _JOINT.below((a, b), n, ((1,),))
-    for _ in range(n - held):
+    law = ((1,),)
+    for _ in range(n):
         rows, carry = [], 0  # carry: the up-steps from z = 0 of the row below
         for row in law:
             pad = row + (0, 0)
@@ -147,7 +92,7 @@ def _forward_laws(a: int, b: int, n: int) -> tuple:
             carry = a * row[0]
         rows.append((carry,))
         law = tuple(rows)
-    return _JOINT.hold((a, b), n, law)
+    return law
 
 
 def drawdown_laws(w: WalkParams, row=(1,)):
@@ -185,8 +130,10 @@ def max_law(p: Fraction, n: int, start: int = 0) -> list:
     P_j = b**n P(S_n = j), b**n P(V >= v) = sum over j >= v - start of P_j
     + R(v), where R(n + start) = 0 and
     R(v - 1) = (R(v) + (c/a)**start P_(v + start)) * c / a, each division
-    exact (every term is an integer C(n, u) a**x c**y).  At start 0 both
-    terms read the endpoints j >= 1 from one array.
+    exact (every term is an integer C(n, u) a**x c**y, and an endpoint
+    v + start >= start + 1 has at least start up-steps).  Both terms read
+    the endpoints j >= 1 from one array, the weights scaled only when
+    start > 0.
 
     The closed form holds only for the +-1 walk; a walk with other step
     laws would read the kernel's last row.  The independent references,
@@ -199,12 +146,11 @@ def max_law(p: Fraction, n: int, start: int = 0) -> list:
     for u in range(n, max((n - start) // 2, -1), -1):  # u up-steps: v = 2u - n + start >= 1
         point[2 * u - n + start] = term
         term = term * u * c // ((n - u + 1) * a)
-    weight = [0] * (top + 1) if start else point  # (c/a)**start P_(v + start)
-    if 0 < start < n:
-        term = a ** (n - start) * c**start
-        for u in range(n, (n + start) // 2, -1):  # v = 2u - n - start >= 1
-            weight[2 * u - n - start] = term
-            term = term * u * c // ((n - u + 1) * a)
+    weight = point  # weight[v] = (c/a)**start P_(v + start)
+    if start:
+        weight, num, den = [0] * (top + 1), c**start, a**start
+        for v in range(1, n - start + 1):
+            weight[v] = point[v + 2 * start] * num // den
     law = [0] * (top + 1)
     tail = weighted = above = 0  # weighted = R(v), above = b**n P(V >= v + 1)
     for v in range(top, 0, -1):

@@ -176,6 +176,10 @@ class TestEvaluatePolicy:
         assert_refused(valid, 2, (("STOP",), ("STOP",) * 3, ("STOP",) * 3),
                        match="row 1 has 3 decisions")
         assert_refused(valid, 2, (("STOP",), ("STOP",) * 2), match="2 rows")
+        for n in (-1, -2, 2.5):  # the horizon is refused before the rows are read
+            assert_refused(valid, n, (), match=f"policy horizon must be an int >= 0, got {n}")
+        with pytest.raises(ValueError, match="policy horizon must be an int >= 0, got -1"):
+            policy_tau0(-1)
         with pytest.raises(ValueError):
             evaluate_policy(WalkParams(Fraction(1, 2), 3), GEOM_HALF, policy_tau0(2))
 

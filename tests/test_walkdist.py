@@ -87,7 +87,8 @@ class TestJointPmf:
     def test_invalid_params(self):
         valid = WalkParams(Fraction(1, 2), 3)
         assert_refused(valid, Fraction(0), 3)
-        assert_refused(valid, Fraction(1, 2), -1)
+        assert_refused(valid, Fraction(1, 2), -1, match="horizon must be >= 0, got -1")
+        assert_refused(valid, Fraction(1, 2), 2.5, match="horizon must be an int, got 2.5")
         assert_refused(valid, 0.4, 3, match="exact Fraction")
 
     def test_pickle_round_trip(self):
@@ -393,9 +394,8 @@ class TestKeyInequality:
 
 
 class TestSteppedCaches:
-    """A miss of `_forward_laws` steps from the longest shorter horizon held,
-    so no law may depend on the order of requests; `_final_row`'s rows are
-    read in every order too."""
+    """The cached laws of `_forward_laws` and `_final_row` are read in every
+    order of requests, and no law read may depend on that order."""
 
     PS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 7), Fraction(12345, 54321)]
     N = 24
@@ -432,51 +432,17 @@ class TestSteppedCaches:
                 assert list(row) == kernel[start][n], (p, n, start)
         walkdist._final_row.cache_clear()
 
-    def test_joint_miss_steps_from_longest_shorter_horizon(self, monkeypatch):
-        seen = []  # (horizon asked, horizon stepped from) of every joint-law miss
-        below = walkdist._Held.below
-
-        def spy(held, key, n, first):
-            k, law = below(held, key, n, first)
-            if held is walkdist._JOINT:
-                seen.append((n, k))
-            return k, law
-
-        monkeypatch.setattr(walkdist._Held, "below", spy)
-        walkdist._forward_laws.cache_clear()
-        for n in (5, 9, 7, 3, 12):
-            walkdist._forward_laws(2, 5, n)
-        walkdist._forward_laws(2, 5, 9)  # a hit
-        assert seen == [(5, 0), (9, 5), (7, 5), (3, 0), (12, 9)]
-        walkdist._forward_laws.cache_clear()
-        walkdist._forward_laws(2, 5, 10)
-        assert seen[-1] == (10, 0)  # cache_clear forgot every law
-        walkdist._forward_laws.cache_clear()
-
-    def test_full_cache_forgets_the_index(self):
-        """Once the cache is full, a miss makes it drop a law the index cannot
-        name, so the index holds only the law of that miss."""
-        held = walkdist._Held(2)
-
-        @held.cache
-        def law(key, n):
-            return held.hold(key, n, [key, n])
-
-        law(1, 1)
-        law(1, 2)
-        assert held.below(1, 3, None) == (2, [1, 2])
-        law(1, 0)  # the cache drops (1, 1)
-        assert held.laws == {1: {0: [1, 0]}}
-        assert law.cache_info().currsize == 2
-        law.cache_clear()
-        assert held.laws == {} and held.below(1, 3, "first") == (0, "first")
-
     def test_one_check_keeps_only_its_two_laws(self):
         walkdist._forward_laws.cache_clear()
         assert reflection_check(WalkParams(Fraction(2, 5), 40))
         assert walkdist._forward_laws.cache_info().currsize == 2  # p and q at 40 only
-        assert {key: sorted(laws) for key, laws in walkdist._JOINT.laws.items()} == {
-            (2, 5): [40], (3, 5): [40]}
+        walkdist._forward_laws.cache_clear()
+        # a miss keeps only the horizon asked, so a grid keeps one law per request
+        asked = [(a, 5, n) for a in (1, 2) for n in range(0, 31, 3)]
+        random.Random(7).shuffle(asked)
+        for key in asked:
+            walkdist._forward_laws(*key)
+        assert walkdist._forward_laws.cache_info().currsize == len(set(asked))
         walkdist._forward_laws.cache_clear()
 
 
