@@ -19,12 +19,17 @@ E[f(x v M_t)] (mu = lambda, floor x, start 0), E[f(x v (M_t - B_t))]
 its panel edges are the floor and the reward's nodes.
 
 Sampling (M_T, B_T) needs no path discretization: the same conditional
-law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  Per grid segment
-("bridge max refinement") it removes the O(sqrt(dt)) bias of the running
-maximum: the path rules step only the drawdown Z = M - B and value every
-stopped row by one final draw of the rest of its path (`_path_rule`).
-Every draw spans at most T, so one range bounds every rule's sampler:
-`check_limits` accepts 0 < T <= 7.4e304 and |lam| <= 6.7e153 / T.
+law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  `_jump` is the one
+exact draw, one normal and one uniform per row: it gives the tau0 / tauT
+pairs, a time rule's two pieces and every stopped row's final draw.  Per
+grid segment ("bridge max refinement") the same inversion removes the
+O(sqrt(dt)) bias of the running maximum: the drawdown rules step only
+Z = M - B, record each row's Z_tau and T - tau where it stops, and value
+every stopped row by one final `_jump` over the rest of its path
+(`_path_rule`).  Every draw spans at most T, so one range bounds every
+rule's sampler: `check_limits` accepts 0 < T <= 7.4e304 and
+|lam| <= 6.7e153 / T.  Streams come from `coupling._blocks`, which also
+refuses fewer than one replication.
 """
 
 from __future__ import annotations
@@ -113,10 +118,18 @@ def _expect_floor_max(fv: Callable, nodes, t: float, mu: float, floor: float,
     error is an estimate: the difference from the rule on whole panels,
     plus P(V > upper end) max(1, max |fv| on the nodes), plus a rounding
     allowance 8 n u sum |w fv p| over the n nodes (u = 2^-53).  At t = 0,
-    V = start: the value is fv(floor v start), exact.
+    V = start: the value is fv(floor v start), exact.  A t, floor or start
+    that is not finite and >= 0, or a mu that is not finite, raises
+    ValueError naming it; the public callers pass their x as the floor or
+    the start.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got t = {t}")
+    for name, value in (("floor", floor), ("start", start)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"x must be >= 0 and finite, got {name} = {value}")
+    if not math.isfinite(mu):
+        raise ValueError(f"drift must be finite, got mu = {mu}")
     if t == 0:
         return QuadResult(float(fv(np.float64(max(floor, start)))), 0.0)
     root_t, shift = math.sqrt(t), start + mu * t
@@ -153,15 +166,11 @@ def _vectorized_reward(f: RewardSpec) -> Callable:
 
 def g_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f(x v M_t)] under drift lam."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
     return _expect_floor_max(_vectorized_reward(f), f.nodes, t, lam, x, 0.0)
 
 
 def dtilde_bm(t: float, x: float, lam: float, f) -> QuadResult:
     """E[f((x v M_t) - B_t)] under drift lam."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
     # time reversal: (x v M_t) - B_t under lam has the law of
     # (x + B_t) v M_t under -lam
     return _expect_floor_max(_vectorized_reward(f), f.nodes, t, -lam, 0.0, x)
@@ -185,23 +194,21 @@ class BmInequalityReport(NamedTuple):
         return "violated"
 
 
+def _check_against(t: float, x: float, lam: float, f, mu: float) -> BmInequalityReport:
+    """E[f((x v M_t) - B_t)] under drift lam against E[f(x v M_t)] under mu."""
+    lhs, rhs = dtilde_bm(t, x, lam, f), g_bm(t, x, mu, f)
+    return BmInequalityReport(lhs.value, rhs.value, lhs.error + rhs.error)
+
+
 def check_bm_key_inequality(t: float, x: float, lam: float, f) -> BmInequalityReport:
     """E[f((x v M) - B)] >= E[f(x v (M - B))]; holds for nonincreasing convex
     f when lam >= 0, any lam accepted for raw reporting."""
-    lhs = dtilde_bm(t, x, lam, f)
-    rhs = g_bm(t, x, -lam, f)  # M - B under lam has the law of M under -lam
-    return BmInequalityReport(
-        lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
-    )
+    return _check_against(t, x, lam, f, -lam)  # M - B under lam: M under -lam
 
 
 def check_bm_corollary(t: float, x: float, lam: float, f) -> BmInequalityReport:
     """E[f((x v M) - B)] >= E[f(x v M)] (strict for lam > 0, f nonconstant)."""
-    lhs = dtilde_bm(t, x, lam, f)
-    rhs = g_bm(t, x, lam, f)
-    return BmInequalityReport(
-        lhs=lhs.value, rhs=rhs.value, quad_error_bound=lhs.error + rhs.error
-    )
+    return _check_against(t, x, lam, f, lam)
 
 
 # --- sampling ---------------------------------------------------------------
@@ -289,27 +296,12 @@ class BmRule(Checked, _Rule):
 _EXACT_KINDS = ("tau0", "tauT")  # rules valued on the exact (M_T, B_T) pair
 
 
-def _chunks(seed: int, replications: int):
-    """(generator, normals, uniforms) per chunk: chunk c of coupling.BLOCK
-    rows reads stream c, whose first draws are one normal and one uniform
-    per row."""
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    for gen, count in _blocks(seed, replications):
-        yield gen, gen.standard_normal(count), gen.random(count)
-
-
-def _max_endpoint(t, lam: float, normal: np.ndarray, uniform: np.ndarray) -> tuple:
-    """Exact-in-law (M_t, B_t) from one normal and one uniform per row."""
-    b = lam * t + np.sqrt(t) * normal
-    return _conditional_max(b, t, 1.0 - uniform), b  # 1 - uniform in (0, 1]
-
-
 def _jump(gen, t: np.ndarray, lam: float) -> tuple:
     """Exact-in-law (M_t, B_t), one row per duration in t, from gen's next
     draws: one normal and one uniform per row.  Every t is at most T, which
     `check_limits` keeps within the bounds of one draw."""
-    m, b = _max_endpoint(t, lam, gen.standard_normal(len(t)), gen.random(len(t)))
+    b = lam * t + np.sqrt(t) * gen.standard_normal(len(t))
+    m = _conditional_max(b, t, 1.0 - gen.random(len(t)))  # 1 - random() in (0, 1]
     return np.maximum(0.0, m), b
 
 
@@ -320,13 +312,14 @@ def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
     of model.mc.steps steps: step k draws the increment X and, from one
     uniform, the step's bridge maximum S given X, and Z becomes
     max(Z, S) - X, exact in law at grid times.  A row stops at the first
-    k < steps at which its trigger holds and is stepped no more; the
-    others end at T with Z_T.  After the last step one `_jump` draws, for
-    all stopped rows in row order, the maximum M' of the rest of the path
-    over each row's T - k dt, and M_T - B_tau = max(Z_tau, M').  A
-    time_threshold rule stops every row at the first grid time
-    k dt >= param (or T): one `_jump` there and one for the rest.  No draw
-    spans more than T, so the model needs only `check_limits`.
+    k < steps at which its trigger holds: its Z_tau and T - tau are
+    recorded there and it is stepped no more; the others end at T with
+    Z_T.  After the last step one `_jump` draws, for all stopped rows in
+    row order, the maximum M' of the rest of the path over each row's
+    T - k dt, and M_T - B_tau = max(Z_tau, M').  A time_threshold rule
+    stops every row at the first grid time k dt >= param (or T): one
+    `_jump` there and one for the rest.  No draw spans more than T, so the
+    model needs only `check_limits`.
     """
     steps, lam, T = model.mc.steps, model.lam, model.T
     dt = T / steps
@@ -339,7 +332,7 @@ def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
 
     rows = np.arange(count)  # the chunk row of each running row
     z = np.zeros(count)
-    stops = []  # (chunk rows, their Z_tau, T - tau) of each step with stops
+    out, rest = np.empty(count), np.zeros(count)  # rest: T - tau, 0 for rows that reach T
     sqrt_dt, eps = math.sqrt(dt), _EPS_COEFF * math.sqrt(dt)
     for k in range(1, steps + 1):
         x = gen.normal(lam * dt, sqrt_dt, len(z))
@@ -348,14 +341,11 @@ def _path_rule(gen, rule: BmRule, model: BmModel, count: int) -> np.ndarray:
         if k == steps:
             break
         hit = (z >= rule.param) if rule.param > 0 else (z <= eps)
-        stop = np.flatnonzero(hit)
-        if len(stop):
-            stops.append((rows[stop], z[stop], T - k * dt))
+        if hit.any():
+            stop = rows[hit]
+            out[stop], rest[stop] = z[hit], T - k * dt
             rows, z = rows[~hit], z[~hit]
-    out, rest = np.empty(count), np.zeros(count)  # rest: T - tau, 0 for rows that reach T
     out[rows] = z
-    for stopped_rows, z_tau, t in stops:
-        out[stopped_rows], rest[stopped_rows] = z_tau, t
     stopped = np.flatnonzero(rest)
     out[stopped] = np.maximum(out[stopped], _jump(gen, rest[stopped], lam)[0])
     return out
@@ -366,43 +356,40 @@ def sample_max_endpoint(seed: int, t: float, lam: float, replications: int) -> n
     on which `mc_bm_rule_values` values tau0 and tauT, for t and lam that
     `check_limits` accepts."""
     check_limits(BmModel(lam, t), ())
-    return np.concatenate([
-        np.column_stack(_max_endpoint(t, lam, normal, uniform))
-        for _gen, normal, uniform in _chunks(seed, replications)
-    ])
+    return np.concatenate([np.column_stack(_jump(gen, np.full(count, t), lam))
+                           for gen, count in _blocks(seed, replications)])
 
 
 def mc_bm_rule_values(seed: int, model: BmModel, f, rules) -> list:
     """Estimate E[f(M_T - B_tau)] for several BmRules, one McEstimate per rule,
     in order.
 
-    Each chunk's first draws give every row its exact (M_T, B_T), on which
-    tau0 / tauT are valued without discretization error.  Each grid rule
-    then re-reads the chunk's stream from the point right after those
-    draws and simulates its own rows (`_path_rule`): bridge-max-refined
-    steps of model.mc.steps, then one exact draw of the rest of the path
-    for all stopped rows.  So no estimate depends on the other rules in
-    the call or on their order, and the exact and path estimates read
-    disjoint draws.  A model outside the range that `check_limits` accepts
-    raises ValueError before any draw.
+    Each chunk's first draws give every row its exact (M_T, B_T) by one
+    `_jump`, on which tau0 / tauT are valued without discretization error.
+    Each grid rule then re-reads the chunk's stream from the point right
+    after those draws and simulates its own rows (`_path_rule`):
+    bridge-max-refined steps of model.mc.steps, then one exact draw of the
+    rest of the path for all stopped rows.  So no estimate depends on the
+    other rules in the call or on their order, and the exact and path
+    estimates read disjoint draws.  A model outside the range that
+    `check_limits` accepts raises ValueError before any draw.
     """
     fv = _vectorized_reward(f)
     check_limits(model, rules)
-    exact = [idx for idx, rule in enumerate(rules) if rule.kind in _EXACT_KINDS]
-    grid_rules = [(idx, rule) for idx, rule in enumerate(rules) if rule.kind not in _EXACT_KINDS]
     collected = [[] for _rule in rules]
-
-    for gen, normal, uniform in _chunks(seed, model.mc.replications):
-        if exact:
-            m_T, b_T = _max_endpoint(model.T, model.lam, normal, uniform)
-            for idx in exact:
-                collected[idx].append(fv(m_T if rules[idx].kind == "tau0" else m_T - b_T))
+    for gen, count in _blocks(seed, model.mc.replications):
+        m_T, b_T = _jump(gen, np.full(count, model.T), model.lam)
         after_pairs = gen.bit_generator.state
-        for idx, rule in grid_rules:
-            gen.bit_generator.state = after_pairs
-            collected[idx].append(fv(_path_rule(gen, rule, model, len(normal))))
-
+        for rule, vals in zip(rules, collected):
+            if rule.kind == "tau0":
+                vals.append(fv(m_T))
+            elif rule.kind == "tauT":
+                vals.append(fv(m_T - b_T))
+            else:
+                gen.bit_generator.state = after_pairs
+                vals.append(fv(_path_rule(gen, rule, model, count)))
     return [
-        McEstimate.from_sample(np.concatenate(vals), None if idx in exact else model.mc.steps)
-        for idx, vals in enumerate(collected)
+        McEstimate.from_sample(np.concatenate(vals),
+                               None if rule.kind in _EXACT_KINDS else model.mc.steps)
+        for rule, vals in zip(rules, collected)
     ]

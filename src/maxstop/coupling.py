@@ -6,11 +6,11 @@ replication r is row r mod BLOCK of the (BLOCK, n) uniform matrix of block
 r // BLOCK, and its walk steps up where the uniform is <= p.  A run with
 fewer replications draws a prefix of the same rows, so results are
 bit-identical for a given seed regardless of batching.  `_blocks` is the
-one place that lays out streams, and `_rng` the one place that builds a
-generator; the Brownian simulator reads the same blocks: a block's stream
-starts with one normal and one uniform per row (the exact (M_T, B_T)
-pairs), and each path rule re-reads the stream from the point right after
-them.
+one place that lays out streams and checks the replication count, and
+`_rng` the one place that builds a generator; the Brownian simulator
+reads the same blocks: a block's stream starts with one normal and one
+uniform per row (the exact (M_T, B_T) pairs, drawn by `brownian._jump`),
+and each path rule re-reads the stream from the point right after them.
 """
 
 from __future__ import annotations
@@ -33,9 +33,12 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def _blocks(seed: int, replications: int):
     """(generator, row count) for each block of BLOCK rows of the stream
-    layout; block b reads stream b."""
-    for block, start in enumerate(range(0, replications, BLOCK)):
-        yield _rng(seed, block), min(BLOCK, replications - start)
+    layout; block b reads stream b.  Refuses fewer than one replication
+    when called, before any block is drawn."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    return ((_rng(seed, block), min(BLOCK, replications - start))
+            for block, start in enumerate(range(0, replications, BLOCK)))
 
 
 class McEstimate(NamedTuple):
@@ -67,8 +70,6 @@ def mc_rule_value(seed: int, w: WalkParams, f, pol: PolicyTable, replications: i
     n = w.n
     if pol.n != n:
         raise ValueError(f"policy horizon {pol.n} does not match walk horizon {w.n}")
-    if replications < 1:
-        raise ValueError("need at least one replication")
     stop_mat = np.zeros((n + 1, n + 2), dtype=bool)
     for k, row in enumerate(pol.rows):
         stop_mat[k, : k + 1] = [d != CONTINUE for d in row]

@@ -169,7 +169,8 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
     leaves the convexity flags vacuously true), taken on the numerators over
     the values' common denominator, which keeps every sign.  A table reward
     defaults to its own length; a closed-form reward needs the horizon.  A
-    value that is undefined or not rational raises RewardDomainError.
+    negative horizon raises ValueError, and a value that is undefined or not
+    rational RewardDomainError.
     """
     if f.domain != DISCRETE:
         raise ValueError(f"classify needs a discrete-domain reward, got domain {f.domain!r}")
@@ -177,6 +178,8 @@ def classify(f: RewardSpec, horizon=None) -> RewardFlags:
         if f.size is None:
             raise ValueError("classify on a closed-form discrete reward needs a horizon")
         horizon = f.size - 1
+    if horizon < 0:
+        raise ValueError(f"classify needs a horizon >= 0, got {horizon}")
     nums, _den = reward_numerators(f, horizon)
     d1 = [b - a for a, b in zip(nums, nums[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]

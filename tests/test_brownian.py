@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from scipy.special import erfcx
 from scipy.stats import norm
 
 from maxstop import brownian as bm
-from maxstop import coupling, rewards
+from maxstop import coupling, dpsolver, rewards
 from maxstop.coupling import McEstimate
+from maxstop.walkdist import WalkParams
 
 EXP1 = rewards.exp_decay_reward(1.0)
 HINGE = rewards.custom_table_reward([0.0, 2.0], [1.0, 0.0])  # max(0, 1 - x/2)
@@ -230,6 +232,27 @@ class TestQuadratureValues:
         with pytest.raises(ValueError, match="x must be >= 0"):
             bm.check_bm_key_inequality(0.0, -1.0, 0.5, EXP1)
 
+    @pytest.mark.parametrize("op", [bm.g_bm, bm.dtilde_bm, bm.check_bm_key_inequality,
+                                    bm.check_bm_corollary], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("t, x, lam, match", [
+        (math.nan, 0.5, 0.0, "time must be nonnegative and finite, got t = nan"),
+        (math.inf, 0.5, 0.0, "time must be nonnegative and finite, got t = inf"),
+        (1.0, math.nan, 0.0, r"x must be >= 0 and finite, got (floor|start) = nan"),
+        (1.0, math.inf, 0.0, r"x must be >= 0 and finite, got (floor|start) = inf"),
+        (0.0, math.inf, 0.0, r"x must be >= 0 and finite, got (floor|start) = inf"),
+        (1.0, 0.5, math.nan, "drift must be finite, got mu = nan"),
+        (1.0, 0.5, math.inf, r"drift must be finite, got mu = -?inf"),
+        (1.0, 0.5, -math.inf, r"drift must be finite, got mu = -?inf"),
+    ], ids=["t_nan", "t_inf", "x_nan", "x_inf", "x_inf_t0", "lam_nan", "lam_inf", "lam_minf"])
+    def test_non_finite_input_rejected(self, op, t, x, lam, match):
+        """A NaN or infinite t, x or lam is refused by name, with no warning:
+        before the check the value was NaN (a NaN key inequality read
+        "violated") or numpy raised on an empty reduction."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                op(t, x, lam, EXP1)
+
     @pytest.mark.parametrize("name", sorted(HONESTY_REWARDS))
     def test_claimed_error_bounds_hold(self, name):
         """|value - ref| <= claimed error <= 1e-7 for g_bm, the key-inequality
@@ -435,7 +458,7 @@ class TestMcRules:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_model_rejects_non_finite_drift(self, lam, monkeypatch):
         """A non-finite drift is refused before any draw, with no warning."""
-        monkeypatch.setattr(bm, "_chunks", None)  # any draw would fail
+        monkeypatch.setattr(bm, "_blocks", None)  # any draw would fail
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"drift \|lam\| = (nan|inf) is outside"):
@@ -457,7 +480,7 @@ class TestMcRules:
         """Before the check a time rule overflowed in `_jump`, tau0 returned
         0.0 and a drawdown rule warned about NaN.  Every rule has the one
         bound sqrt(float max) / (2 T)."""
-        monkeypatch.setattr(bm, "_chunks", None)  # any draw would fail
+        monkeypatch.setattr(bm, "_blocks", None)  # any draw would fail
         model = bm.BmModel(lam=1e300, T=1e10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,7 +491,7 @@ class TestMcRules:
     def test_horizon_beyond_max_horizon_raises_for_that_rule(self, monkeypatch):
         """T = 1e306 lies beyond the one horizon bound, for a grid rule as for
         tau0: the message names the bound."""
-        monkeypatch.setattr(bm, "_chunks", None)
+        monkeypatch.setattr(bm, "_blocks", None)
         model = bm.BmModel(lam=0.0, T=1e306)
         for rules in ([bm.BmRule("time_threshold", 0.5)], [bm.BmRule("tau0")]):
             with warnings.catch_warnings():
@@ -623,11 +646,20 @@ class TestChunkLayout:
         assert tauT == McEstimate.from_sample(EXP1.array(mb[:, 0] - mb[:, 1]))
 
     def test_zero_replications_rejected(self):
+        """`coupling._blocks` refuses the count for each of its three callers,
+        whatever rules the Brownian call asks for."""
         with pytest.raises(ValueError, match="at least one replication"):
             bm.sample_max_endpoint(1, 1.0, 0.0, 0)
-        model = bm.BmModel(lam=0.0, T=1.0, mc=bm.McConfig(replications=0))
-        with pytest.raises(ValueError, match="at least one replication"):
-            bm.mc_bm_rule_values(1, model, EXP1, [bm.BmRule("tau0")])
+        model = bm.BmModel(lam=0.0, T=1.0, mc=bm.McConfig(steps=5, replications=0))
+        for rules in ([bm.BmRule("tau0")], [bm.BmRule("drawdown_threshold", 0.5)],
+                      [bm.BmRule("time_threshold", 0.5)], []):
+            with pytest.raises(ValueError, match="at least one replication"):
+                bm.mc_bm_rule_values(1, model, EXP1, rules)
+        w = WalkParams(Fraction(1, 2), 3)
+        for reps in (0, -1):
+            with pytest.raises(ValueError, match="at least one replication"):
+                coupling.mc_rule_value(1, w, rewards.geometric_reward(Fraction(1, 2)),
+                                       dpsolver.policy_tau0(3), reps)
 
     def test_whole_chunks_do_not_depend_on_later_rows(self):
         full = bm.sample_max_endpoint(32, 1.0, 0.0, self.REPS)

@@ -141,6 +141,14 @@ class TestClassify:
         flags = classify(table_reward([2, 1]))
         assert flags.convex and flags.strictly_convex  # no second differences to check
 
+    @pytest.mark.parametrize("horizon", [-1, -5])
+    def test_negative_horizon_rejected(self, horizon):
+        """A negative horizon has no points to test; it used to read every
+        flag but strictly_decreasing as vacuously True."""
+        for f in (table_reward([1, 0]), geometric_reward(Fraction(1, 2))):
+            with pytest.raises(ValueError, match=f"classify needs a horizon >= 0, got {horizon}"):
+                classify(f, horizon=horizon)
+
     def test_continuous_domain_rejected(self):
         # linear between its nodes, so not strictly convex: flags taken on a
         # probe grid would claim a hypothesis the reward does not have
