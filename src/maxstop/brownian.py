@@ -16,7 +16,10 @@ One 1-D Gauss-Legendre rule over y (`_expect_floor_max`) gives
 E[f(x v M_t)] (mu = lambda, floor x, start 0), E[f(x v (M_t - B_t))]
 (the same under -lambda) and, by time reversal, E[f((x v M_t) - B_t)]
 (mu = -lambda, floor 0, start x).  V's density is smooth for y > 0, so
-its panel edges are the floor and the reward's nodes.
+its panel edges are the floor and the reward's nodes, plus edges around
+V's Gaussian bump and M_t's Exp(2 |mu|) spike when one panel would not
+resolve them; |mu| sqrt(t) <= 50 and floor + start <= 1e3 sqrt(t) are
+accepted.
 
 Sampling (M_T, B_T) needs no path discretization: the same conditional
 law inverts to M = (b + sqrt(b^2 - 2t ln U)) / 2.  `_jump` is the one
@@ -47,6 +50,9 @@ from .rewards import RewardDomainError, RewardSpec
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 _SIGMAS = 8.0  # quadrature range past start + |mu| t, in units of sqrt(t)
+_WIDE = 3.0  # past start + |mu| t = _WIDE sqrt(t), V's bump and spike get panel edges
+_MAX_DRIFT = 50.0  # largest |mu| sqrt(t) that `_expect_floor_max` accepts
+_MAX_X = 1e3  # largest floor + start that it accepts, in units of sqrt(t)
 _EPS_COEFF = 0.5  # stop-at-running-max triggers at Z <= _EPS_COEFF * sqrt(dt)
 _GL_POINTS = 20  # Gauss-Legendre points per sub-panel of `_expect_floor_max`
 
@@ -105,6 +111,23 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+def _reflected_cdf(y: float, t: float, mu: float, start: float) -> float:
+    """exp(2 mu y) Phi(-z), z = (y + start + mu t) / sqrt(t), without
+    overflow.  Past z = 37, where erfc underflows, Phi(-z) is phi(z) / z
+    times 1 - 1/z^2 + 3/z^4 - ... (nine terms, the last below 2^-53), and
+    exp(2 mu y) phi(z) = phi(a) exp(-2 mu start), a = (y + start - mu t) /
+    sqrt(t), which keeps the exponent free of cancellation."""
+    root_t = math.sqrt(t)
+    z = (y + start + mu * t) / root_t
+    if z < 37.0:
+        return math.exp(2.0 * mu * y) * _normal_cdf(-z)
+    series, term = 0.0, 1.0
+    for k in range(1, 10):
+        series, term = series + term, -term * (2 * k - 1) / (z * z)
+    a = (y + start - mu * t) / root_t
+    return math.exp(-0.5 * a * a - 2.0 * mu * start) / (z * math.sqrt(2.0 * math.pi)) * series
+
+
 def _expect_floor_max(fv: Callable, nodes, t: float, mu: float, floor: float,
                       start: float) -> QuadResult:
     """E[fv(floor v V)], V = (start + B_t) v M_t under drift mu, for
@@ -114,14 +137,23 @@ def _expect_floor_max(fv: Callable, nodes, t: float, mu: float, floor: float,
     V's density, phi(a) (1 + exp(-2 y start / t)) / sqrt(t)
     - 2 mu exp(2 mu y) Phi(b) with a, b the arguments of Phi above, over
     [floor, floor + start + |mu| t + c sqrt(t)] (c = _SIGMAS), by the
-    20-point rule on two halves of each panel between the nodes.  The
-    error is an estimate: the difference from the rule on whole panels,
-    plus P(V > upper end) max(1, max |fv| on the nodes), plus a rounding
-    allowance 8 n u sum |w fv p| over the n nodes (u = 2^-53).  At t = 0,
-    V = start: the value is fv(floor v start), exact.  A t, floor or start
-    that is not finite and >= 0, or a mu that is not finite, raises
-    ValueError naming it; the public callers pass their x as the floor or
-    the start.
+    20-point rule on two halves of each panel between the nodes.  Once
+    start + |mu| t exceeds 3 sqrt(t), edges at shift +- 2^j sqrt(t)
+    (j = 0..3) resolve V's Gaussian bump at shift = start + mu t, and for
+    mu sqrt(t) < -1 edges at floor + 2^j / (2 |mu|) resolve M_t's
+    Exp(2 |mu|) spike.  `_reflected_cdf` takes exp(2 mu y) Phi(b) without
+    overflow.  The error is an estimate: the difference from the rule on
+    whole panels, plus P(V > upper end) max(1, max |fv| on the nodes), plus
+    a rounding allowance 8 n u sum |w fv p| over the n nodes (u = 2^-53).
+    At t = 0, V = start: the value is fv(floor v start), exact.  A t,
+    floor or start that is not finite and >= 0, or a mu that is not
+    finite, raises ValueError naming it; the public callers pass their x
+    as the floor or the start and their lam as +-mu.  At t > 0 so does
+    |mu| sqrt(t) > 50 or floor + start > 1e3 sqrt(t): there the error
+    against a 60-digit mpmath closed form was seen to exceed the estimate
+    (at |mu| sqrt(t) = 100, and at x = 3e3 sqrt(t), where the rounding of
+    y near x, which the estimate does not count, reaches 1e-12 of V's
+    width).
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got t = {t}")
@@ -133,24 +165,37 @@ def _expect_floor_max(fv: Callable, nodes, t: float, mu: float, floor: float,
     if t == 0:
         return QuadResult(float(fv(np.float64(max(floor, start)))), 0.0)
     root_t, shift = math.sqrt(t), start + mu * t
+    if not abs(mu) * root_t <= _MAX_DRIFT:
+        raise ValueError(f"drift must satisfy |lam| sqrt(t) <= {_MAX_DRIFT:g}, "
+                         f"got {abs(mu) * root_t:g}")
+    if not floor + start <= _MAX_X * root_t:
+        raise ValueError(f"x must be <= {_MAX_X:g} sqrt(t), got x = {floor + start:g} "
+                         f"at t = {t:g}")
     upper = floor + start + abs(mu) * t + _SIGMAS * root_t
-    edges = np.array(sorted({floor, upper, *(float(c) for c in nodes if floor < c < upper)}))
+    marks = {floor, upper, *map(float, nodes)}
+    if start + abs(mu) * t > _WIDE * root_t:
+        marks.update(shift + root_t * np.array([-8.0, -4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0]))
+        if mu * root_t < -1.0:
+            marks.update(floor + np.exp2(np.arange(64)) * (-0.5 / mu))
+    edges = np.array(sorted(c for c in marks if floor <= c <= upper))
     halves = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     (u, unit_w), estimates = _unit_rule(), []
     for cuts in (edges, halves):
         width = np.diff(cuts)[:, None]
         y, w = (cuts[:-1, None] + width * u).ravel(), (width * unit_w).ravel()
-        a = (y - shift) / root_t
+        a, z = (y - shift) / root_t, (y + shift) / root_t
+        with np.errstate(over="ignore", invalid="ignore"):
+            reflected = 2.0 * mu * np.exp(2.0 * mu * y) * np.array(
+                [_normal_cdf(-v) for v in z.tolist()])
+        for i in np.flatnonzero(z >= 37.0):  # erfc underflows, exp may overflow
+            reflected[i] = 2.0 * mu * _reflected_cdf(float(y[i]), t, mu, start)
         density = (0.5 * SQRT_2_OVER_PI / root_t * np.exp(-0.5 * np.square(a))
-                   * (1.0 + np.exp(-2.0 * start / t * y)) - 2.0 * mu * np.exp(2.0 * mu * y)
-                   * np.array([_normal_cdf(v) for v in (-y - shift) / root_t]))
+                   * (1.0 + np.exp(-2.0 * start / t * y)) - reflected)
         terms = w * fv(y) * density
         estimates.append(float(np.sum(terms)))
     coarse, fine = estimates
-    below = _normal_cdf((floor - shift) / root_t) - math.exp(2.0 * mu * floor) * _normal_cdf(
-        (-floor - shift) / root_t)
-    tail = _normal_cdf((shift - upper) / root_t) + math.exp(2.0 * mu * upper) * _normal_cdf(
-        (-upper - shift) / root_t)
+    below = _normal_cdf((floor - shift) / root_t) - _reflected_cdf(floor, t, mu, start)
+    tail = _normal_cdf((shift - upper) / root_t) + _reflected_cdf(upper, t, mu, start)
     rounding = 8 * 2.0**-53 * len(terms) * float(np.sum(np.abs(terms)))
     tail *= max(1.0, float(np.max(np.abs(fv(y)))))
     return QuadResult(float(fv(np.float64(floor))) * below + fine,

@@ -151,29 +151,34 @@ def _solve_fields(rep: dpsolver.SolveReport) -> dict:
     }
 
 
-def _policy_listing(pol: dpsolver.PolicyTable) -> str:
-    """The [k, z, decision] triples of every state in (k, z) order, laid out
-    as json.dumps(indent=2) lays out a list under a top-level key.  k and z
-    are ints and the decisions are plain ASCII tokens, so no escaping
-    arises.  Each row is one join of its decisions with per-z strings
-    built once."""
+def _policy_listing(pol: dpsolver.PolicyTable) -> list:
+    """The [k, z, decision] triples of every state in (k, z) order, as the
+    parts of the text that json.dumps(indent=2) writes for that list under a
+    top-level key: for each row k, its head (with the '[' or ',' before
+    it), one join of its decisions with per-z strings built once, and its
+    tail; then the closing bracket.  No part is copied into another.  k and
+    z are ints and the decisions are plain ASCII tokens, so no escaping
+    arises."""
     zs = [f'{z},\n      "' for z in range(pol.n + 1)]
-    return "[\n" + ",\n".join(
-        f"    [\n      {k},\n      "
-        + f'"\n    ],\n    [\n      {k},\n      '.join(map(operator.add, zs, row))
-        + '"\n    ]'
-        for k, row in enumerate(pol.rows)
-    ) + "\n  ]"
+    parts = []
+    for k, row in enumerate(pol.rows):
+        parts += (f"{',' if k else '['}\n    [\n      {k},\n      ",
+                  f'"\n    ],\n    [\n      {k},\n      '.join(map(operator.add, zs, row)),
+                  '"\n    ]')
+    parts.append("\n  ]")
+    return parts
 
 
-def _pair_listing(pairs: tuple) -> str:
-    """A sequence of (int, int) pairs laid out as json.dumps(indent=2) lays
-    out a list of 2-lists under a top-level key; no pairs give '[]'."""
+def _pair_listing(pairs: tuple) -> list:
+    """A sequence of (int, int) pairs as the parts of the text that
+    json.dumps(indent=2) writes for a list of 2-lists under a top-level key,
+    one part per pair; no pairs give '[]'."""
     if not pairs:
-        return "[]"
-    return "[\n" + ",\n".join(
-        [f"    [\n      {k},\n      {z}\n    ]" for k, z in pairs]
-    ) + "\n  ]"
+        return ["[]"]
+    parts = [f"{',' if i else '['}\n    [\n      {k},\n      {z}\n    ]"
+             for i, (k, z) in enumerate(pairs)]
+    parts.append("\n  ]")
+    return parts
 
 
 def _write(files: list) -> None:
@@ -218,20 +223,26 @@ def _emit(report: dict, args, failed: bool, listings: dict | None = None,
           files: tuple = ()) -> int:
     """Write the report, and each further (path, text) of `files`.
 
-    `listings` maps top-level keys to preformatted JSON lists (see
-    `_policy_listing` and `_pair_listing`).  json.dumps(indent=2) runs the
-    pure-Python encoder, so a per-state listing goes in as null and its text
-    is spliced in where the sorted keys put it: top-level keys are the only
-    ones indented by two spaces.  The files are written before the report
-    goes to stdout, so a path that cannot be written prints no report and
-    leaves no file that this call created (see `_write`).
+    `listings` maps top-level keys to the parts of preformatted JSON lists
+    (see `_policy_listing` and `_pair_listing`).  json.dumps(indent=2) runs
+    the pure-Python encoder, so the report is dumped with each listing as
+    null.  That small text is cut at each placeholder in sorted-key order
+    (top-level keys are the only ones indented by two spaces), and the
+    report is its pieces and the listings' parts in one join.  The files
+    are written before the report goes to stdout, so a path that cannot be
+    written prints no report and leaves no file that this call created
+    (see `_write`).
     """
     report["tool_version"] = __version__
     listings = listings or {}
     report.update(dict.fromkeys(listings))
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    for key, listing in listings.items():
-        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {listing}', 1)
+    rest = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    parts = []
+    for key in sorted(listings):
+        head, _, rest = rest.partition(f'\n  "{key}": null')
+        parts += (head, f'\n  "{key}": ', *listings[key])
+    parts.append(rest)
+    text = "".join(parts)
     output = getattr(args, "output", None)
     _write([(output, text), *files] if output else files)
     if not output:

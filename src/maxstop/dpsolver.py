@@ -102,9 +102,12 @@ class PolicyTable(Checked, _Policy):
 
     def to_csv(self) -> str:
         """One `k,z,decision` line per state under that header, each ending
-        in CRLF, as `csv.writer` writes them."""
+        in CRLF, as `csv.writer` writes them.  Each row is one join of its
+        decisions with per-z strings built once."""
+        zs = [f"{z}," for z in range(self.n + 1)]
         return "k,z,decision\r\n" + "".join(
-            f"{k},{z},{d}\r\n" for k, row in enumerate(self.rows) for z, d in enumerate(row)
+            f"{k}," + f"\r\n{k},".join(map(operator.add, zs, row)) + "\r\n"
+            for k, row in enumerate(self.rows)
         )
 
 

@@ -298,6 +298,60 @@ class TestQuadratureValues:
                         misses.append((what, t, x, lam, err))
         assert not misses
 
+    def test_error_estimate_holds_across_the_accepted_range(self):
+        """|value - ref| <= error against a 60-digit closed form out to the
+        edges of the accepted range, |mu| sqrt(t) = 50 and floor + start =
+        1e3 sqrt(t).  The reward varies on V's own scale sqrt(t) around x,
+        so each value is O(1) or more and every digit counts:
+        exp(-(y - x)/sqrt(t)) over the floor x, and over a start x > 0
+        exp((y - x)/sqrt(t)), which stays finite at the floor 0 (a growing
+        reward's mass past the upper end is outside the tail term, which is
+        why the start 0 is left to the floor case).  Before the bump and
+        spike edges, mu = -50 read 0.021 +- 0.021 against 0.99, and start =
+        1e3 sqrt(t) at mu = 0.5 / sqrt(t) read 1.27 +- 1.2 against e."""
+        mp = pytest.importorskip("mpmath")
+        misses = []
+        with warnings.catch_warnings(), mp.workdps(60):
+            warnings.simplefilter("error")
+            for t, drift, xs in itertools.product(
+                (0.01, 1.0, 9.0), (-50.0, -20.0, -4.0, 0.5, 4.0, 20.0, 50.0),
+                (0.0, 2.0, 30.0, 1e3),
+            ):
+                st = math.sqrt(t)
+                mu, x = drift / st, xs * st
+                cases = [(x, 0.0, 1 / st)] + ([(0.0, x, -1 / st)] if x > 0 else [])
+                for floor, start, sigma in cases:
+                    res = bm._expect_floor_max(lambda y: np.exp(-sigma * (y - x)), (),
+                                               t, mu, floor, start)
+                    ref = float(exp_decay_floor_max(mp, t, floor, mu, start, sigma)
+                                * mp.exp(mp.mpf(sigma) * x))
+                    if not abs(res.value - ref) <= res.error + 1e-15 * abs(ref):
+                        misses.append((t, drift, xs, floor, start, res, ref))
+        assert not misses
+
+    def test_large_drift_spike_is_resolved(self):
+        """V = (0.5 + B_1) v M_1 under mu = -50 is about Exp(100): the key
+        inequality's left side read 0.00101 +- 0.00101 and the verdict
+        "violated" for a nonincreasing convex reward."""
+        rep = bm.check_bm_key_inequality(1.0, 0.5, 50.0, EXP1)
+        assert abs(rep.lhs - 100 / 101) <= rep.quad_error_bound <= 1e-9
+        assert rep.verdict == "strict"
+
+    def test_drift_past_the_accepted_range_refused(self):
+        """exp(2 mu upper) overflowed to OverflowError at mu = 400."""
+        with pytest.raises(ValueError, match=r"drift must satisfy \|lam\| sqrt\(t\) <= 50, "
+                                             r"got 400$"):
+            bm.check_bm_key_inequality(1.0, 0.5, -400.0, EXP1)
+
+    def test_x_past_the_accepted_range_refused(self):
+        """floor + |mu| t + 8 sqrt(t) rounded to the floor, and numpy raised
+        on an empty panel list."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"x must be <= 1000 sqrt\(t\), "
+                                                 r"got x = 1e\+300 at t = 1$"):
+                bm.g_bm(1.0, 1e300, 0.0, EXP1)
+
 
 class TestKeyInequality:
     def test_zero_start_is_equality(self):

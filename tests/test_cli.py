@@ -138,6 +138,27 @@ class TestSolveCommand:
         )
 
     @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (  # TIE_CLASS: 300 tie states after a listing of 45,451 states
+                ["solve", "--p", "1/2", "--N", "300", "--reward", "geometric:1/2"],
+                "d8540cfa9ab8803b508476818d5fb63b72c20fcae63934b791e099a02f84a60c",
+            ),
+            (  # 1980 tie states off zero drawdown
+                ["solve", "--p", "2/5", "--N", "90", "--reward", "indicator_top"],
+                "924018692e27434afba4b44a659c346ca3dec6d3b42a3acac9e9d855ca521967",
+            ),
+        ],
+        ids=["tie-class-N300", "ties-off-zero-N90"],
+    )
+    def test_large_tie_report_bytes_frozen(self, argv, digest, tmp_path):
+        """Report bytes with a long tie_states listing after the policy
+        listing, as the replace-based splice wrote them."""
+        target = tmp_path / "r.json"
+        assert cli.main(["--output", str(target)] + argv) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "policy, digest",
         [
             ("tau0", "5f5f7db11aa1d969ad791031416e81ebef461dbfe9b227a46535740d0a898ba8"),
@@ -362,7 +383,9 @@ def policy_tables(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_emit_listings_match_stdlib_encoder(pol, ties):
-    """Spliced listings give the text that the stdlib encoder writes for the
+    """Each listing is a list of string parts that joins to the stdlib
+    encoder's text for its list alone under a top-level key, and the report
+    assembled from them is the text that the stdlib encoder writes for the
     same report with the lists inline."""
     report = {"command": "solve", "config": {"N": pol.n}, "unique": "UNIQUE_TAU0"}
     inline = {
@@ -372,6 +395,10 @@ def test_emit_listings_match_stdlib_encoder(pol, ties):
         "tie_states": [list(s) for s in ties],
     }
     listings = {"policy": cli._policy_listing(pol), "tie_states": cli._pair_listing(ties)}
+    for key, parts in listings.items():
+        assert isinstance(parts, list) and all(isinstance(part, str) for part in parts)
+        alone = json.dumps({key: inline[key]}, indent=2)
+        assert "".join(parts) == alone[len(f'{{\n  "{key}": '):-len("\n}")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli._emit(report, argparse.Namespace(), False, listings=listings) == 0
